@@ -39,10 +39,11 @@ from .algebras import (
 )
 from .cochains import (
     Cochain,
+    cochain_from_coordinates,
     harrison_basis,
+    harrison_space,
     hochschild_coboundary,
     super_shuffle_sum,
-    zero_cochain,
 )
 from .cohomology import (
     ComplexKind,
@@ -112,14 +113,26 @@ def resolve_algebra(spec: str) -> SuperAlgebra:
     return load_algebra(spec)
 
 
+def _ceiling(args: argparse.Namespace, name: str) -> int:
+    """A ceiling from its flag, else its environment variable, else the default."""
+    value = getattr(args, name, None)
+    source = "--" + name.replace("_", "-")
+    if value is None:
+        source = f"SUPERHARRISON_{name.upper()}"
+        text = os.environ.get(source)
+        if text is None:
+            return getattr(ResourceLimits, name)
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise InputFormatError(f"{source} must be an integer, got {text!r}") from exc
+    if value < 0:
+        raise InputFormatError(f"{source} must be nonnegative, got {value}")
+    return value
+
+
 def _limits_from(args: argparse.Namespace) -> ResourceLimits:
-    max_degree = getattr(args, "max_degree", None)
-    max_columns = getattr(args, "max_columns", None)
-    if max_degree is None:
-        max_degree = int(os.environ.get("SUPERHARRISON_MAX_DEGREE", ResourceLimits.max_degree))
-    if max_columns is None:
-        max_columns = int(os.environ.get("SUPERHARRISON_MAX_COLUMNS", ResourceLimits.max_columns))
-    return ResourceLimits(max_degree=max_degree, max_columns=max_columns)
+    return ResourceLimits(max_degree=_ceiling(args, "max_degree"), max_columns=_ceiling(args, "max_columns"))
 
 
 def _digest(*docs: dict) -> str:
@@ -443,17 +456,12 @@ def _run_suites(
     if suite("equivalence"):
         rng = random.Random(11)
         z2 = kernel_basis(coboundary_matrix(algebra, module, 2, ComplexKind.SUPER_HARRISON, limits))
-        harrison2 = harrison_basis(algebra, module, 2)
+        harrison2 = harrison_space(algebra, module, 2)
         ok = True
         runs = max(budget // 10, 5)
         for _ in range(runs):
-            psi = zero_cochain(algebra, module, 2)
-            for vec in z2.vectors:
-                coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                if coeff:
-                    for c, weight in enumerate(vec):
-                        if weight:
-                            psi = psi + harrison2[c].scale(coeff * weight)
+            weights = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in z2.vectors]
+            psi = cochain_from_coordinates(algebra, module, 2, harrison2.combination(z2.combination(weights)))
             g0 = random_parity_cochain(algebra, module, 1, rng)
             shifted = psi - hochschild_coboundary(g0)
             g = extension_equivalence(algebra, module, psi, shifted)

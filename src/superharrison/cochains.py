@@ -5,6 +5,15 @@ value tensor over basis tuples.  The flat index of entry (t, l) with
 t = (t_1, ..., t_n) is the mixed-radix number (((t_1*d + t_2)*d + ...)*d
 + t_n)*dim_M + l, so enumeration order is lexicographic in (t, l).
 
+The cochain index lives here and nowhere else: ``encode``/``decode``
+convert between (t, l) and the flat offset, ``parity_offsets``,
+``parity_count``, ``parity_coordinates`` and ``cochain_from_coordinates``
+map between cochains and coordinates over the parity-consistent entries,
+and ``shuffle_action`` gives the signed slot permutations of su_{n,p}.
+``encode``, ``decode`` and ``shuffle_action`` run once per entry, so they
+stay out of ``__all__``, the names that profilers such as
+``perfbench/traced_cli.py`` wrap call by call.
+
 Three layers live here:
 
 * the full Hochschild cochain space (all linear maps), with the coboundary
@@ -38,11 +47,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product as iter_product
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from .algebras import SuperAlgebra, SuperModule, act, multiply, right_action, self_module
+from .algebras import SuperAlgebra, SuperModule
 from .linalg import Rat, SubspaceBasis, as_rational, kernel_basis, RationalMatrix
-from .shuffles import Permutation, enumerate_shuffles, sigma_o_sign
+from .shuffles import enumerate_shuffles, sigma_o_sign
 
 __all__ = [
     "Cochain",
@@ -51,6 +60,8 @@ __all__ = [
     "elementary_cochain",
     "cochain_apply",
     "parity_offsets",
+    "parity_count",
+    "parity_coordinates",
     "parity_basis",
     "super_shuffle_sum",
     "harrison_space",
@@ -59,6 +70,23 @@ __all__ = [
     "is_graded_symmetric",
     "cochain_from_coordinates",
 ]
+
+
+def encode(t: Sequence[int], l: int, dim_a: int, dim_m: int) -> int:
+    """Flat offset of entry (t, l)."""
+    idx = 0
+    for i in t:
+        idx = idx * dim_a + i
+    return idx * dim_m + l
+
+
+def decode(flat: int, degree: int, dim_a: int, dim_m: int) -> tuple[tuple[int, ...], int]:
+    """The entry (t, l) at a flat offset; inverse of ``encode``."""
+    idx, l = divmod(flat, dim_m)
+    t = [0] * degree
+    for slot in range(degree - 1, -1, -1):
+        idx, t[slot] = divmod(idx, dim_a)
+    return tuple(t), l
 
 
 @dataclass(frozen=True)
@@ -90,10 +118,7 @@ class Cochain:
         return True
 
     def offset(self, t: Sequence[int], l: int) -> int:
-        idx = 0
-        for i in t:
-            idx = idx * self.algebra.dim + i
-        return idx * self.module.dim + l
+        return encode(t, l, self.algebra.dim, self.module.dim)
 
     def entry(self, t: Sequence[int], l: int) -> Rat:
         if len(t) != self.degree:
@@ -106,17 +131,11 @@ class Cochain:
         return tuple(self.data[base : base + self.module.dim])
 
     def iter_nonzero(self) -> Iterator[tuple[tuple[int, ...], int, Rat]]:
-        dim_m = self.module.dim
-        dim_a = self.algebra.dim
-        n = self.degree
+        n, dim_a, dim_m = self.degree, self.algebra.dim, self.module.dim
         for flat, v in enumerate(self.data):
-            if not v:
-                continue
-            idx, l = divmod(flat, dim_m)
-            t = [0] * n
-            for slot in range(n - 1, -1, -1):
-                idx, t[slot] = divmod(idx, dim_a)
-            yield tuple(t), l, v
+            if v:
+                t, l = decode(flat, n, dim_a, dim_m)
+                yield t, l, v
 
     def is_zero(self) -> bool:
         return not any(self.data)
@@ -176,10 +195,7 @@ def cochain_from_entries(
             raise ValueError(f"tuple {t} does not have length {degree}")
         if any(not 0 <= i < algebra.dim for i in t) or not 0 <= l < module.dim:
             raise ValueError(f"entry ({t}, {l}) out of range")
-        idx = 0
-        for i in t:
-            idx = idx * algebra.dim + i
-        data[idx * module.dim + l] = as_rational(v)
+        data[encode(t, l, algebra.dim, module.dim)] = as_rational(v)
     return Cochain(degree, algebra, module, tuple(data))
 
 
@@ -226,6 +242,42 @@ def parity_offsets(algebra: SuperAlgebra, module: SuperModule, degree: int) -> t
     return tuple(out)
 
 
+def parity_count(algebra: SuperAlgebra, module: SuperModule, degree: int) -> int:
+    """``len(parity_offsets(...))`` in closed form, without building the table.
+
+    With E even and O odd basis elements of A, the tuples of even total
+    parity number ((E+O)^n + (E-O)^n)/2 and the odd ones the rest; each
+    pairs with the module indices of its own parity.
+    """
+    odd = sum(algebra.parity)
+    tuples = algebra.dim**degree
+    even_tuples = (tuples + (algebra.dim - 2 * odd) ** degree) // 2
+    odd_values = sum(module.parity)
+    return even_tuples * (module.dim - odd_values) + (tuples - even_tuples) * odd_values
+
+
+def parity_coordinates(f: Cochain) -> tuple[Rat, ...]:
+    """Coordinates of f over ``parity_offsets``; inverse of ``cochain_from_coordinates``."""
+    if not f.parity_preserving:
+        raise ValueError("cochain has a parity-violating entry")
+    return tuple(f.data[off] for off in parity_offsets(f.algebra, f.module, f.degree))
+
+
+def cochain_from_coordinates(
+    algebra: SuperAlgebra, module: SuperModule, degree: int, coords: Sequence[Rat]
+) -> Cochain:
+    """Cochain with the given coordinates over the parity-offset enumeration."""
+    offsets = parity_offsets(algebra, module, degree)
+    if len(coords) != len(offsets):
+        raise ValueError("coordinate length does not match parity basis size")
+    size = algebra.dim**degree * module.dim
+    data: list[Rat] = [0] * size
+    for off, v in zip(offsets, coords):
+        if v:
+            data[off] = as_rational(v)
+    return Cochain(degree, algebra, module, tuple(data))
+
+
 def parity_basis(algebra: SuperAlgebra, module: SuperModule, degree: int) -> list[Cochain]:
     """Elementary parity-preserving cochains, one per parity-consistent entry."""
     size = algebra.dim**degree * module.dim
@@ -238,14 +290,26 @@ def parity_basis(algebra: SuperAlgebra, module: SuperModule, degree: int) -> lis
 
 
 @lru_cache(maxsize=None)
-def _shuffle_table(n: int, p: int) -> tuple[tuple[tuple[int, ...], int, Permutation], ...]:
-    """Per shuffle s: the 0-based slot map of s^{-1}, sign(s), and s^{-1} itself."""
+def _signed_shuffles(n: int, p: int, parities: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Per shuffle s: the 0-based slot map of s^{-1} and sign(s) * oddsign(s^{-1})."""
     out = []
     for s in enumerate_shuffles(n, p):
         inv = s.perm.inverse()
         slot_map = tuple(inv(m) - 1 for m in range(1, n + 1))
-        out.append((slot_map, s.perm.sign(), inv))
+        out.append((slot_map, s.perm.sign() * sigma_o_sign(inv, parities)))
     return tuple(out)
+
+
+def shuffle_action(
+    algebra: SuperAlgebra, module: SuperModule, t: tuple[int, ...], l: int, p: int
+) -> Iterator[tuple[int, int]]:
+    """The summands of su_{n,p} at entry (t, l): (flat offset of (u, l), sign).
+
+    (su_{n,p} f)(t, l) is the sum of sign * f.data[offset] over them.
+    """
+    parities = tuple(algebra.parity[i] for i in t)
+    for slot_map, sign in _signed_shuffles(len(t), p, parities):
+        yield encode([t[m] for m in slot_map], l, algebra.dim, module.dim), sign
 
 
 def super_shuffle_sum(f: Cochain, p: int) -> Cochain:
@@ -257,26 +321,13 @@ def super_shuffle_sum(f: Cochain, p: int) -> Cochain:
         raise ValueError(f"p must satisfy 1 <= p <= n-1, got {p}")
     algebra, module = f.algebra, f.module
     dim_m = module.dim
-    a_par = algebra.parity
-    table = _shuffle_table(n, p)
     out: list[Rat] = [0] * len(f.data)
-    base = 0
     for t in iter_product(range(algebra.dim), repeat=n):
-        parities = tuple(a_par[i] for i in t)
-        for slot_map, base_sign, inv in table:
-            u = tuple(t[slot_map[m]] for m in range(n))
-            u_idx = 0
-            for i in u:
-                u_idx = u_idx * algebra.dim + i
-            u_base = u_idx * dim_m
-            chunk = f.data[u_base : u_base + dim_m]
-            if not any(chunk):
-                continue
-            sign = base_sign * sigma_o_sign(inv, parities)
-            for l in range(dim_m):
-                if chunk[l]:
-                    out[base + l] = out[base + l] + sign * chunk[l]
-        base += dim_m
+        base = encode(t, 0, algebra.dim, dim_m)
+        for u_base, sign in shuffle_action(algebra, module, t, 0, p):
+            for l, x in enumerate(f.data[u_base : u_base + dim_m]):
+                if x:
+                    out[base + l] += sign * x
     return Cochain(n, algebra, module, tuple(as_rational(v) for v in out))
 
 
@@ -300,64 +351,28 @@ def harrison_space(algebra: SuperAlgebra, module: SuperModule, degree: int) -> S
             [[1 if j == i else 0 for j in range(ncols)] for i in range(ncols)], ncols
         )
 
-    dim_m = module.dim
-    dim_a = algebra.dim
-    a_par = algebra.parity
-
-    def decode(off: int) -> tuple[tuple[int, ...], int]:
-        idx, l = divmod(off, dim_m)
-        t = [0] * degree
-        for slot in range(degree - 1, -1, -1):
-            idx, t[slot] = divmod(idx, dim_a)
-        return tuple(t), l
-
-    position: dict[int, int] = {off: pos for pos, off in enumerate(offsets)}
-    groups: dict[tuple[tuple[int, ...], int], list[int]] = {}
+    groups: dict[tuple[tuple[int, ...], int], list[tuple[int, tuple[int, ...]]]] = {}
     for pos, off in enumerate(offsets):
-        t, l = decode(off)
-        groups.setdefault((tuple(sorted(t)), l), []).append(pos)
+        t, l = decode(off, degree, algebra.dim, module.dim)
+        groups.setdefault((tuple(sorted(t)), l), []).append((pos, t))
 
-    tables = [_shuffle_table(degree, p) for p in range(1, degree)]
     vectors: list[list[Rat]] = []
-    for key in sorted(groups):
-        cols = groups[key]
-        col_index = {pos: c for c, pos in enumerate(cols)}
+    for (_, l), members in sorted(groups.items()):
+        column = {offsets[pos]: c for c, (pos, _) in enumerate(members)}
         rows: list[list[Rat]] = []
-        for pos in cols:
-            t, l = decode(offsets[pos])
-            parities = tuple(a_par[i] for i in t)
-            for table in tables:
-                row: list[Rat] = [0] * len(cols)
-                for slot_map, base_sign, inv in table:
-                    u = tuple(t[slot_map[m]] for m in range(degree))
-                    u_idx = 0
-                    for i in u:
-                        u_idx = u_idx * dim_a + i
-                    u_pos = position[u_idx * dim_m + l]
-                    row[col_index[u_pos]] += base_sign * sigma_o_sign(inv, parities)
+        for _, t in members:
+            for p in range(1, degree):
+                row: list[Rat] = [0] * len(members)
+                for off, sign in shuffle_action(algebra, module, t, l, p):
+                    row[column[off]] += sign
                 rows.append(row)
-        block_kernel = kernel_basis(RationalMatrix.from_rows(rows, cols=len(cols)))
+        block_kernel = kernel_basis(RationalMatrix.from_rows(rows, cols=len(members)))
         for v in block_kernel.vectors:
             full: list[Rat] = [0] * ncols
-            for c, pos in enumerate(cols):
+            for c, (pos, _) in enumerate(members):
                 full[pos] = v[c]
             vectors.append(full)
     return SubspaceBasis.from_vectors(vectors, ncols)
-
-
-def cochain_from_coordinates(
-    algebra: SuperAlgebra, module: SuperModule, degree: int, coords: Sequence[Rat]
-) -> Cochain:
-    """Cochain with the given coordinates over the parity-offset enumeration."""
-    offsets = parity_offsets(algebra, module, degree)
-    if len(coords) != len(offsets):
-        raise ValueError("coordinate length does not match parity basis size")
-    size = algebra.dim**degree * module.dim
-    data: list[Rat] = [0] * size
-    for off, v in zip(offsets, coords):
-        if v:
-            data[off] = as_rational(v)
-    return Cochain(degree, algebra, module, tuple(data))
 
 
 def harrison_basis(algebra: SuperAlgebra, module: SuperModule, degree: int) -> list[Cochain]:
@@ -377,49 +392,26 @@ def hochschild_coboundary(f: Cochain) -> Cochain:
     m_par = module.parity
     last_sign = -1 if n % 2 == 0 else 1
 
-    if n == 0:
-        # (dm)(a) = a*m - m*a; the right action carries the Koszul sign.
-        for l in range(dim_m):
-            v = f.data[l]
-            if not v:
-                continue
-            for j in range(dim_a):
-                koszul = -1 if a_par[j] and m_par[l] else 1
-                for l2, c in action[j][l]:
-                    out[j * dim_m + l2] += (1 - koszul) * c * v
-        return Cochain(1, algebra, module, tuple(as_rational(v) for v in out))
-
     for t, l, v in f.iter_nonzero():
-        t_idx = 0
-        for i in t:
-            t_idx = t_idx * dim_a + i
-
-        # a_1 * f(a_2, ..., a_{n+1})
         for j in range(dim_a):
-            new_base = (j * dim_a**n + t_idx) * dim_m
+            # a_1 * f(a_2, ..., a_{n+1}), and (-1)^{n+1} f(a_1, ..., a_n) * a_{n+1}
+            # with the Koszul right action; in degree zero these two make
+            # (dm)(a) = a*m - m*a.
+            koszul = -1 if a_par[j] and m_par[l] else 1
+            first = encode((j,) + t, 0, dim_a, dim_m)
+            last = encode(t + (j,), 0, dim_a, dim_m)
             for l2, c in action[j][l]:
-                out[new_base + l2] += c * v
+                out[first + l2] += c * v
+                out[last + l2] += last_sign * koszul * c * v
 
         # (-1)^i f(..., a_i a_{i+1}, ...): entry (t, l) receives from every
         # pair (a, b) whose product has a component on t_{i-1}.
         for i in range(1, n + 1):
-            k = t[i - 1]
             sign = -1 if i % 2 else 1
             prefix = t[: i - 1]
             suffix = t[i:]
-            for a, b, c in pairs[k]:
-                new_t = prefix + (a, b) + suffix
-                idx = 0
-                for x in new_t:
-                    idx = idx * dim_a + x
-                out[idx * dim_m + l] += sign * c * v
-
-        # (-1)^{n+1} f(a_1, ..., a_n) * a_{n+1}
-        for j in range(dim_a):
-            koszul = -1 if a_par[j] and m_par[l] else 1
-            new_base = (t_idx * dim_a + j) * dim_m
-            for l2, c in action[j][l]:
-                out[new_base + l2] += last_sign * koszul * c * v
+            for a, b, c in pairs[t[i - 1]]:
+                out[encode(prefix + (a, b) + suffix, l, dim_a, dim_m)] += sign * c * v
 
     return Cochain(n + 1, algebra, module, tuple(as_rational(v) for v in out))
 

@@ -18,16 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import product as iter_product
+from typing import Iterator
 
 from .algebras import SuperAlgebra, SuperModule
 from .cochains import (
     Cochain,
     cochain_from_coordinates,
-    elementary_cochain,
     harrison_space,
     hochschild_coboundary,
-    parity_offsets,
+    parity_coordinates,
+    parity_count,
 )
 from .linalg import (
     Rat,
@@ -86,6 +86,21 @@ def _guard(degree: int, columns: int, limits: ResourceLimits) -> None:
         )
 
 
+def _dimension(algebra: SuperAlgebra, module: SuperModule, degree: int, kind: ComplexKind) -> int:
+    if kind is ComplexKind.HOCHSCHILD:
+        return algebra.dim**degree * module.dim
+    return parity_count(algebra, module, degree)
+
+
+def _basis(algebra: SuperAlgebra, module: SuperModule, degree: int, kind: ComplexKind) -> Iterator[Cochain]:
+    """The basis one cochain at a time: elementary cochains in flat order, or ``harrison_space``."""
+    if kind is ComplexKind.HOCHSCHILD:
+        size = _dimension(algebra, module, degree, kind)
+        return (Cochain(degree, algebra, module, (0,) * i + (1,) + (0,) * (size - 1 - i)) for i in range(size))
+    space = harrison_space(algebra, module, degree)
+    return (cochain_from_coordinates(algebra, module, degree, v) for v in space.vectors)
+
+
 def cochain_basis(
     algebra: SuperAlgebra,
     module: SuperModule,
@@ -94,55 +109,34 @@ def cochain_basis(
     limits: ResourceLimits = DEFAULT_LIMITS,
 ) -> list[Cochain]:
     """Deterministic basis of the degree-n cochain space of the given kind."""
-    if kind is ComplexKind.HOCHSCHILD:
-        _guard(degree, algebra.dim**degree * module.dim, limits)
-        out = []
-        for t in iter_product(range(algebra.dim), repeat=degree):
-            for l in range(module.dim):
-                out.append(elementary_cochain(algebra, module, degree, t, l))
-        return out
-    _guard(degree, len(parity_offsets(algebra, module, degree)), limits)
-    space = harrison_space(algebra, module, degree)
-    return [cochain_from_coordinates(algebra, module, degree, v) for v in space.vectors]
+    _guard(degree, _dimension(algebra, module, degree, kind), limits)
+    return list(_basis(algebra, module, degree, kind))
 
 
 @lru_cache(maxsize=None)
 def _coboundary_matrix_cached(
     algebra: SuperAlgebra, module: SuperModule, degree: int, kind: ComplexKind
 ) -> RationalMatrix:
+    basis = _basis(algebra, module, degree, kind)
     if kind is ComplexKind.HOCHSCHILD:
-        ncols = algebra.dim**degree * module.dim
-        nrows = algebra.dim ** (degree + 1) * module.dim
-        columns = []
-        for t in iter_product(range(algebra.dim), repeat=degree):
-            for l in range(module.dim):
-                df = hochschild_coboundary(elementary_cochain(algebra, module, degree, t, l))
-                columns.append(list(df.data))
-        assert len(columns) == ncols
-        return RationalMatrix.from_columns(columns, rows=nrows)
+        columns = [hochschild_coboundary(f).data for f in basis]
+        return RationalMatrix.from_columns(columns, rows=_dimension(algebra, module, degree + 1, kind))
 
-    domain = harrison_space(algebra, module, degree)
     codomain = harrison_space(algebra, module, degree + 1)
-    offsets = parity_offsets(algebra, module, degree + 1)
-    position = {off: pos for pos, off in enumerate(offsets)}
     columns = []
-    for v in domain.vectors:
-        df = hochschild_coboundary(cochain_from_coordinates(algebra, module, degree, v))
-        coords: list[Rat] = [0] * len(offsets)
-        for t, l, value in df.iter_nonzero():
-            off = df.offset(t, l)
-            pos = position.get(off)
-            if pos is None:
-                raise ShuffleClosureError(
-                    "coboundary of a Harrison element has a parity-violating entry"
-                )
-            coords[pos] = value
+    for f in basis:
+        try:
+            coords = parity_coordinates(hochschild_coboundary(f))
+        except ValueError as exc:
+            raise ShuffleClosureError(
+                "coboundary of a Harrison element has a parity-violating entry"
+            ) from exc
         expansion = codomain.coordinates(coords)
         if expansion is None:
             raise ShuffleClosureError(
                 "coboundary of a Harrison element fails a shuffle condition"
             )
-        columns.append(list(expansion))
+        columns.append(expansion)
     return RationalMatrix.from_columns(columns, rows=codomain.dim)
 
 
@@ -156,12 +150,8 @@ def coboundary_matrix(
     """Matrix of the coboundary from degree n to degree n+1 in the chosen bases."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    if kind is ComplexKind.HOCHSCHILD:
-        _guard(degree, algebra.dim**degree * module.dim, limits)
-        _guard(degree + 1, algebra.dim ** (degree + 1) * module.dim, limits)
-    else:
-        _guard(degree, len(parity_offsets(algebra, module, degree)), limits)
-        _guard(degree + 1, len(parity_offsets(algebra, module, degree + 1)), limits)
+    _guard(degree, _dimension(algebra, module, degree, kind), limits)
+    _guard(degree + 1, _dimension(algebra, module, degree + 1, kind), limits)
     return _coboundary_matrix_cached(algebra, module, degree, kind)
 
 
@@ -198,21 +188,12 @@ def cohomology(
     reps = quotient_representatives(cocycles, coboundaries)
 
     if kind is ComplexKind.HOCHSCHILD:
-        def expand(vector: tuple[Rat, ...]) -> Cochain:
-            return Cochain(degree, algebra, module, vector)
+        representatives = tuple(Cochain(degree, algebra, module, v) for v in reps.vectors)
     else:
-        basis = cochain_basis(algebra, module, degree, kind, limits)
-
-        def expand(vector: tuple[Rat, ...]) -> Cochain:
-            out = None
-            for coeff, f in zip(vector, basis):
-                if coeff:
-                    out = f.scale(coeff) if out is None else out + f.scale(coeff)
-            if out is None:
-                raise AssertionError("zero vector escaped quotient_representatives")
-            return out
-
-    representatives = tuple(expand(v) for v in reps.vectors)
+        space = harrison_space(algebra, module, degree)
+        representatives = tuple(
+            cochain_from_coordinates(algebra, module, degree, space.combination(v)) for v in reps.vectors
+        )
     for rep in representatives:
         if not hochschild_coboundary(rep).is_zero():
             raise AssertionError("representative is not a cocycle")

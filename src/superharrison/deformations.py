@@ -44,6 +44,7 @@ from .cochains import (
     hochschild_coboundary,
     is_graded_symmetric,
     parity_basis,
+    parity_coordinates,
     parity_offsets,
 )
 from .cohomology import CohomologyResult, ComplexKind, coboundary_matrix, cohomology
@@ -343,14 +344,8 @@ def extension_equivalence(
             raise ValueError("extension equivalence is defined for cocycles only")
 
     matrix = coboundary_matrix(algebra, module, 1, ComplexKind.SUPER_HARRISON)
-    target_space = harrison_space(algebra, module, 2)
-    offsets = parity_offsets(algebra, module, 2)
-    position = {off: pos for pos, off in enumerate(offsets)}
     diff = psi1 - psi2
-    coords: list[Rat] = [0] * len(offsets)
-    for t, l, v in diff.iter_nonzero():
-        coords[position[diff.offset(t, l)]] = v
-    rhs = target_space.coordinates(coords)
+    rhs = harrison_space(algebra, module, 2).coordinates(parity_coordinates(diff))
     if rhs is None:
         raise AssertionError("difference of cocycles escaped the Harrison space")
     solution = solve(matrix, rhs)

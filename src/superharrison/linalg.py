@@ -10,7 +10,8 @@ hence the unapologetically dense representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -92,6 +93,22 @@ def _norm_row(row: Sequence[Rat]) -> tuple[Rat, ...]:
     return tuple(as_rational(x) for x in row)
 
 
+def _reduce(vector: Sequence[Rat], rows: Sequence[Sequence[Rat]], pivots: Sequence[int]) -> list[Rat]:
+    """Remainder of ``vector`` against echelon ``rows`` with leading 1s at ``pivots``, in pivot order.
+
+    The remainder is zero at every pivot, which makes it unique: it depends
+    only on the span of the rows, not on whether they are fully reduced.
+    """
+    rem = [as_rational(x) for x in vector]
+    for row, p in zip(rows, pivots):
+        factor = rem[p]
+        if factor:
+            for j in range(p, len(rem)):
+                if row[j]:
+                    rem[j] = rem[j] - factor * row[j]
+    return rem
+
+
 @dataclass(frozen=True)
 class RationalMatrix:
     """Dense matrix with exact rational entries, row-major."""
@@ -134,10 +151,6 @@ class RationalMatrix:
     def zero(rows: int, cols: int) -> "RationalMatrix":
         return RationalMatrix(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
 
-    @staticmethod
-    def identity(n: int) -> "RationalMatrix":
-        return RationalMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
     def is_zero(self) -> bool:
         return all(not x for row in self.entries for x in row)
 
@@ -157,13 +170,6 @@ class RationalMatrix:
             )
         return RationalMatrix.from_rows(out, cols=other.cols)
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            self.cols,
-            self.rows,
-            tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
-        )
-
 
 @dataclass(frozen=True)
 class SubspaceBasis:
@@ -171,16 +177,18 @@ class SubspaceBasis:
 
     ``vectors`` are the nonzero RREF rows.  Because the RREF basis of a
     subspace is unique, two SubspaceBasis values are equal iff they span
-    the same subspace.
+    the same subspace.  The pivot column of each vector is found once, here.
     """
 
     ambient_dim: int
     vectors: tuple[tuple[Rat, ...], ...]
+    _pivots: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for v in self.vectors:
             if len(v) != self.ambient_dim:
                 raise ValueError("basis vector length does not match ambient dimension")
+        object.__setattr__(self, "_pivots", tuple(next(j for j, x in enumerate(v) if x) for v in self.vectors))
 
     @staticmethod
     def from_vectors(vectors: Sequence[Sequence[Rat]], ambient_dim: int) -> "SubspaceBasis":
@@ -197,20 +205,13 @@ class SubspaceBasis:
         return len(self.vectors)
 
     def pivots(self) -> tuple[int, ...]:
-        return tuple(next(j for j, x in enumerate(v) if x) for v in self.vectors)
+        return self._pivots
 
     def reduce(self, vector: Sequence[Rat]) -> tuple[Rat, ...]:
         """Remainder of ``vector`` after eliminating all basis pivots."""
         if len(vector) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        rem = [as_rational(x) for x in vector]
-        for bvec, p in zip(self.vectors, self.pivots()):
-            factor = rem[p]
-            if factor:
-                for j in range(p, self.ambient_dim):
-                    if bvec[j]:
-                        rem[j] = rem[j] - factor * bvec[j]
-        return _norm_row(rem)
+        return _norm_row(_reduce(vector, self.vectors, self._pivots))
 
     def coordinates(self, vector: Sequence[Rat]) -> Optional[tuple[Rat, ...]]:
         """Coefficients of ``vector`` in this basis, or None if outside the span.
@@ -218,18 +219,19 @@ class SubspaceBasis:
         Reading the entries at the pivot positions suffices: RREF vectors
         have a 1 there and zeros at every other pivot.
         """
-        if len(vector) != self.ambient_dim:
-            raise ValueError("vector length does not match ambient dimension")
-        coeffs = tuple(as_rational(vector[p]) for p in self.pivots())
-        recon = [0] * self.ambient_dim
+        if any(self.reduce(vector)):
+            return None
+        return tuple(as_rational(vector[p]) for p in self._pivots)
+
+    def combination(self, coeffs: Sequence[Rat]) -> tuple[Rat, ...]:
+        """The vector with the given coefficients in this basis; inverse of ``coordinates``."""
+        out: list[Rat] = [0] * self.ambient_dim
         for coeff, bvec in zip(coeffs, self.vectors):
             if coeff:
                 for j, x in enumerate(bvec):
                     if x:
-                        recon[j] = recon[j] + coeff * x
-        if any(as_rational(a) != as_rational(b) for a, b in zip(recon, vector)):
-            return None
-        return coeffs
+                        out[j] = out[j] + coeff * x
+        return _norm_row(out)
 
     def contains(self, vector: Sequence[Rat]) -> bool:
         return not any(self.reduce(vector))
@@ -290,26 +292,14 @@ def quotient_representatives(space: SubspaceBasis, subspace: SubspaceBasis) -> S
         if not space.contains(v):
             raise NotASubspaceError("claimed subspace has a vector outside the space")
 
-    # Echelon accumulator: (pivot, row) sorted by pivot, rows normalized to a
-    # leading 1.  Distinct pivots are enough for a zero remainder to mean
-    # membership; full RREF is only restored at the end.
-    state: list[tuple[int, tuple[Rat, ...]]] = [
-        (next(j for j, x in enumerate(v) if x), v) for v in subspace.vectors
-    ]
-
-    def _reduce(vector: Sequence[Rat]) -> list[Rat]:
-        rem = [as_rational(x) for x in vector]
-        for p, row in state:
-            factor = rem[p]
-            if factor:
-                for j in range(p, len(rem)):
-                    if row[j]:
-                        rem[j] = rem[j] - factor * row[j]
-        return rem
-
+    # Echelon accumulator sorted by pivot, rows normalized to a leading 1.
+    # Distinct pivots are enough for a zero remainder to mean membership;
+    # full RREF is only restored at the end.
+    pivots = list(subspace.pivots())
+    rows = list(subspace.vectors)
     reps = []
     for z in space.vectors:
-        rem = _reduce(z)
+        rem = _reduce(z, rows, pivots)
         lead = next((j for j, x in enumerate(rem) if x), None)
         if lead is None:
             continue
@@ -317,8 +307,9 @@ def quotient_representatives(space: SubspaceBasis, subspace: SubspaceBasis) -> S
             inv = Fraction(1, 1) / rem[lead]
             rem = [x * inv for x in rem]
         reps.append(rem)
-        state.append((lead, _norm_row(rem)))
-        state.sort(key=lambda item: item[0])
+        at = bisect(pivots, lead)
+        pivots.insert(at, lead)
+        rows.insert(at, _norm_row(rem))
     return SubspaceBasis.from_vectors(reps, space.ambient_dim)
 
 

@@ -13,12 +13,8 @@ import time
 from math import comb
 
 from classical_oracle import classical_dimensions
-from superharrison.algebras import (
-    exterior_algebra,
-    self_module,
-    tensor_product,
-    truncated_polynomial,
-)
+from conftest import CORPUS, EVEN_CORPUS
+from superharrison.algebras import self_module
 from superharrison.cochains import (
     cochain_from_entries,
     harrison_basis,
@@ -54,16 +50,6 @@ from superharrison.shuffles import (
 
 HOCH = ComplexKind.HOCHSCHILD
 HARR = ComplexKind.SUPER_HARRISON
-
-CORPUS = {
-    "exterior1": exterior_algebra(1),
-    "exterior2": exterior_algebra(2),
-    "truncpoly2": truncated_polynomial(2),
-    "truncpoly3": truncated_polynomial(3),
-    "mixed": tensor_product(truncated_polynomial(2), exterior_algebra(1)),
-}
-
-EVEN_CORPUS = ("truncpoly2", "truncpoly3")
 
 
 def report(label: str, started: float) -> None:

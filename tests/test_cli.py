@@ -397,6 +397,34 @@ class TestExitCodes:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("variable", ["SUPERHARRISON_MAX_DEGREE", "SUPERHARRISON_MAX_COLUMNS"])
+    def test_non_integer_ceiling_variable_is_an_input_error(self, capsys, monkeypatch, variable):
+        monkeypatch.setenv(variable, "abc")
+        code = run(["cohomology", "--algebra", "builtin:truncpoly:2", "--degree", "1", "--kind", "harrison"])
+        assert code == 2
+        assert variable in capsys.readouterr().err
+
+    def test_negative_ceiling_variable_is_an_input_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("SUPERHARRISON_MAX_COLUMNS", "-5")
+        code = run(["cohomology", "--algebra", "builtin:truncpoly:2", "--degree", "1", "--kind", "harrison"])
+        assert code == 2
+        assert "SUPERHARRISON_MAX_COLUMNS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--max-degree", "--max-columns"])
+    def test_negative_ceiling_flag_is_an_input_error(self, capsys, flag):
+        code = run(
+            ["cohomology", "--algebra", "builtin:truncpoly:2", "--degree", "1", "--kind", "harrison", flag, "-5"]
+        )
+        assert code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_oversized_harrison_request_is_refused_with_its_size(self, capsys):
+        code = run(["cohomology", "--algebra", "builtin:exterior:6", "--degree", "3", "--kind", "harrison"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "resource ceiling: cochain space of dimension 8388608 exceeds the ceiling 20000\n"
+        )
+
     def test_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv("SUPERHARRISON_MAX_DEGREE", "1")
         code = run(

@@ -22,13 +22,18 @@ from superharrison.cochains import (
     cochain_apply,
     cochain_from_coordinates,
     cochain_from_entries,
+    decode,
     elementary_cochain,
+    encode,
     harrison_basis,
     harrison_space,
     hochschild_coboundary,
     is_graded_symmetric,
     parity_basis,
+    parity_coordinates,
+    parity_count,
     parity_offsets,
+    shuffle_action,
     super_shuffle_sum,
     zero_cochain,
 )
@@ -186,6 +191,59 @@ class TestParityBasis:
         mod = self_module(corpus_algebra)
         offs = parity_offsets(corpus_algebra, mod, 2)
         assert list(offs) == sorted(set(offs))
+
+    def test_closed_form_count_matches_the_table(self, corpus_algebra):
+        mod = self_module(corpus_algebra)
+        for degree in range(5):
+            assert parity_count(corpus_algebra, mod, degree) == len(
+                parity_offsets(corpus_algebra, mod, degree)
+            )
+
+
+class TestCochainIndex:
+    def test_encode_enumerates_entries_in_flat_order(self, corpus_algebra):
+        dim_a = dim_m = corpus_algebra.dim
+        for degree in range(4):
+            entries = [
+                (t, l)
+                for t in itertools.product(range(dim_a), repeat=degree)
+                for l in range(dim_m)
+            ]
+            assert [encode(t, l, dim_a, dim_m) for t, l in entries] == list(
+                range(len(entries))
+            )
+            assert [decode(flat, degree, dim_a, dim_m) for flat in range(len(entries))] == entries
+
+    def test_parity_coordinates_invert_cochain_from_coordinates(
+        self, corpus_algebra
+    ):
+        rng = random.Random(3)
+        mod = self_module(corpus_algebra)
+        for degree in range(4):
+            f = random_parity_combo(corpus_algebra, degree, rng)
+            coords = parity_coordinates(f)
+            assert cochain_from_coordinates(corpus_algebra, mod, degree, coords) == f
+            assert coords == tuple(f.data[o] for o in parity_offsets(corpus_algebra, mod, degree))
+
+    def test_parity_coordinates_reject_parity_violating_entries(self):
+        alg = exterior_algebra(1)
+        skew = elementary_cochain(alg, self_module(alg), 1, (1,), 0)
+        with pytest.raises(ValueError, match="parity"):
+            parity_coordinates(skew)
+
+    def test_shuffle_action_sums_to_the_shuffle_sum(self, corpus_algebra):
+        rng = random.Random(5)
+        mod = self_module(corpus_algebra)
+        f = random_parity_combo(corpus_algebra, 3, rng)
+        for p in (1, 2):
+            summed = super_shuffle_sum(f, p)
+            for t in itertools.product(range(corpus_algebra.dim), repeat=3):
+                for l in range(mod.dim):
+                    value = sum(
+                        sign * f.data[off]
+                        for off, sign in shuffle_action(corpus_algebra, mod, t, l, p)
+                    )
+                    assert summed.entry(t, l) == value
 
 
 class TestSuperShuffleSum:

@@ -300,3 +300,31 @@ class TestResourceLimits:
         alg = exterior_algebra(1)
         with pytest.raises(ResourceCeilingError, match="ceiling"):
             cohomology(alg, self_module(alg), 8, HARR)
+
+    def test_oversized_harrison_request_builds_no_parity_table(self):
+        alg = exterior_algebra(6)
+        mod = self_module(alg)
+        before = parity_offsets.cache_info().misses
+        with pytest.raises(ResourceCeilingError, match="dimension 8388608 exceeds the ceiling 20000"):
+            cohomology(alg, mod, 3, HARR)
+        with pytest.raises(ResourceCeilingError):
+            cochain_basis(alg, mod, 3, HARR)
+        assert parity_offsets.cache_info().misses == before
+
+
+class TestSignConvention:
+    """Parity-reversing Hochschild cochains take the ungraded first-term sign.
+
+    So the odd line exterior(1) reproduces the ungraded k[t]/(t^2), and
+    HH^0 of exterior(3) counts all 5 of 1, t1t2, t1t3, t2t3 and t1t2t3,
+    which is more than the 4 even basis elements.
+    """
+
+    def test_odd_line_matches_the_ungraded_dual_numbers(self):
+        alg = exterior_algebra(1)
+        dims = [cohomology(alg, self_module(alg), n, HOCH).dim_cohomology for n in range(4)]
+        assert dims == [2, 1, 1, 1]
+
+    def test_exterior_three_degree_zero_exceeds_the_even_part(self):
+        alg = exterior_algebra(3)
+        assert cohomology(alg, self_module(alg), 0, HOCH).dim_cohomology == 5

@@ -70,14 +70,13 @@ class TestRationalMatrix:
         with pytest.raises(ValueError):
             RationalMatrix.from_rows([[1, 2], [3]])
 
-    def test_identity_and_zero(self):
-        assert RationalMatrix.identity(3).mul_vector((1, 2, 3)) == (1, 2, 3)
+    def test_mul_vector_and_zero(self):
+        assert RationalMatrix.from_rows([[0, 1, 0], [2, 0, 1]]).mul_vector((1, 2, 3)) == (2, 5)
         assert RationalMatrix.zero(2, 3).is_zero()
 
     def test_from_columns_transposes(self):
         m = RationalMatrix.from_columns([[1, 2], [3, 4]])
         assert m.entries == ((1, 3), (2, 4))
-        assert m.transpose().entries == ((1, 2), (3, 4))
 
     def test_matmul_agrees_with_hand_product(self):
         a = RationalMatrix.from_rows([[1, 2], [0, 1]])
