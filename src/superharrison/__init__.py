@@ -68,8 +68,6 @@ from .linalg import (
     image_basis,
     kernel_basis,
     quotient_representatives,
-    rank,
-    same_subspace,
     solve,
 )
 from .shuffles import (

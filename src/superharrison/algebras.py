@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 StructureTensor = tuple[tuple[tuple[Rat, ...], ...], ...]
+SparseTable = tuple[tuple[tuple[tuple[int, Rat], ...], ...], ...]
 
 
 def _freeze_tensor(tensor: Sequence[Sequence[Sequence[Rat]]], d0: int, d1: int, d2: int) -> StructureTensor:
@@ -90,7 +91,7 @@ class SuperAlgebra:
             raise ValueError(f"unit index {self.unit_index} out of range")
 
     @cached_property
-    def products(self) -> tuple[tuple[tuple[tuple[int, Rat], ...], ...], ...]:
+    def products(self) -> SparseTable:
         """Sparse view of the structure tensor: products[i][j] = ((k, c), ...)."""
         return tuple(
             tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
@@ -135,7 +136,7 @@ class SuperModule:
             raise ValueError("basis_names length does not match dim")
 
     @cached_property
-    def action_sparse(self) -> tuple[tuple[tuple[tuple[int, Rat], ...], ...], ...]:
+    def action_sparse(self) -> SparseTable:
         """action_sparse[i][k] = ((l, c), ...) for e_i * m_k."""
         return tuple(
             tuple(tuple((l, c) for l, c in enumerate(row) if c) for row in plane)
@@ -238,28 +239,66 @@ class ValidationReport:
         return None
 
 
+def _parity_violations(a_par: Sequence[int], table: SparseTable, x_par: Sequence[int], x: str) -> list[Violation]:
+    """e_i * x_k may only hit x_l of parity |e_i| + |x_k|; ``table`` is the sparse action on the x's."""
+    out = []
+    for i, plane in enumerate(table):
+        for k, row in enumerate(plane):
+            target = (a_par[i] + x_par[k]) % 2
+            for l, _ in row:
+                if x_par[l] != target:
+                    out.append(
+                        Violation(
+                            "parity",
+                            (i, k, l),
+                            f"e{i}*{x}{k} hits {x}{l} of parity {x_par[l]}, expected {target}",
+                        )
+                    )
+    return out
+
+
+def _action_law_violations(products: SparseTable, table: SparseTable, x: str, kind: str) -> list[Violation]:
+    """(e_i e_j)x_k = e_i(e_j x_k), first differing x_l reported per triple.
+
+    With ``table`` the algebra's own products this is associativity; with a
+    module's action it is the module law.
+    """
+    out = []
+    for i, plane in enumerate(products):
+        for j, prod in enumerate(plane):
+            for k in range(len(table[0])):
+                lhs: dict[int, Rat] = {}
+                for mid, coeff in prod:
+                    for l, c2 in table[mid][k]:
+                        lhs[l] = lhs.get(l, 0) + coeff * c2
+                rhs: dict[int, Rat] = {}
+                for mid, coeff in table[j][k]:
+                    for l, c2 in table[i][mid]:
+                        rhs[l] = rhs.get(l, 0) + coeff * c2
+                for l in sorted(set(lhs) | set(rhs)):
+                    if lhs.get(l, 0) != rhs.get(l, 0):
+                        out.append(
+                            Violation(
+                                kind,
+                                (i, j, k),
+                                f"(e{i}e{j}){x}{k} and e{i}(e{j}{x}{k}) differ at {x}{l}: "
+                                f"{lhs.get(l, 0)} vs {rhs.get(l, 0)}",
+                            )
+                        )
+                        break
+    return out
+
+
 def validate_superalgebra(algebra: SuperAlgebra) -> ValidationReport:
     """Check parity compatibility, supercommutativity, associativity, unit laws.
 
     Every violated identity is reported, in lexicographic witness order per law.
+    Parity and associativity are the module laws of A acting on itself.
     """
     dim = algebra.dim
     par = algebra.parity
     c = algebra.structure
-    violations: list[Violation] = []
-
-    for i in range(dim):
-        for j in range(dim):
-            target = (par[i] + par[j]) % 2
-            for k in range(dim):
-                if c[i][j][k] and par[k] != target:
-                    violations.append(
-                        Violation(
-                            "parity",
-                            (i, j, k),
-                            f"e{i}*e{j} hits e{k} of parity {par[k]}, expected {target}",
-                        )
-                    )
+    violations = _parity_violations(par, algebra.products, par, "e")
 
     for i in range(dim):
         for j in range(dim):
@@ -275,30 +314,7 @@ def validate_superalgebra(algebra: SuperAlgebra) -> ValidationReport:
                         )
                     )
 
-    products = algebra.products
-    for i in range(dim):
-        for j in range(dim):
-            left = products[i][j]
-            for k in range(dim):
-                lhs: dict[int, Rat] = {}
-                for mid, coeff in left:
-                    for l, c2 in products[mid][k]:
-                        lhs[l] = lhs.get(l, 0) + coeff * c2
-                rhs: dict[int, Rat] = {}
-                for mid, coeff in products[j][k]:
-                    for l, c2 in products[i][mid]:
-                        rhs[l] = rhs.get(l, 0) + coeff * c2
-                for l in sorted(set(lhs) | set(rhs)):
-                    if lhs.get(l, 0) != rhs.get(l, 0):
-                        violations.append(
-                            Violation(
-                                "associativity",
-                                (i, j, k),
-                                f"(e{i}e{j})e{k} and e{i}(e{j}e{k}) differ at e{l}: "
-                                f"{lhs.get(l, 0)} vs {rhs.get(l, 0)}",
-                            )
-                        )
-                        break
+    violations += _action_law_violations(algebra.products, algebra.products, "e", "associativity")
 
     if algebra.unit_index is not None:
         u = algebra.unit_index
@@ -323,46 +339,8 @@ def validate_supermodule(module: SuperModule) -> ValidationReport:
     """Check parity compatibility, the module law (e_i e_j)m = e_i(e_j m), unit action."""
     algebra = module.algebra
     a = module.action
-    violations: list[Violation] = []
-
-    for i in range(algebra.dim):
-        for k in range(module.dim):
-            target = (algebra.parity[i] + module.parity[k]) % 2
-            for l in range(module.dim):
-                if a[i][k][l] and module.parity[l] != target:
-                    violations.append(
-                        Violation(
-                            "parity",
-                            (i, k, l),
-                            f"e{i}*m{k} hits m{l} of parity {module.parity[l]}, expected {target}",
-                        )
-                    )
-
-    products = algebra.products
-    sparse = module.action_sparse
-    for i in range(algebra.dim):
-        for j in range(algebra.dim):
-            prod = products[i][j]
-            for k in range(module.dim):
-                lhs: dict[int, Rat] = {}
-                for mid, coeff in prod:
-                    for l, c2 in sparse[mid][k]:
-                        lhs[l] = lhs.get(l, 0) + coeff * c2
-                rhs: dict[int, Rat] = {}
-                for mid, coeff in sparse[j][k]:
-                    for l, c2 in sparse[i][mid]:
-                        rhs[l] = rhs.get(l, 0) + coeff * c2
-                for l in sorted(set(lhs) | set(rhs)):
-                    if lhs.get(l, 0) != rhs.get(l, 0):
-                        violations.append(
-                            Violation(
-                                "module_law",
-                                (i, j, k),
-                                f"(e{i}e{j})m{k} and e{i}(e{j}m{k}) differ at m{l}: "
-                                f"{lhs.get(l, 0)} vs {rhs.get(l, 0)}",
-                            )
-                        )
-                        break
+    violations = _parity_violations(algebra.parity, module.action_sparse, module.parity, "m")
+    violations += _action_law_violations(algebra.products, module.action_sparse, "m", "module_law")
 
     if algebra.unit_index is not None:
         u = algebra.unit_index

@@ -30,6 +30,7 @@ from typing import Optional, Sequence
 from .algebras import (
     SuperAlgebra,
     SuperModule,
+    Violation,
     exterior_algebra,
     self_module,
     tensor_product,
@@ -49,11 +50,13 @@ from .cohomology import (
     ComplexKind,
     ResourceCeilingError,
     ResourceLimits,
+    ShuffleClosureError,
     coboundary_matrix,
     cohomology,
     derivation_space,
 )
 from .deformations import (
+    deformation_classes,
     deformation_iff_cocycle,
     extension_equivalence,
     extension_valid_iff_cocycle,
@@ -61,7 +64,7 @@ from .deformations import (
     random_parity_cochain,
     square_zero_extension,
 )
-from .linalg import kernel_basis, same_subspace
+from .linalg import NotASubspaceError, kernel_basis
 from .serialize import (
     InputFormatError,
     algebra_to_dict,
@@ -169,27 +172,27 @@ def _format_cochain(f: Cochain) -> list[str]:
     return lines
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    algebra = resolve_algebra(args.algebra)
-    report = validate_superalgebra(algebra)
-    module_report = validate_supermodule(self_module(algebra))
-    ok = report.ok and module_report.ok
-    doc = {
-        "command": "check",
-        "inputs_digest": _digest(algebra_to_dict(algebra)),
-        "valid": ok,
-        "violations": [
-            {"kind": v.kind, "indices": list(v.indices), "detail": v.detail}
-            for v in report.violations + module_report.violations
-        ],
-    }
+def _format_violation(v: Violation) -> str:
+    return f"{v.kind} at {v.indices}: {v.detail}"
+
+
+def _emit_violations(args: argparse.Namespace, doc: dict, header: list[str], violations: Sequence[Violation]) -> None:
+    """``doc`` with its violations as JSON, or the ``header`` lines and one line per violation."""
+    doc["violations"] = [{"kind": v.kind, "indices": list(v.indices), "detail": v.detail} for v in violations]
     if args.json:
         _emit_json(doc)
     else:
-        print(f"algebra: {args.algebra}")
-        print(f"valid: {'yes' if ok else 'no'}")
-        for v in report.violations + module_report.violations:
-            print(f"  {v.kind} at {v.indices}: {v.detail}")
+        print("\n".join(header))
+        for v in violations:
+            print(f"  {_format_violation(v)}")
+
+
+def _cmd_check(args: argparse.Namespace) -> int:
+    algebra = resolve_algebra(args.algebra)
+    violations = validate_superalgebra(algebra).violations + validate_supermodule(self_module(algebra)).violations
+    ok = not violations
+    doc = {"command": "check", "inputs_digest": _digest(algebra_to_dict(algebra)), "valid": ok}
+    _emit_violations(args, doc, [f"algebra: {args.algebra}", f"valid: {'yes' if ok else 'no'}"], violations)
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
@@ -302,10 +305,7 @@ def _cmd_derivations(args: argparse.Namespace) -> int:
 
 def _cmd_deform_check(args: argparse.Namespace) -> int:
     algebra = resolve_algebra(args.algebra)
-    module = self_module(algebra)
-    psi = load_cochain(args.psi, algebra, module)
-    if psi.degree != 2:
-        raise InputFormatError(f"deformation direction must have degree 2, got {psi.degree}")
+    psi = load_cochain(args.psi, algebra, self_module(algebra), degree=2, name="deformation direction")
     report = first_order_deformation_check(algebra, psi)
     doc = {
         "command": "deform-check",
@@ -338,11 +338,7 @@ def _cmd_deform_check(args: argparse.Namespace) -> int:
 
 def _cmd_deform_classes(args: argparse.Namespace) -> int:
     algebra = resolve_algebra(args.algebra)
-    module = self_module(algebra)
-    result = cohomology(algebra, module, 2, ComplexKind.SUPER_HARRISON, _limits_from(args))
-    for rep in result.representatives:
-        if not first_order_deformation_check(algebra, rep).valid:
-            raise AssertionError("representative rejected by the deformation check")
+    result = deformation_classes(algebra, _limits_from(args))
     doc = {
         "command": "deform-classes",
         "inputs_digest": _digest(algebra_to_dict(algebra)),
@@ -366,29 +362,17 @@ def _cmd_deform_classes(args: argparse.Namespace) -> int:
 def _cmd_extend(args: argparse.Namespace) -> int:
     _require_self_module(args)
     algebra = resolve_algebra(args.algebra)
-    module = self_module(algebra)
-    psi = load_cochain(args.psi, algebra, module)
-    if psi.degree != 2:
-        raise InputFormatError(f"extension cocycle must have degree 2, got {psi.degree}")
-    ext = square_zero_extension(algebra, module, psi)
+    psi = load_cochain(args.psi, algebra, self_module(algebra), degree=2, name="extension cocycle")
+    ext = square_zero_extension(algebra, psi.module, psi)
     report = validate_superalgebra(ext.algebra)
     doc = {
         "command": "extend",
         "inputs_digest": _digest(algebra_to_dict(algebra), cochain_to_dict(psi)),
         "valid": report.ok,
         "extension": algebra_to_dict(ext.algebra),
-        "violations": [
-            {"kind": v.kind, "indices": list(v.indices), "detail": v.detail}
-            for v in report.violations
-        ],
     }
-    if args.json:
-        _emit_json(doc)
-    else:
-        print(f"extension dimension: {ext.algebra.dim}")
-        print(f"valid superalgebra: {'yes' if report.ok else 'no'}")
-        for v in report.violations:
-            print(f"  {v.kind} at {v.indices}: {v.detail}")
+    header = [f"extension dimension: {ext.algebra.dim}", f"valid superalgebra: {'yes' if report.ok else 'no'}"]
+    _emit_violations(args, doc, header, report.violations)
     return EXIT_OK if report.ok else EXIT_NEGATIVE
 
 
@@ -407,6 +391,9 @@ def _run_suites(
     if suite("validators"):
         ok = validate_superalgebra(algebra).ok and validate_supermodule(module).ok
         suites.append(("validators", ok, "algebra and self-module laws"))
+        if not ok:
+            # Every later suite assumes a valid algebra.
+            return suites
 
     if suite("complex"):
         ok = True
@@ -438,7 +425,7 @@ def _run_suites(
 
     if suite("derivations"):
         z1 = kernel_basis(coboundary_matrix(algebra, module, 1, ComplexKind.SUPER_HARRISON, limits))
-        ok = same_subspace(z1, derivation_space(algebra, module))
+        ok = z1 == derivation_space(algebra, module)
         suites.append(("derivations", ok, "degree-1 cocycles match the Leibniz solutions"))
 
     if suite("deformations"):
@@ -474,6 +461,8 @@ def _run_suites(
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.budget < 0:
+        raise InputFormatError(f"--budget must be nonnegative, got {args.budget}")
     algebra = resolve_algebra(args.algebra)
     limits = _limits_from(args)
     suites = _run_suites(algebra, args.budget, limits, args.suite or ["all"])
@@ -597,6 +586,14 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except ResourceCeilingError as exc:
         print(f"resource ceiling: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except (ShuffleClosureError, NotASubspaceError):
+        # The complex is only closed over a valid algebra; validate on this path only.
+        violations = validate_superalgebra(resolve_algebra(args.algebra)).violations
+        if not violations:
+            raise
+        first = _format_violation(violations[0])
+        print(f"error: {args.algebra} is not a supercommutative superalgebra: {first}", file=sys.stderr)
+        return EXIT_INPUT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

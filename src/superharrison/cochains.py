@@ -44,8 +44,8 @@ degree-(n+1) tensor, so sparse cochains cost what their support costs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import product as iter_product
 from typing import Iterator, Mapping, Sequence
 
@@ -97,7 +97,6 @@ class Cochain:
     algebra: SuperAlgebra
     module: SuperModule
     data: tuple[Rat, ...]
-    parity_preserving: bool = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.degree < 0:
@@ -107,15 +106,13 @@ class Cochain:
             raise ValueError(f"data length {len(self.data)} does not match {expected}")
         if self.module.algebra != self.algebra:
             raise ValueError("module is not over the given algebra")
-        object.__setattr__(self, "parity_preserving", self._scan_parity())
 
-    def _scan_parity(self) -> bool:
+    @cached_property
+    def parity_preserving(self) -> bool:
+        """Every nonzero value is as even as its arguments; scanned on first use."""
         a_par = self.algebra.parity
         m_par = self.module.parity
-        for t, l, _ in self.iter_nonzero():
-            if sum(a_par[i] for i in t) % 2 != m_par[l]:
-                return False
-        return True
+        return all(sum(a_par[i] for i in t) % 2 == m_par[l] for t, l, _ in self.iter_nonzero())
 
     def offset(self, t: Sequence[int], l: int) -> int:
         return encode(t, l, self.algebra.dim, self.module.dim)

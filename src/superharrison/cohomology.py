@@ -251,9 +251,4 @@ def derivation_space(algebra: SuperAlgebra, module: SuperModule) -> SubspaceBasi
 
                 if any(row):
                     rows.append(row)
-    matrix = (
-        RationalMatrix.from_rows(rows, cols=len(unknowns))
-        if rows
-        else RationalMatrix.zero(0, len(unknowns))
-    )
-    return kernel_basis(matrix)
+    return kernel_basis(RationalMatrix.from_rows(rows, cols=len(unknowns)))

@@ -8,10 +8,12 @@ itself), the deformed product
 
 is checked for supercommutativity and associativity by direct DualNumber
 arithmetic on all basis pairs and triples; no cochain identities are
-consulted.  Independently, psi being a parity-preserving, graded-symmetric
-cocycle is decided by the cochain machinery.  ``deformation_iff_cocycle``
-sweeps both sides and reports any mismatch, which would expose a sign error
-in either pipeline.
+consulted.  The table m_t(e_i, e_j) = c_ij + t psi(e_i, e_j) is built once
+per check, and m_t(x, y) extends it bilinearly to DualNumber vectors.
+Independently, psi being a parity-preserving, graded-symmetric cocycle is
+decided by the cochain machinery.  ``deformation_iff_cocycle`` sweeps both
+sides and reports any mismatch, which would expose a sign error in either
+pipeline; ``extension_valid_iff_cocycle`` sweeps the same cases.
 
 The same game is played with the square-zero extension A (+) M: the product
 
@@ -28,7 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .algebras import (
     DualNumber,
@@ -47,7 +49,14 @@ from .cochains import (
     parity_coordinates,
     parity_offsets,
 )
-from .cohomology import CohomologyResult, ComplexKind, coboundary_matrix, cohomology
+from .cohomology import (
+    DEFAULT_LIMITS,
+    CohomologyResult,
+    ComplexKind,
+    ResourceLimits,
+    coboundary_matrix,
+    cohomology,
+)
 from .linalg import Rat, as_rational, solve
 
 __all__ = [
@@ -87,43 +96,30 @@ def _check_psi(algebra: SuperAlgebra, psi: Cochain) -> None:
         raise ValueError("psi must take values in the algebra acting on itself")
 
 
-def _mt_on_basis(algebra: SuperAlgebra, psi: Cochain, i: int, j: int) -> tuple[DualNumber, ...]:
-    base = psi.offset((i, j), 0)
-    c = algebra.structure[i][j]
-    return tuple(DualNumber(c[l], psi.data[base + l]) for l in range(algebra.dim))
+# A DualNumber vector, sparse: (basis index, nonzero coefficient) in index order.
+DualVector = tuple[tuple[int, DualNumber], ...]
 
 
-def _mt_of_vector_and_basis(
-    algebra: SuperAlgebra, psi: Cochain, x: tuple[DualNumber, ...], k: int
-) -> tuple[DualNumber, ...]:
-    """m_t(x, e_k) for a DualNumber coefficient vector x, bilinearly."""
-    out = [DualNumber(0) for _ in range(algebra.dim)]
-    for a, xa in enumerate(x):
-        if xa.is_zero():
-            continue
-        base = psi.offset((a, k), 0)
-        c = algebra.structure[a][k]
-        for l in range(algebra.dim):
-            coeff = DualNumber(c[l], psi.data[base + l])
-            if not coeff.is_zero():
-                out[l] = out[l] + xa * coeff
-    return tuple(out)
+def _mt_table(algebra: SuperAlgebra, psi: Cochain) -> tuple[tuple[DualVector, ...], ...]:
+    """m_t on basis pairs: table[i][j] = c_ij + t psi(e_i, e_j)."""
+    return tuple(
+        tuple(
+            tuple((l, DualNumber(c, v)) for l, (c, v) in enumerate(zip(row, psi.value_on_tuple((i, j)))) if c or v)
+            for j, row in enumerate(plane)
+        )
+        for i, plane in enumerate(algebra.structure)
+    )
 
 
-def _mt_of_basis_and_vector(
-    algebra: SuperAlgebra, psi: Cochain, i: int, y: tuple[DualNumber, ...]
-) -> tuple[DualNumber, ...]:
-    out = [DualNumber(0) for _ in range(algebra.dim)]
-    for b, yb in enumerate(y):
-        if yb.is_zero():
-            continue
-        base = psi.offset((i, b), 0)
-        c = algebra.structure[i][b]
-        for l in range(algebra.dim):
-            coeff = DualNumber(c[l], psi.data[base + l])
-            if not coeff.is_zero():
-                out[l] = out[l] + yb * coeff
-    return tuple(out)
+def _m_t(table: tuple[tuple[DualVector, ...], ...], x: DualVector, y: DualVector) -> DualVector:
+    """The deformed product m_t(x, y), bilinearly over the table."""
+    out: dict[int, DualNumber] = {}
+    for a, xa in x:
+        for b, yb in y:
+            coeff = xa * yb
+            for l, m in table[a][b]:
+                out[l] = out[l] + coeff * m if l in out else coeff * m
+    return tuple((l, v) for l, v in sorted(out.items()) if not v.is_zero())
 
 
 def first_order_deformation_check(algebra: SuperAlgebra, psi: Cochain) -> DeformationReport:
@@ -131,45 +127,32 @@ def first_order_deformation_check(algebra: SuperAlgebra, psi: Cochain) -> Deform
     _check_psi(algebra, psi)
     dim = algebra.dim
     par = algebra.parity
+    table = _mt_table(algebra, psi)
+    basis = [((i, DualNumber(1)),) for i in range(dim)]
 
-    parity_ok = psi.parity_preserving
-
-    supercomm = True
-    supercomm_witness: Optional[tuple[int, int]] = None
-    for i in range(dim):
-        if not supercomm:
-            break
-        for j in range(dim):
-            sign = -1 if par[i] and par[j] else 1
-            lhs = _mt_on_basis(algebra, psi, j, i)
-            rhs = _mt_on_basis(algebra, psi, i, j)
-            if any(not (a - sign * b).is_zero() for a, b in zip(lhs, rhs)):
-                supercomm = False
-                supercomm_witness = (i, j)
-                break
-
-    assoc = True
-    assoc_witness: Optional[tuple[int, int, int]] = None
-    for i in range(dim):
-        if not assoc:
-            break
-        for j in range(dim):
-            if not assoc:
-                break
-            ij = _mt_on_basis(algebra, psi, i, j)
-            for k in range(dim):
-                left = _mt_of_vector_and_basis(algebra, psi, ij, k)
-                jk = _mt_on_basis(algebra, psi, j, k)
-                right = _mt_of_basis_and_vector(algebra, psi, i, jk)
-                if any(not (a - b).is_zero() for a, b in zip(left, right)):
-                    assoc = False
-                    assoc_witness = (i, j, k)
-                    break
-
+    supercomm_witness = next(
+        (
+            (i, j)
+            for i in range(dim)
+            for j in range(dim)
+            if table[j][i] != (tuple((l, -m) for l, m in table[i][j]) if par[i] and par[j] else table[i][j])
+        ),
+        None,
+    )
+    assoc_witness = next(
+        (
+            (i, j, k)
+            for i in range(dim)
+            for j in range(dim)
+            for k in range(dim)
+            if _m_t(table, table[i][j], basis[k]) != _m_t(table, basis[i], table[j][k])
+        ),
+        None,
+    )
     return DeformationReport(
-        parity_ok=parity_ok,
-        supercommutative_mod_t2=supercomm,
-        associative_mod_t2=assoc,
+        parity_ok=psi.parity_preserving,
+        supercommutative_mod_t2=supercomm_witness is None,
+        associative_mod_t2=assoc_witness is None,
         supercommutativity_witness=supercomm_witness,
         associativity_witness=assoc_witness,
     )
@@ -211,6 +194,21 @@ def random_parity_cochain(
     return cochain_from_coordinates(algebra, module, degree, [as_rational(c) for c in coords])
 
 
+def _sweep(
+    algebra: SuperAlgebra,
+    module: SuperModule,
+    budget: int,
+    seed: int,
+    failures_of: Callable[[Cochain], list[str]],
+) -> SweepReport:
+    """Run ``failures_of`` on the degree-2 parity basis, then on ``budget`` seeded random cochains."""
+    cases = parity_basis(algebra, module, 2)
+    rng = random.Random(seed)
+    cases += [random_parity_cochain(algebra, module, 2, rng) for _ in range(budget)]
+    failures = tuple(f"case {idx}: {failure}" for idx, psi in enumerate(cases) for failure in failures_of(psi))
+    return SweepReport(passed=not failures, cases=len(cases), failures=failures)
+
+
 def deformation_iff_cocycle(
     algebra: SuperAlgebra, budget: int = 50, seed: int = 0
 ) -> SweepReport:
@@ -220,22 +218,15 @@ def deformation_iff_cocycle(
     rational combinations, comparing the DualNumber verdict against the
     cochain-side verdict on each.
     """
-    module = self_module(algebra)
-    sweep = list(parity_basis(algebra, module, 2))
-    rng = random.Random(seed)
-    for _ in range(budget):
-        sweep.append(random_parity_cochain(algebra, module, 2, rng))
 
-    failures = []
-    for idx, psi in enumerate(sweep):
+    def failures_of(psi: Cochain) -> list[str]:
         deformation_side = first_order_deformation_check(algebra, psi).valid
         cochain_side = is_cocycle(psi)
-        if deformation_side != cochain_side:
-            failures.append(
-                f"case {idx}: deformation check says {deformation_side}, "
-                f"cocycle test says {cochain_side}"
-            )
-    return SweepReport(passed=not failures, cases=len(sweep), failures=tuple(failures))
+        if deformation_side == cochain_side:
+            return []
+        return [f"deformation check says {deformation_side}, cocycle test says {cochain_side}"]
+
+    return _sweep(algebra, self_module(algebra), budget, seed, failures_of)
 
 
 @dataclass(frozen=True)
@@ -305,27 +296,21 @@ def extension_valid_iff_cocycle(
     the cocycle condition, supercommutativity against graded symmetry, and
     parity compatibility against parity preservation.
     """
-    sweep = list(parity_basis(algebra, module, 2))
-    rng = random.Random(seed)
-    for _ in range(budget):
-        sweep.append(random_parity_cochain(algebra, module, 2, rng))
 
-    failures = []
-    for idx, psi in enumerate(sweep):
-        report = validate_superalgebra(square_zero_extension(algebra, module, psi).algebra)
-        kinds = report.kinds()
+    def failures_of(psi: Cochain) -> list[str]:
+        kinds = validate_superalgebra(square_zero_extension(algebra, module, psi).algebra).kinds()
         checks = (
             ("associativity", hochschild_coboundary(psi).is_zero()),
             ("supercommutativity", is_graded_symmetric(psi)),
             ("parity", psi.parity_preserving),
         )
-        for kind, cochain_ok in checks:
-            if (kind not in kinds) != cochain_ok:
-                failures.append(
-                    f"case {idx}: extension {kind} is "
-                    f"{'clean' if kind not in kinds else 'violated'} but cochain side says {cochain_ok}"
-                )
-    return SweepReport(passed=not failures, cases=len(sweep), failures=tuple(failures))
+        return [
+            f"extension {kind} is {'clean' if kind not in kinds else 'violated'} but cochain side says {cochain_ok}"
+            for kind, cochain_ok in checks
+            if (kind not in kinds) != cochain_ok
+        ]
+
+    return _sweep(algebra, module, budget, seed, failures_of)
 
 
 def extension_equivalence(
@@ -357,13 +342,13 @@ def extension_equivalence(
     return g
 
 
-def deformation_classes(algebra: SuperAlgebra) -> CohomologyResult:
+def deformation_classes(algebra: SuperAlgebra, limits: ResourceLimits = DEFAULT_LIMITS) -> CohomologyResult:
     """Degree-2 Harrison cohomology of A on itself; representatives re-checked.
 
     Every representative is run back through the DualNumber deformation
     check, which must come out valid.
     """
-    result = cohomology(algebra, self_module(algebra), 2, ComplexKind.SUPER_HARRISON)
+    result = cohomology(algebra, self_module(algebra), 2, ComplexKind.SUPER_HARRISON, limits)
     for rep in result.representatives:
         if not first_order_deformation_check(algebra, rep).valid:
             raise AssertionError("cohomology representative rejected by the deformation check")

@@ -25,11 +25,8 @@ __all__ = [
     "NotASubspaceError",
     "kernel_basis",
     "image_basis",
-    "rank",
     "solve",
     "quotient_representatives",
-    "same_subspace",
-    "contains_subspace",
 ]
 
 
@@ -147,10 +144,6 @@ class RationalMatrix:
             cols=len(columns),
         )
 
-    @staticmethod
-    def zero(rows: int, cols: int) -> "RationalMatrix":
-        return RationalMatrix(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
-
     def is_zero(self) -> bool:
         return all(not x for row in self.entries for x in row)
 
@@ -260,11 +253,6 @@ def image_basis(matrix: RationalMatrix) -> SubspaceBasis:
     return SubspaceBasis.from_vectors(columns, matrix.rows)
 
 
-def rank(matrix: RationalMatrix) -> int:
-    data = [list(row) for row in matrix.entries]
-    return len(_rref_in_place(data, matrix.cols))
-
-
 def solve(matrix: RationalMatrix, rhs: Sequence[Rat]) -> Optional[tuple[Rat, ...]]:
     """One solution of ``matrix @ x = rhs`` (free variables set to 0), or None."""
     if len(rhs) != matrix.rows:
@@ -311,11 +299,3 @@ def quotient_representatives(space: SubspaceBasis, subspace: SubspaceBasis) -> S
         pivots.insert(at, lead)
         rows.insert(at, _norm_row(rem))
     return SubspaceBasis.from_vectors(reps, space.ambient_dim)
-
-
-def same_subspace(a: SubspaceBasis, b: SubspaceBasis) -> bool:
-    return a.ambient_dim == b.ambient_dim and a.vectors == b.vectors
-
-
-def contains_subspace(big: SubspaceBasis, small: SubspaceBasis) -> bool:
-    return big.ambient_dim == small.ambient_dim and all(big.contains(v) for v in small.vectors)

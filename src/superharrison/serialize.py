@@ -150,15 +150,19 @@ def algebra_to_dict(algebra: SuperAlgebra) -> dict:
     return doc
 
 
-def load_algebra(path: str) -> SuperAlgebra:
+def _read_json(path: str) -> Any:
+    """The JSON document in ``path``; an unreadable or malformed file is an input error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
-    return algebra_from_dict(doc)
+
+
+def load_algebra(path: str) -> SuperAlgebra:
+    return algebra_from_dict(_read_json(path))
 
 
 def dump_algebra(algebra: SuperAlgebra, path: str) -> None:
@@ -200,12 +204,17 @@ def cochain_to_dict(f: Cochain) -> dict:
     return {"degree": f.degree, "entries": entries}
 
 
-def load_cochain(path: str, algebra: SuperAlgebra, module: SuperModule) -> Cochain:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
+def load_cochain(
+    path: str, algebra: SuperAlgebra, module: SuperModule, degree: Optional[int] = None, name: str = "cochain"
+) -> Cochain:
+    """The cochain document in ``path``.
+
+    With ``degree`` given, a document of any other degree is refused as
+    "``name`` must have degree ..." before its dense values, dim A^n * dim M
+    of them, are built.
+    """
+    doc = _read_json(path)
+    found = doc.get("degree") if isinstance(doc, dict) else None
+    if degree is not None and isinstance(found, int) and found >= 0 and found != degree:
+        raise InputFormatError(f"{name} must have degree {degree}, got {found}")
     return cochain_from_dict(doc, algebra, module)

@@ -332,6 +332,28 @@ class TestValidators:
         indices = [v.indices for v in report.violations]
         assert indices == sorted(indices)
 
+    @pytest.mark.parametrize(
+        "structure, parity",
+        [
+            ((((1, 0), (0, 1)), ((0, 1), (0, 1))), (0, 1)),  # t^2 = t: parity
+            ((((1, 0), (0, 2)), ((0, 2), (0, 0))), (0, 0)),  # associativity
+            ((((0, 1), (1, 0)), ((1, 0), (0, 1))), (0, 0)),  # neither
+        ],
+    )
+    def test_parity_and_associativity_are_the_self_module_laws(self, structure, parity):
+        alg = SuperAlgebra(dim=2, basis_names=("a", "b"), parity=parity, structure=structure, unit_index=None)
+        law = {"parity": "parity", "associativity": "module_law"}
+        as_algebra = [(law[v.kind], v.indices) for v in validate_superalgebra(alg).violations if v.kind in law]
+        as_module = [(v.kind, v.indices) for v in validate_supermodule(self_module(alg)).violations]
+        assert as_algebra == as_module
+
+    def test_algebra_validator_builds_no_module(self, monkeypatch):
+        def refuse(module):
+            raise AssertionError("validate_superalgebra built a SuperModule")
+
+        monkeypatch.setattr(SuperModule, "__post_init__", refuse)
+        assert validate_superalgebra(exterior_algebra(2)).ok
+
     def test_structure_shape_is_checked_at_construction(self):
         with pytest.raises(ValueError):
             SuperAlgebra(

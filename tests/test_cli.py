@@ -8,6 +8,8 @@ import pytest
 
 from superharrison.algebras import exterior_algebra, self_module, truncated_polynomial
 from superharrison.cli import run
+from superharrison.cochains import Cochain
+from superharrison.cohomology import ShuffleClosureError
 from superharrison.deformations import is_cocycle
 from superharrison.serialize import cochain_from_dict, dump_algebra
 
@@ -242,6 +244,21 @@ class TestDeformCommands:
         assert doc["valid"] is True
         assert doc["extension"]["dim"] == 4
 
+    def test_classes_honour_the_column_ceiling(self, capsys):
+        assert run(["deform-classes", "--algebra", "builtin:exterior:2", "--max-columns", "10"]) == 3
+        assert "exceeds the ceiling 10" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, what", [("deform-check", "deformation direction"), ("extend", "extension cocycle")]
+    )
+    def test_wrong_degree_is_refused_before_the_cochain_is_built(self, capsys, monkeypatch, bad_inputs, command, what):
+        built = []
+        monkeypatch.setattr(Cochain, "__post_init__", lambda f: built.append(f.degree))
+        code = run([command, "--algebra", "builtin:truncpoly:2", "--psi", "psi_degree22.json"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {what} must have degree 2, got 22\n"
+        assert built == []
+
     def test_extend_flags_bad_twists(self, capsys, square_psi_file):
         code = run(
             [
@@ -297,6 +314,50 @@ class TestVerifyCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["passed"] is True
         assert doc["suites"][0]["name"] == "validators"
+
+
+class TestInvalidAlgebras:
+    """Cohomology of a broken algebra is refused with exit 2, naming its first violation."""
+
+    @pytest.mark.parametrize(
+        "argv, violation",
+        [
+            (["cohomology", "--algebra", "parity.json", "--degree", "2", "--kind", "harrison"], "parity at (1, 1, 2)"),
+            (["deform-classes", "--algebra", "parity.json"], "parity at (1, 1, 2)"),
+            (
+                ["cohomology", "--algebra", "clifford.json", "--degree", "2", "--kind", "harrison"],
+                "supercommutativity at (1, 1, 0)",
+            ),
+            (["deform-classes", "--algebra", "clifford.json"], "supercommutativity at (1, 1, 0)"),
+            (
+                ["cohomology", "--algebra", "nonassoc.json", "--degree", "2", "--kind", "hochschild"],
+                "associativity at (1, 1, 2)",
+            ),
+            (
+                ["cohomology", "--algebra", "nonassoc.json", "--degree", "2", "--kind", "harrison"],
+                "associativity at (1, 1, 2)",
+            ),
+            (["verify", "--algebra", "clifford.json", "--suite", "complex"], "supercommutativity at (1, 1, 0)"),
+        ],
+    )
+    def test_exit_two_names_the_violation(self, capsys, bad_inputs, argv, violation):
+        assert run(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"error: {argv[2]} is not a supercommutative superalgebra: {violation}: ")
+
+    @pytest.mark.parametrize("name", ["parity.json", "clifford.json", "nonassoc.json", "badunit.json"])
+    def test_verify_stops_after_failing_validators(self, capsys, bad_inputs, name):
+        assert run(["verify", "--algebra", name, "--budget", "5"]) == 1
+        assert capsys.readouterr().out == "FAIL validators: algebra and self-module laws\n"
+
+    def test_closure_failure_on_a_valid_algebra_is_a_bug(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ShuffleClosureError("coboundary of a Harrison element fails a shuffle condition")
+
+        monkeypatch.setattr("superharrison.cli.cohomology", broken)
+        with pytest.raises(ShuffleClosureError):
+            run(["cohomology", "--algebra", "builtin:truncpoly:2", "--degree", "1", "--kind", "harrison"])
 
 
 class TestExitCodes:
@@ -424,6 +485,13 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "resource ceiling: cochain space of dimension 8388608 exceeds the ceiling 20000\n"
         )
+
+    @pytest.mark.parametrize("budget", ["-1", "-5"])
+    def test_negative_budget_is_an_input_error(self, capsys, budget):
+        assert run(["verify", "--algebra", "builtin:truncpoly:2", "--budget", budget]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: --budget must be nonnegative, got {budget}\n"
 
     def test_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv("SUPERHARRISON_MAX_DEGREE", "1")

@@ -168,6 +168,21 @@ class TestCochainBasics:
         skew = elementary_cochain(self.alg, self.mod, 1, (1,), 0)
         assert not skew.parity_preserving
 
+    def test_parity_is_scanned_on_first_use_only(self, monkeypatch):
+        scans = []
+        original = Cochain.iter_nonzero
+
+        def counting(f):
+            scans.append(f.degree)
+            return original(f)
+
+        monkeypatch.setattr(Cochain, "iter_nonzero", counting)
+        f = elementary_cochain(self.alg, self.mod, 2, (1, 1), 0)
+        assert scans == []
+        assert f.parity_preserving and f.parity_preserving
+        assert scans == [2]
+        assert f == elementary_cochain(self.alg, self.mod, 2, (1, 1), 0)
+
 
 class TestParityBasis:
     def test_dimension_matches_direct_count(self, corpus_algebra):

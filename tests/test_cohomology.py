@@ -28,10 +28,8 @@ from superharrison.cohomology import (
 )
 from superharrison.linalg import (
     SubspaceBasis,
-    contains_subspace,
     image_basis,
     kernel_basis,
-    same_subspace,
 )
 
 HOCH = ComplexKind.HOCHSCHILD
@@ -188,7 +186,7 @@ class TestDerivations:
     ):
         mod = self_module(corpus_algebra)
         cocycles = kernel_basis(coboundary_matrix(corpus_algebra, mod, 1, HARR))
-        assert same_subspace(cocycles, derivation_space(corpus_algebra, mod))
+        assert cocycles == derivation_space(corpus_algebra, mod)
 
     def test_exterior_line_derivations_are_scalings(self):
         alg = exterior_algebra(1)

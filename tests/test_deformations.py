@@ -27,7 +27,13 @@ from superharrison.cochains import (
     parity_basis,
     zero_cochain,
 )
-from superharrison.cohomology import ComplexKind, coboundary_matrix, cohomology
+from superharrison.cohomology import (
+    ComplexKind,
+    ResourceCeilingError,
+    ResourceLimits,
+    coboundary_matrix,
+    cohomology,
+)
 from superharrison.deformations import (
     deformation_classes,
     deformation_iff_cocycle,
@@ -351,6 +357,12 @@ class TestDeformationClasses:
         assert first_order_deformation_check(
             truncated_polynomial(2), rep
         ).valid
+
+    def test_limits_are_honoured(self):
+        with pytest.raises(ResourceCeilingError):
+            deformation_classes(exterior_algebra(2), ResourceLimits(max_columns=10))
+        with pytest.raises(ResourceCeilingError):
+            deformation_classes(exterior_algebra(2), ResourceLimits(max_degree=2))
 
     def test_class_representatives_deform(self, corpus_algebra):
         res = deformation_classes(corpus_algebra)

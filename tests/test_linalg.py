@@ -14,12 +14,9 @@ from superharrison.linalg import (
     RationalMatrix,
     SubspaceBasis,
     as_rational,
-    contains_subspace,
     image_basis,
     kernel_basis,
     quotient_representatives,
-    rank,
-    same_subspace,
     solve,
 )
 
@@ -72,7 +69,7 @@ class TestRationalMatrix:
 
     def test_mul_vector_and_zero(self):
         assert RationalMatrix.from_rows([[0, 1, 0], [2, 0, 1]]).mul_vector((1, 2, 3)) == (2, 5)
-        assert RationalMatrix.zero(2, 3).is_zero()
+        assert RationalMatrix.from_rows([[0, 0, 0], [0, 0, 0]]).is_zero()
 
     def test_from_columns_transposes(self):
         m = RationalMatrix.from_columns([[1, 2], [3, 4]])
@@ -101,7 +98,7 @@ class TestRationalMatrix:
 class TestKernelAndImage:
     def test_rank_one_example(self):
         m = RationalMatrix.from_rows([[1, 2], [2, 4]])
-        assert rank(m) == 1
+        assert image_basis(m).dim == 1
         ker = kernel_basis(m)
         assert ker.dim == 1
         assert ker.contains((-2, 1))
@@ -115,7 +112,7 @@ class TestKernelAndImage:
         assert image_basis(m).dim == 2
 
     def test_zero_matrix(self):
-        m = RationalMatrix.zero(3, 4)
+        m = RationalMatrix.from_rows([[0] * 4] * 3)
         assert kernel_basis(m).dim == 4
         assert image_basis(m).dim == 0
 
@@ -124,7 +121,7 @@ class TestKernelAndImage:
         for _ in range(20):
             m = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
             ker = kernel_basis(m)
-            assert rank(m) + ker.dim == m.cols
+            assert image_basis(m).dim + ker.dim == m.cols
             for v in ker.vectors:
                 assert all(x == 0 for x in m.mul_vector(v))
 
@@ -133,7 +130,7 @@ class TestKernelAndImage:
         for _ in range(20):
             m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
             img = image_basis(m)
-            assert img.dim == rank(m)
+            assert img.dim == m.cols - kernel_basis(m).dim
             for v in img.vectors:
                 assert solve(m, v) is not None
 
@@ -142,7 +139,7 @@ class TestKernelAndImage:
         rng = random.Random(2024)
         m = random_matrix(rng, 40, 40, density=0.3)
         ker = kernel_basis(m)
-        assert rank(m) + ker.dim == 40
+        assert image_basis(m).dim + ker.dim == 40
         for v in ker.vectors:
             assert all(x == 0 for x in m.mul_vector(v))
 
@@ -187,7 +184,7 @@ class TestSubspaceBasis:
         a = SubspaceBasis.from_vectors([(1, 1, 0), (0, 0, 1)], 3)
         b = SubspaceBasis.from_vectors([(2, 2, 2), (1, 1, 3), (3, 3, 1)], 3)
         assert a.vectors == b.vectors
-        assert same_subspace(a, b)
+        assert a == b
 
     def test_dependent_generators_collapse(self):
         s = SubspaceBasis.from_vectors([(1, 2), (2, 4), (3, 6)], 2)
@@ -279,18 +276,18 @@ class TestQuotient:
             list(sub.vectors) + list(reps.vectors), dim
         )
         assert joined.dim == sub.dim + reps.dim
-        assert same_subspace(joined, space)
+        assert joined == space
 
 
 class TestContainment:
     def test_contains_subspace(self):
         big = SubspaceBasis.from_vectors([(1, 0, 0), (0, 1, 0)], 3)
         small = SubspaceBasis.from_vectors([(1, 1, 0)], 3)
-        assert contains_subspace(big, small)
-        assert not contains_subspace(small, big)
+        assert all(big.contains(v) for v in small.vectors)
+        assert not all(small.contains(v) for v in big.vectors)
 
     def test_same_subspace_is_exact_equality_of_canonical_bases(self):
         a = SubspaceBasis.from_vectors([(1, 2)], 2)
         b = SubspaceBasis.from_vectors([(Fraction(1, 2), 1)], 2)
-        assert same_subspace(a, b)
+        assert a == b
         assert a.vectors == b.vectors

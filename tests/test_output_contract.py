@@ -1,9 +1,18 @@
-"""Byte-for-byte output contract of the CLI on the corpus.
+"""Byte-for-byte output contract of the CLI on the corpus and on bad input.
 
 Each case runs ``cli.run`` in-process and compares the exit code and the
-sha256 of stdout against a digest recorded before the cochain index was
-consolidated.  A refactor that changes any printed byte, a representative,
-its order or a dimension, fails here.
+sha256 of stdout against a recorded digest.  A refactor that changes any
+printed byte, a representative, its order, a dimension or a reported
+violation, fails here.
+
+The corpus cases cover valid algebras, where the validators print nothing.
+The bad-input cases run ``check`` on the broken algebras of
+``conftest.BAD_FILES``, one per violation kind (``module_law`` comes with
+``associativity``, the module law of the algebra acting on itself), and
+``deform-check``/``extend`` on degree-2 cochains psi that break
+associativity, graded symmetry or parity.  Text output echoes the
+``--algebra`` argument, so the ``bad_inputs`` fixture writes those files
+into a temporary directory and runs from inside it.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from conftest import CORPUS_SPECS
+from conftest import BAD_FILES, CORPUS_SPECS
 from superharrison.cli import run
 
 
@@ -36,6 +45,22 @@ def _cases() -> dict[str, list[str]]:
 
 
 CASES = _cases()
+
+
+def _bad_cases() -> dict[str, list[str]]:
+    commands = {f"check-{name[:-5]}": ["check", "--algebra", name] for name in BAD_FILES if not name.startswith("psi")}
+    for psi in ("psi_assoc", "psi_symmetry", "psi_parity"):
+        for label, spec in (("truncpoly3", CORPUS_SPECS["truncpoly3"]), ("mixed", CORPUS_SPECS["mixed"])):
+            for command in ("deform-check", "extend"):
+                commands[f"{command}-{psi}-{label}"] = [command, "--algebra", spec, "--psi", f"{psi}.json"]
+    out: dict[str, list[str]] = {}
+    for label, argv in commands.items():
+        out[f"{label}-text"] = argv
+        out[f"{label}-json"] = argv + ["--json"]
+    return out
+
+
+BAD_CASES = _bad_cases()
 
 
 def run_digest(argv: list[str]) -> tuple[int, str]:
@@ -166,3 +191,48 @@ def test_every_case_has_a_recorded_digest():
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_output_is_byte_identical(case):
     assert run_digest(CASES[case]) == DIGESTS[case]
+
+
+BAD_DIGESTS: dict[str, tuple[int, str]] = {
+    "check-badunit-json": (1, "23bf1ce1f7a084d2bf2b88eab7cf457bf1f5b86a8f83867cb9b84e89376dafa8"),
+    "check-badunit-text": (1, "ad4a47f1192ba34fa899d5ec0d5a9d670a3b832b5004ab8c5912c28be82ee782"),
+    "check-clifford-json": (1, "225a1e876b585967afe0fe8074092bcdeabf46cebf942198101fbde759cadedc"),
+    "check-clifford-text": (1, "8133d6265d684220678928ec6626b3d808fb95273638647275ac068a49153fa2"),
+    "check-nonassoc-json": (1, "e00f83be82d783f9eda1a0905c5e42e0cc11aa5011fa478516606b6ad8f21ade"),
+    "check-nonassoc-text": (1, "378803479b38b284bdb9b22cc9bf7f7d1abebe57043def8a8bd994677808f236"),
+    "check-parity-json": (1, "7907fab8de3e6ba9b53f555ef1f61303b30d6fb324baf01d02111ebc6abc4f20"),
+    "check-parity-text": (1, "46ab499426d360b4341758a91d893e639d3366a3f3f4caa0cdaec90dd8a7e83f"),
+    "deform-check-psi_assoc-mixed-json": (1, "b19fe469774d9c54cb8246a749954ed198c0ed059ee6a3df16fb257936e67a81"),
+    "deform-check-psi_assoc-mixed-text": (1, "f5276411ab0b1a479823e7a04e7df6f8c59bacd325df461c6b7ff93f3b9b6142"),
+    "deform-check-psi_assoc-truncpoly3-json": (1, "0c0d3eebb38d4fc0a201e428b1f0caab0e39ead9994ddaccc6cecb79aa28bca9"),
+    "deform-check-psi_assoc-truncpoly3-text": (1, "27e57b08d3e530b4933c999862844788c7bc74809eb120342c5eedf2693bda1b"),
+    "deform-check-psi_parity-mixed-json": (1, "82370af9dc5ba50db070ea0448661e6999dc490bd71c08565c92f2cfcf1070f1"),
+    "deform-check-psi_parity-mixed-text": (1, "accffa0d69a93a2052c488ab3bc213b6a1355b70c77ae7b4af5f0c0473003f5b"),
+    "deform-check-psi_parity-truncpoly3-json": (1, "bdce824a3ce8051ae127db4feb341d16008cdc6a027458c3ea65621f7017340e"),
+    "deform-check-psi_parity-truncpoly3-text": (1, "da4f39af3b69ac66039c77ea51ab866ac6ffac677cc710107faa96e07b9c3b51"),
+    "deform-check-psi_symmetry-mixed-json": (1, "3e1219d2f4a77c3d238e355623e433f8cea0931d234ade260824449eff8a754b"),
+    "deform-check-psi_symmetry-mixed-text": (1, "d3a280aeb50789692a4f8eef6247e688dc88aeab0cc82ba2e2143fff5fe96b4c"),
+    "deform-check-psi_symmetry-truncpoly3-json": (1, "b20e59f50cd6230cddcb6a9cb183acaa0239b9f2b426dc76c763e3f4dd805d82"),
+    "deform-check-psi_symmetry-truncpoly3-text": (1, "bbbe28afb47820a755fe9b76d9db5dced79d8e8136dfd2058b6098d21257a2f6"),
+    "extend-psi_assoc-mixed-json": (1, "46df39e8a83cdc21096c07596716de68a4ae889b71fbe0acd16977fe23ed3276"),
+    "extend-psi_assoc-mixed-text": (1, "e4dfab45f3491d43089cc98167b74b2a9a5b981c633beb0852649d757ad46c1d"),
+    "extend-psi_assoc-truncpoly3-json": (1, "109486d03650e4a1f3839fedb69e45411b7f044bb346766d119f723e28e4f3fb"),
+    "extend-psi_assoc-truncpoly3-text": (1, "c3c530970d937caaa41fe51c662daab88bb329f238c747df27a8b541a3204ccd"),
+    "extend-psi_parity-mixed-json": (1, "cb9c5bea237db58667bc685d6c593a427f2d752f9f2e5c769e34b99f63a37ecf"),
+    "extend-psi_parity-mixed-text": (1, "aec86e50fdca2b01e0cebb4b538218fb56581e0eb6d27780d8c7c6dc9daf2ef8"),
+    "extend-psi_parity-truncpoly3-json": (1, "3d5088710c43b929bba5a544723cbc560f2bf9a87f0701456ae05c2cbe6e8daa"),
+    "extend-psi_parity-truncpoly3-text": (1, "07a56d725d5e3a0d9a63c9d9e7f2e6d5e7f2086e040d8c1f04b0edac3b91e66c"),
+    "extend-psi_symmetry-mixed-json": (1, "daf9cd1baec38b9aae59a15a248611406a435ea84d3d611fcf7886e7b0573667"),
+    "extend-psi_symmetry-mixed-text": (1, "ec63f7e0d194d711c66bbe0960e12425a2f61e35e44808e784575bec4f886112"),
+    "extend-psi_symmetry-truncpoly3-json": (1, "b3239a9057f21ff24768bf4de56c3180d3d2733cd1dd166510cdf047561ac8a1"),
+    "extend-psi_symmetry-truncpoly3-text": (1, "d2fe13b84dc4f9de0730ab995a8f7856a20c54fdaff72b25b54ba1985749e14c"),
+}
+
+
+def test_every_bad_case_has_a_recorded_digest():
+    assert sorted(BAD_DIGESTS) == sorted(BAD_CASES)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CASES))
+def test_bad_input_output_is_byte_identical(case, bad_inputs):
+    assert run_digest(BAD_CASES[case]) == BAD_DIGESTS[case]

@@ -217,3 +217,10 @@ class TestCochainDocuments:
         )
         f = load_cochain(str(path), self.alg, self.mod)
         assert f.entry((1, 1), 0) == Fraction(-1, 2)
+        assert load_cochain(str(path), self.alg, self.mod, degree=2) == f
+
+    def test_load_cochain_refuses_another_degree_by_name(self, tmp_path):
+        path = tmp_path / "cochain.json"
+        path.write_text(json.dumps({"degree": 3, "entries": []}))
+        with pytest.raises(InputFormatError, match="^psi must have degree 2, got 3$"):
+            load_cochain(str(path), self.alg, self.mod, degree=2, name="psi")
