@@ -25,6 +25,7 @@ from .algebras import (
 )
 from .cochains import (
     Cochain,
+    coboundary_scatter,
     cochain_apply,
     cochain_from_coordinates,
     cochain_from_entries,
@@ -52,6 +53,7 @@ from .cohomology import (
 from .deformations import (
     DeformationReport,
     ExtensionResult,
+    NotACocycleError,
     SweepReport,
     deformation_classes,
     deformation_iff_cocycle,

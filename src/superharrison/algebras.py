@@ -367,29 +367,43 @@ class DualNumber:
         object.__setattr__(self, "c1", as_rational(self.c1))
 
     @staticmethod
+    def _exact(c0: Rat, c1: Rat) -> "DualNumber":
+        """c0 + c1*t from values that are already exact, such as sums and products of exact values.
+
+        Arithmetic builds its results here, skipping the normalisation that
+        ``__post_init__`` applies to values from outside, so a component may
+        be an integral ``Fraction``; it still compares and hashes as the int.
+        """
+        out = object.__new__(DualNumber)
+        out.__dict__.update(c0=c0, c1=c1)
+        return out
+
+    @staticmethod
     def coerce(value: "DualNumber | Rat") -> "DualNumber":
         if isinstance(value, DualNumber):
             return value
-        return DualNumber(as_rational(value))
+        return DualNumber(value)
 
     def __add__(self, other: "DualNumber | Rat") -> "DualNumber":
         o = DualNumber.coerce(other)
-        return DualNumber(self.c0 + o.c0, self.c1 + o.c1)
+        return DualNumber._exact(self.c0 + o.c0, self.c1 + o.c1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "DualNumber":
-        return DualNumber(-self.c0, -self.c1)
+        return DualNumber._exact(-self.c0, -self.c1)
 
     def __sub__(self, other: "DualNumber | Rat") -> "DualNumber":
-        return self + (-DualNumber.coerce(other))
+        o = DualNumber.coerce(other)
+        return DualNumber._exact(self.c0 - o.c0, self.c1 - o.c1)
 
     def __rsub__(self, other: "DualNumber | Rat") -> "DualNumber":
-        return DualNumber.coerce(other) + (-self)
+        o = DualNumber.coerce(other)
+        return DualNumber._exact(o.c0 - self.c0, o.c1 - self.c1)
 
     def __mul__(self, other: "DualNumber | Rat") -> "DualNumber":
         o = DualNumber.coerce(other)
-        return DualNumber(self.c0 * o.c0, self.c0 * o.c1 + self.c1 * o.c0)
+        return DualNumber._exact(self.c0 * o.c0, self.c0 * o.c1 + self.c1 * o.c0)
 
     __rmul__ = __mul__
 

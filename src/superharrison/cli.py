@@ -56,6 +56,7 @@ from .cohomology import (
     derivation_space,
 )
 from .deformations import (
+    NotACocycleError,
     deformation_classes,
     deformation_iff_cocycle,
     extension_equivalence,
@@ -586,8 +587,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except ResourceCeilingError as exc:
         print(f"resource ceiling: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ShuffleClosureError, NotASubspaceError):
-        # The complex is only closed over a valid algebra; validate on this path only.
+    except (ShuffleClosureError, NotASubspaceError, NotACocycleError):
+        # The complex is only closed, and its kernels only cocycles, over a
+        # valid algebra; validate on this path only.
         violations = validate_superalgebra(resolve_algebra(args.algebra)).violations
         if not violations:
             raise

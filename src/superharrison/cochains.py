@@ -38,8 +38,9 @@ Three layers live here:
   subspace; ``coboundary_matrix`` in the cohomology module checks that fact
   on every basis element it processes rather than assuming it.
 
-The coboundary is evaluated by scattering each nonzero entry of f into the
-degree-(n+1) tensor, so sparse cochains cost what their support costs.
+The coboundary has one implementation, ``coboundary_scatter``, which maps
+the nonzero entries {offset: value} of f to those of df, so a cochain costs
+what its support costs; ``hochschild_coboundary`` is its dense wrapper.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ __all__ = [
     "harrison_space",
     "harrison_basis",
     "hochschild_coboundary",
+    "coboundary_scatter",
     "is_graded_symmetric",
     "cochain_from_coordinates",
 ]
@@ -133,6 +135,10 @@ class Cochain:
             if v:
                 t, l = decode(flat, n, dim_a, dim_m)
                 yield t, l, v
+
+    def sparse(self) -> dict[int, Rat]:
+        """The nonzero entries as {flat offset: value}."""
+        return {flat: v for flat, v in enumerate(self.data) if v}
 
     def is_zero(self) -> bool:
         return not any(self.data)
@@ -344,32 +350,30 @@ def harrison_space(algebra: SuperAlgebra, module: SuperModule, degree: int) -> S
     offsets = parity_offsets(algebra, module, degree)
     ncols = len(offsets)
     if degree <= 1:
-        return SubspaceBasis.from_vectors(
-            [[1 if j == i else 0 for j in range(ncols)] for i in range(ncols)], ncols
-        )
+        return SubspaceBasis(ncols, tuple({i: 1} for i in range(ncols)))
 
     groups: dict[tuple[tuple[int, ...], int], list[tuple[int, tuple[int, ...]]]] = {}
     for pos, off in enumerate(offsets):
         t, l = decode(off, degree, algebra.dim, module.dim)
         groups.setdefault((tuple(sorted(t)), l), []).append((pos, t))
 
-    vectors: list[list[Rat]] = []
-    for (_, l), members in sorted(groups.items()):
+    # Members are listed by increasing position, so embedding a block's
+    # canonical rows keeps them canonical; the blocks have disjoint supports,
+    # so their rows sorted by pivot are the canonical rows of the whole.
+    rows: list[dict[int, Rat]] = []
+    for (_, l), members in groups.items():
         column = {offsets[pos]: c for c, (pos, _) in enumerate(members)}
-        rows: list[list[Rat]] = []
+        conditions: list[dict[int, Rat]] = []
         for _, t in members:
             for p in range(1, degree):
-                row: list[Rat] = [0] * len(members)
+                condition: dict[int, Rat] = {}
                 for off, sign in shuffle_action(algebra, module, t, l, p):
-                    row[column[off]] += sign
-                rows.append(row)
-        block_kernel = kernel_basis(RationalMatrix.from_rows(rows, cols=len(members)))
-        for v in block_kernel.vectors:
-            full: list[Rat] = [0] * ncols
-            for c, (pos, _) in enumerate(members):
-                full[pos] = v[c]
-            vectors.append(full)
-    return SubspaceBasis.from_vectors(vectors, ncols)
+                    condition[column[off]] = condition.get(column[off], 0) + sign
+                conditions.append(condition)
+        block_kernel = kernel_basis(RationalMatrix.from_rows(conditions, cols=len(members)))
+        rows.extend({members[c][0]: x for c, x in row.items()} for row in block_kernel.rows)
+    rows.sort(key=min)
+    return SubspaceBasis(ncols, tuple(rows))
 
 
 def harrison_basis(algebra: SuperAlgebra, module: SuperModule, degree: int) -> list[Cochain]:
@@ -378,39 +382,62 @@ def harrison_basis(algebra: SuperAlgebra, module: SuperModule, degree: int) -> l
     return [cochain_from_coordinates(algebra, module, degree, v) for v in space.vectors]
 
 
-def hochschild_coboundary(f: Cochain) -> Cochain:
-    """The coboundary df, one degree up, evaluated by scattering nonzero entries."""
-    algebra, module, n = f.algebra, f.module, f.degree
+def coboundary_scatter(
+    algebra: SuperAlgebra, module: SuperModule, degree: int, entries: Mapping[int, Rat]
+) -> dict[int, Rat]:
+    """The coboundary on sparse cochains: {offset: value} of f to {offset: value} of df.
+
+    Each entry (t, l) of the degree-n cochain f is scattered into the
+    entries of df it feeds, so the cost follows the support of f.  Offsets
+    of df are computed arithmetically from the flat index of t.  Entries
+    that cancel are dropped; values are exact but not normalised, so an
+    integral ``Fraction`` may remain.
+    """
     dim_a, dim_m = algebra.dim, module.dim
-    out: list[Rat] = [0] * (dim_a ** (n + 1) * dim_m)
     action = module.action_sparse
     pairs = algebra.pairs_producing
     a_par = algebra.parity
     m_par = module.parity
-    last_sign = -1 if n % 2 == 0 else 1
+    last_sign = -1 if degree % 2 == 0 else 1
+    tuples = dim_a**degree
+    # Weight of slot s in the flat index of t, for s = 0..n-1.
+    weights = [dim_a ** (degree - 1 - s) for s in range(degree)]
+    out: dict[int, Rat] = {}
 
-    for t, l, v in f.iter_nonzero():
+    for flat, v in entries.items():
+        idx, l = divmod(flat, dim_m)
         for j in range(dim_a):
             # a_1 * f(a_2, ..., a_{n+1}), and (-1)^{n+1} f(a_1, ..., a_n) * a_{n+1}
             # with the Koszul right action; in degree zero these two make
             # (dm)(a) = a*m - m*a.
-            koszul = -1 if a_par[j] and m_par[l] else 1
-            first = encode((j,) + t, 0, dim_a, dim_m)
-            last = encode(t + (j,), 0, dim_a, dim_m)
+            last_coeff = -last_sign * v if a_par[j] and m_par[l] else last_sign * v
+            first = (j * tuples + idx) * dim_m
+            last = (idx * dim_a + j) * dim_m
             for l2, c in action[j][l]:
-                out[first + l2] += c * v
-                out[last + l2] += last_sign * koszul * c * v
+                out[first + l2] = out.get(first + l2, 0) + c * v
+                out[last + l2] = out.get(last + l2, 0) + c * last_coeff
 
         # (-1)^i f(..., a_i a_{i+1}, ...): entry (t, l) receives from every
-        # pair (a, b) whose product has a component on t_{i-1}.
-        for i in range(1, n + 1):
-            sign = -1 if i % 2 else 1
-            prefix = t[: i - 1]
-            suffix = t[i:]
-            for a, b, c in pairs[t[i - 1]]:
-                out[encode(prefix + (a, b) + suffix, l, dim_a, dim_m)] += sign * c * v
+        # pair (a, b) whose product has a component on t_i.
+        for s, w in enumerate(weights):
+            coeff = v if s % 2 else -v
+            high, rest = divmod(idx, w * dim_a)
+            k, low = divmod(rest, w)
+            base = high * dim_a * dim_a
+            for a, b, c in pairs[k]:
+                off = ((base + a * dim_a + b) * w + low) * dim_m + l
+                out[off] = out.get(off, 0) + c * coeff
 
-    return Cochain(n + 1, algebra, module, tuple(as_rational(v) for v in out))
+    return {off: x for off, x in out.items() if x}
+
+
+def hochschild_coboundary(f: Cochain) -> Cochain:
+    """The coboundary df, one degree up: ``coboundary_scatter`` written out densely."""
+    algebra, module, n = f.algebra, f.module, f.degree
+    out: list[Rat] = [0] * (algebra.dim ** (n + 1) * module.dim)
+    for off, x in coboundary_scatter(algebra, module, n, f.sparse()).items():
+        out[off] = as_rational(x)
+    return Cochain(n + 1, algebra, module, tuple(out))
 
 
 def is_graded_symmetric(f: Cochain) -> bool:

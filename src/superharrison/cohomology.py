@@ -2,11 +2,12 @@
 
 Matrices are taken with respect to deterministic bases: the full complex
 uses the elementary cochains in flat enumeration order, and the Harrison
-subcomplex uses the canonical echelon basis from ``harrison_space``.  Every
-Harrison coboundary column is checked to land inside the degree-(n+1)
-Harrison space; a failure would mean the shuffle conditions are not closed
-under the coboundary and is raised as ``ShuffleClosureError`` instead of
-being silently projected away.
+subcomplex uses the canonical echelon basis from ``harrison_space``.  Each
+column is the sparse coboundary (``coboundary_scatter``) of one basis
+element; no dense cochain is built.  Every Harrison coboundary column is
+checked to land inside the degree-(n+1) Harrison space; a failure would
+mean the shuffle conditions are not closed under the coboundary and is
+raised as ``ShuffleClosureError`` instead of being silently projected away.
 
 Cocycle representatives returned by ``cohomology`` are reduced against the
 coboundary subspace, so they are canonical for the given bases and the same
@@ -18,16 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterator
 
 from .algebras import SuperAlgebra, SuperModule
 from .cochains import (
     Cochain,
+    coboundary_scatter,
     cochain_from_coordinates,
     harrison_space,
-    hochschild_coboundary,
-    parity_coordinates,
     parity_count,
+    parity_offsets,
 )
 from .linalg import (
     Rat,
@@ -92,15 +92,6 @@ def _dimension(algebra: SuperAlgebra, module: SuperModule, degree: int, kind: Co
     return parity_count(algebra, module, degree)
 
 
-def _basis(algebra: SuperAlgebra, module: SuperModule, degree: int, kind: ComplexKind) -> Iterator[Cochain]:
-    """The basis one cochain at a time: elementary cochains in flat order, or ``harrison_space``."""
-    if kind is ComplexKind.HOCHSCHILD:
-        size = _dimension(algebra, module, degree, kind)
-        return (Cochain(degree, algebra, module, (0,) * i + (1,) + (0,) * (size - 1 - i)) for i in range(size))
-    space = harrison_space(algebra, module, degree)
-    return (cochain_from_coordinates(algebra, module, degree, v) for v in space.vectors)
-
-
 def cochain_basis(
     algebra: SuperAlgebra,
     module: SuperModule,
@@ -108,34 +99,43 @@ def cochain_basis(
     kind: ComplexKind,
     limits: ResourceLimits = DEFAULT_LIMITS,
 ) -> list[Cochain]:
-    """Deterministic basis of the degree-n cochain space of the given kind."""
-    _guard(degree, _dimension(algebra, module, degree, kind), limits)
-    return list(_basis(algebra, module, degree, kind))
+    """Deterministic basis of the degree-n cochain space of the given kind.
+
+    Elementary cochains in flat order for the full complex, the rows of
+    ``harrison_space`` for the Harrison subcomplex.
+    """
+    size = _dimension(algebra, module, degree, kind)
+    _guard(degree, size, limits)
+    if kind is ComplexKind.HOCHSCHILD:
+        return [Cochain(degree, algebra, module, (0,) * i + (1,) + (0,) * (size - 1 - i)) for i in range(size)]
+    space = harrison_space(algebra, module, degree)
+    return [cochain_from_coordinates(algebra, module, degree, v) for v in space.vectors]
 
 
 @lru_cache(maxsize=None)
 def _coboundary_matrix_cached(
     algebra: SuperAlgebra, module: SuperModule, degree: int, kind: ComplexKind
 ) -> RationalMatrix:
-    basis = _basis(algebra, module, degree, kind)
     if kind is ComplexKind.HOCHSCHILD:
-        columns = [hochschild_coboundary(f).data for f in basis]
+        columns = [
+            coboundary_scatter(algebra, module, degree, {i: 1})
+            for i in range(_dimension(algebra, module, degree, kind))
+        ]
         return RationalMatrix.from_columns(columns, rows=_dimension(algebra, module, degree + 1, kind))
 
+    domain = parity_offsets(algebra, module, degree)
+    position = {off: pos for pos, off in enumerate(parity_offsets(algebra, module, degree + 1))}
     codomain = harrison_space(algebra, module, degree + 1)
     columns = []
-    for f in basis:
-        try:
-            coords = parity_coordinates(hochschild_coboundary(f))
-        except ValueError as exc:
-            raise ShuffleClosureError(
-                "coboundary of a Harrison element has a parity-violating entry"
-            ) from exc
-        expansion = codomain.coordinates(coords)
+    for row in harrison_space(algebra, module, degree).rows:
+        coords = {}
+        for off, x in coboundary_scatter(algebra, module, degree, {domain[pos]: x for pos, x in row.items()}).items():
+            if off not in position:
+                raise ShuffleClosureError("coboundary of a Harrison element has a parity-violating entry")
+            coords[position[off]] = x
+        expansion = codomain.sparse_coordinates(coords)
         if expansion is None:
-            raise ShuffleClosureError(
-                "coboundary of a Harrison element fails a shuffle condition"
-            )
+            raise ShuffleClosureError("coboundary of a Harrison element fails a shuffle condition")
         columns.append(expansion)
     return RationalMatrix.from_columns(columns, rows=codomain.dim)
 
@@ -195,7 +195,7 @@ def cohomology(
             cochain_from_coordinates(algebra, module, degree, space.combination(v)) for v in reps.vectors
         )
     for rep in representatives:
-        if not hochschild_coboundary(rep).is_zero():
+        if coboundary_scatter(algebra, module, degree, rep.sparse()):
             raise AssertionError("representative is not a cocycle")
     return CohomologyResult(
         kind=kind,

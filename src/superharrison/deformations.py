@@ -71,7 +71,12 @@ __all__ = [
     "deformation_classes",
     "is_cocycle",
     "random_parity_cochain",
+    "NotACocycleError",
 ]
+
+
+class NotACocycleError(ValueError):
+    """A cochain that must be a cocycle has a nonzero coboundary."""
 
 
 @dataclass(frozen=True)
@@ -326,7 +331,7 @@ def extension_equivalence(
         if psi.degree != 2 or psi.algebra != algebra or psi.module != module:
             raise ValueError("inputs must be degree-2 cochains on the given algebra and module")
         if not is_cocycle(psi):
-            raise ValueError("extension equivalence is defined for cocycles only")
+            raise NotACocycleError("extension equivalence is defined for cocycles only")
 
     matrix = coboundary_matrix(algebra, module, 1, ComplexKind.SUPER_HARRISON)
     diff = psi1 - psi2

@@ -1,21 +1,34 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact sparse linear algebra over the rationals.
 
 Scalars are plain ``int`` or ``fractions.Fraction``; nothing in this module
-ever touches floating point.  Elimination always picks the first nonzero
-entry in column order as the pivot, so every basis produced here is the
-canonical reduced-row-echelon basis of its subspace and all results are
-reproducible run to run.  Matrices are small (a few hundred rows at most),
-hence the unapologetically dense representation.
+ever touches floating point.  A vector is stored sparsely, as a dict from
+position to nonzero value.  Every public entry point takes a vector either
+that way or densely, as a sequence of the right length, and normalises it
+once, on the way in (``_sparse``).  Dense views (``RationalMatrix.entries``,
+``SubspaceBasis.vectors``) are built only when asked for.
+
+All elimination runs through one Gauss-Jordan routine on sparse rows,
+``_rref``.  Forward elimination keeps rows integral and primitive
+(fraction-free, in the manner of Bareiss), takes the leftmost nonzero column
+as the pivot and clears pivots in increasing column order; back-substitution
+and one division by each leading entry then give the reduced row echelon
+form.  That form is unique, so every basis produced here is the canonical
+basis of its subspace whatever order its generators came in, and results
+are reproducible run to run.  The cost follows the nonzeros, not rows times
+columns: a coboundary matrix has a handful of nonzeros per column.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Rat = Union[int, Fraction]
+# A vector, densely as a sequence or sparsely as {position: value}.
+Vector = Union[Sequence[Rat], Mapping[int, Rat]]
 
 __all__ = [
     "Rat",
@@ -43,259 +56,323 @@ def as_rational(value: object) -> Rat:
     raise TypeError(f"expected int or Fraction, got {value!r}")
 
 
-def _rref_in_place(data: list[list[Rat]], ncols: int) -> list[int]:
-    """Reduce ``data`` to reduced row echelon form; return pivot columns.
+def _sparse(vector: Vector, length: int) -> dict[int, Rat]:
+    """The nonzero entries of a dense or sparse vector of ``length``, normalised."""
+    if isinstance(vector, Mapping):
+        out = {j: as_rational(x) for j, x in vector.items() if x}
+        if any(not 0 <= j < length for j in out):
+            raise ValueError(f"vector position out of range for length {length}")
+        return out
+    if len(vector) != length:
+        raise ValueError(f"vector length {len(vector)} does not match {length}")
+    return {j: as_rational(x) for j, x in enumerate(vector) if x}
 
-    Rows r..end are zero in every column left of the current column, so
-    row updates only need to touch the tail slice.
+
+def _dense(row: Mapping[int, Rat], length: int) -> tuple[Rat, ...]:
+    out: list[Rat] = [0] * length
+    for j, x in row.items():
+        out[j] = as_rational(x)
+    return tuple(out)
+
+
+def _transpose(vectors: Sequence[Mapping[int, Rat]], length: int) -> list[dict[int, Rat]]:
+    """Sparse columns as sparse rows, or back: ``out[i][j] = vectors[j][i]``."""
+    out: list[dict[int, Rat]] = [{} for _ in range(length)]
+    for j, vector in enumerate(vectors):
+        for i, x in vector.items():
+            out[i][j] = x
+    return out
+
+
+def _clear(row: dict[int, Rat], echelon: Mapping[int, Mapping[int, Rat]], after: int = -1) -> dict[int, Rat]:
+    """Clear from ``row``, in place, every pivot of ``echelon`` right of ``after``; return it.
+
+    ``echelon`` maps each pivot to a row whose leftmost entry sits there,
+    either 1 or, with ``row`` integral too, any integer a; then ``row`` is
+    first scaled by a / gcd(a, row[pivot]) so that it stays integral.
+    Pivots are cleared in increasing order, since clearing one can fill a
+    later one.  The result vanishes at every cleared pivot, which fixes it
+    up to a scalar: it depends only on the span of ``echelon``.
     """
-    nrows = len(data)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if data[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    heap = [c for c in row if c > after and c in echelon]
+    heapify(heap)
+    while heap:
+        c = heappop(heap)
+        f = row.pop(c, 0)
+        if not f:
             continue
-        data[r], data[pivot_row] = data[pivot_row], data[r]
-        prow = data[r]
-        pv = prow[c]
-        if pv != 1:
-            inv = Fraction(1, 1) / pv
-            prow[c] = 1
-            for j in range(c + 1, ncols):
-                if prow[j]:
-                    prow[j] = prow[j] * inv
-        for i in range(nrows):
-            if i == r:
+        prow = echelon[c]
+        a = prow[c]
+        if a != 1:
+            g = gcd(a, f)
+            a, f = a // g, f // g
+            if a != 1:
+                for j in row:
+                    row[j] *= a
+        for j, x in prow.items():
+            if j == c:
                 continue
-            row = data[i]
-            factor = row[c]
-            if factor:
-                row[c] = 0
-                for j in range(c + 1, ncols):
-                    if prow[j]:
-                        row[j] = row[j] - factor * prow[j]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
+            if j in row:
+                v = row[j] - f * x
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+            else:
+                row[j] = -f * x
+                if j in echelon:
+                    heappush(heap, j)
+    return row
 
 
-def _norm_row(row: Sequence[Rat]) -> tuple[Rat, ...]:
-    return tuple(as_rational(x) for x in row)
+def _integral(row: Mapping[int, Rat]) -> dict[int, int]:
+    """``row`` times the least common multiple of its denominators."""
+    denominators = [x.denominator for x in row.values() if isinstance(x, Fraction)]
+    if not denominators:
+        return dict(row)
+    scale = lcm(*denominators)
+    return {j: int(x * scale) for j, x in row.items()}
 
 
-def _reduce(vector: Sequence[Rat], rows: Sequence[Sequence[Rat]], pivots: Sequence[int]) -> list[Rat]:
-    """Remainder of ``vector`` against echelon ``rows`` with leading 1s at ``pivots``, in pivot order.
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """``row`` divided by the gcd of its entries, signed to make the leading entry positive."""
+    g = gcd(*row.values())
+    if row[min(row)] < 0:
+        g = -g
+    return row if g == 1 else {j: x // g for j, x in row.items()}
 
-    The remainder is zero at every pivot, which makes it unique: it depends
-    only on the span of the rows, not on whether they are fully reduced.
+
+def _rref(rows: Iterable[Mapping[int, Rat]]) -> list[dict[int, Rat]]:
+    """The canonical reduced row echelon rows of the span of ``rows``, by increasing pivot.
+
+    Each result row has a leading 1 at its pivot and zeros at every other
+    pivot, and its entries are normalised rationals in column order.
     """
-    rem = [as_rational(x) for x in vector]
-    for row, p in zip(rows, pivots):
-        factor = rem[p]
-        if factor:
-            for j in range(p, len(rem)):
-                if row[j]:
-                    rem[j] = rem[j] - factor * row[j]
-    return rem
+    echelon: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = _clear(_integral(row), echelon)
+        if row:
+            row = _primitive(row)
+            echelon[min(row)] = row
+    pivots = sorted(echelon)
+    out = []
+    # Rows right of p are fully reduced by the time p is reached, so
+    # clearing them from row p brings no new pivot into it.
+    for p in reversed(pivots):
+        row = _primitive(_clear(echelon[p], echelon, after=p))
+        echelon[p] = row
+        lead = row[p]
+        out.append({j: row[j] // lead if row[j] % lead == 0 else Fraction(row[j], lead) for j in sorted(row)})
+    out.reverse()
+    return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RationalMatrix:
-    """Dense matrix with exact rational entries, row-major."""
+    """Matrix with exact rational entries, stored as sparse rows.
+
+    ``data[i]`` maps each column j to the nonzero entry (i, j).  Build one
+    with ``from_rows`` or ``from_columns``, which normalise the entries.
+    """
 
     rows: int
     cols: int
-    entries: tuple[tuple[Rat, ...], ...]
+    data: tuple[dict[int, Rat], ...]
 
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows:
-            raise ValueError("row count does not match entries")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("ragged matrix rows")
+        if len(self.data) != self.rows:
+            raise ValueError("row count does not match data")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RationalMatrix):
+            return NotImplemented
+        return (self.rows, self.cols, self.data) == (other.rows, other.cols, other.data)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, tuple(tuple(sorted(row.items())) for row in self.data)))
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence[Rat]], cols: Optional[int] = None) -> "RationalMatrix":
-        data = tuple(_norm_row(r) for r in rows)
+    def from_rows(rows: Sequence[Vector], cols: Optional[int] = None) -> "RationalMatrix":
         if cols is None:
-            if not data:
-                raise ValueError("column count required for an empty row list")
-            cols = len(data[0])
-        return RationalMatrix(len(data), cols, data)
+            if not rows or isinstance(rows[0], Mapping):
+                raise ValueError("column count required for an empty or sparse row list")
+            cols = len(rows[0])
+        return RationalMatrix(len(rows), cols, tuple(_sparse(r, cols) for r in rows))
 
     @staticmethod
-    def from_columns(columns: Sequence[Sequence[Rat]], rows: Optional[int] = None) -> "RationalMatrix":
-        if not columns:
-            if rows is None:
-                raise ValueError("row count required for an empty column list")
-            return RationalMatrix(rows, 0, tuple(() for _ in range(rows)))
-        nrows = len(columns[0])
-        return RationalMatrix.from_rows(
-            [[columns[j][i] for j in range(len(columns))] for i in range(nrows)],
-            cols=len(columns),
-        )
+    def from_columns(columns: Sequence[Vector], rows: Optional[int] = None) -> "RationalMatrix":
+        if rows is None:
+            if not columns or isinstance(columns[0], Mapping):
+                raise ValueError("row count required for an empty or sparse column list")
+            rows = len(columns[0])
+        data = _transpose([_sparse(c, rows) for c in columns], rows)
+        return RationalMatrix(rows, len(columns), tuple(data))
+
+    @property
+    def entries(self) -> tuple[tuple[Rat, ...], ...]:
+        """The matrix densely, row by row."""
+        return tuple(_dense(row, self.cols) for row in self.data)
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.entries for x in row)
+        return not any(self.data)
 
     def mul_vector(self, v: Sequence[Rat]) -> tuple[Rat, ...]:
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
-        return tuple(as_rational(sum(row[j] * v[j] for j in range(self.cols) if v[j])) for row in self.entries)
+        return tuple(as_rational(sum(x * v[j] for j, x in row.items())) for row in self.data)
 
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
         out = []
-        for i in range(self.rows):
-            row = self.entries[i]
-            out.append(
-                [sum(row[k] * other.entries[k][j] for k in range(self.cols) if row[k]) for j in range(other.cols)]
-            )
-        return RationalMatrix.from_rows(out, cols=other.cols)
+        for row in self.data:
+            acc: dict[int, Rat] = {}
+            for k, x in row.items():
+                for j, y in other.data[k].items():
+                    acc[j] = acc.get(j, 0) + x * y
+            out.append({j: as_rational(v) for j, v in acc.items() if v})
+        return RationalMatrix(self.rows, other.cols, tuple(out))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceBasis:
     """Canonical (reduced row echelon) basis of a subspace of Q^ambient_dim.
 
-    ``vectors`` are the nonzero RREF rows.  Because the RREF basis of a
-    subspace is unique, two SubspaceBasis values are equal iff they span
-    the same subspace.  The pivot column of each vector is found once, here.
+    ``rows`` are the nonzero RREF rows, sparse, as ``from_vectors`` builds
+    them; ``vectors`` is the same basis densely.  Because the RREF basis of
+    a subspace is unique, two SubspaceBasis values are equal iff they span
+    the same subspace.  The pivot of each row is found once, here.
     """
 
     ambient_dim: int
-    vectors: tuple[tuple[Rat, ...], ...]
-    _pivots: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    rows: tuple[dict[int, Rat], ...]
+    _echelon: dict[int, dict[int, Rat]] = field(init=False, repr=False)
+    _index: dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for v in self.vectors:
-            if len(v) != self.ambient_dim:
-                raise ValueError("basis vector length does not match ambient dimension")
-        object.__setattr__(self, "_pivots", tuple(next(j for j, x in enumerate(v) if x) for v in self.vectors))
+        pivots = [min(row) for row in self.rows]
+        object.__setattr__(self, "_echelon", dict(zip(pivots, self.rows)))
+        object.__setattr__(self, "_index", {p: i for i, p in enumerate(pivots)})
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SubspaceBasis):
+            return NotImplemented
+        return self.ambient_dim == other.ambient_dim and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.ambient_dim, tuple(tuple(sorted(row.items())) for row in self.rows)))
 
     @staticmethod
-    def from_vectors(vectors: Sequence[Sequence[Rat]], ambient_dim: int) -> "SubspaceBasis":
-        data = [[as_rational(x) for x in v] for v in vectors]
-        for v in data:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length does not match ambient dimension")
-        _rref_in_place(data, ambient_dim)
-        rows = tuple(_norm_row(v) for v in data if any(v))
-        return SubspaceBasis(ambient_dim, rows)
+    def from_vectors(vectors: Iterable[Vector], ambient_dim: int) -> "SubspaceBasis":
+        return SubspaceBasis(ambient_dim, tuple(_rref(_sparse(v, ambient_dim) for v in vectors)))
 
     @property
     def dim(self) -> int:
-        return len(self.vectors)
+        return len(self.rows)
+
+    @property
+    def vectors(self) -> tuple[tuple[Rat, ...], ...]:
+        """The basis densely, one tuple of length ``ambient_dim`` per vector."""
+        return tuple(_dense(row, self.ambient_dim) for row in self.rows)
 
     def pivots(self) -> tuple[int, ...]:
-        return self._pivots
+        return tuple(self._index)
 
-    def reduce(self, vector: Sequence[Rat]) -> tuple[Rat, ...]:
+    def _remainder(self, vector: Vector) -> dict[int, Rat]:
+        return _clear(_sparse(vector, self.ambient_dim), self._echelon)
+
+    def reduce(self, vector: Vector) -> tuple[Rat, ...]:
         """Remainder of ``vector`` after eliminating all basis pivots."""
-        if len(vector) != self.ambient_dim:
-            raise ValueError("vector length does not match ambient dimension")
-        return _norm_row(_reduce(vector, self.vectors, self._pivots))
+        return _dense(self._remainder(vector), self.ambient_dim)
 
-    def coordinates(self, vector: Sequence[Rat]) -> Optional[tuple[Rat, ...]]:
-        """Coefficients of ``vector`` in this basis, or None if outside the span.
+    def sparse_coordinates(self, vector: Vector) -> Optional[dict[int, Rat]]:
+        """Coefficients of ``vector`` as {basis index: nonzero coefficient}, or None if outside the span.
 
         Reading the entries at the pivot positions suffices: RREF vectors
         have a 1 there and zeros at every other pivot.
         """
-        if any(self.reduce(vector)):
+        entries = _sparse(vector, self.ambient_dim)
+        coords = {self._index[p]: x for p, x in entries.items() if p in self._index}
+        if _clear(entries, self._echelon):
             return None
-        return tuple(as_rational(vector[p]) for p in self._pivots)
+        return coords
+
+    def coordinates(self, vector: Vector) -> Optional[tuple[Rat, ...]]:
+        """Coefficients of ``vector`` in this basis, or None if outside the span."""
+        coords = self.sparse_coordinates(vector)
+        return None if coords is None else _dense(coords, self.dim)
 
     def combination(self, coeffs: Sequence[Rat]) -> tuple[Rat, ...]:
         """The vector with the given coefficients in this basis; inverse of ``coordinates``."""
-        out: list[Rat] = [0] * self.ambient_dim
-        for coeff, bvec in zip(coeffs, self.vectors):
+        out: dict[int, Rat] = {}
+        for coeff, row in zip(coeffs, self.rows):
             if coeff:
-                for j, x in enumerate(bvec):
-                    if x:
-                        out[j] = out[j] + coeff * x
-        return _norm_row(out)
+                for j, x in row.items():
+                    out[j] = out.get(j, 0) + coeff * x
+        return _dense(out, self.ambient_dim)
 
-    def contains(self, vector: Sequence[Rat]) -> bool:
-        return not any(self.reduce(vector))
+    def contains(self, vector: Vector) -> bool:
+        return not self._remainder(vector)
 
 
 def kernel_basis(matrix: RationalMatrix) -> SubspaceBasis:
-    """Canonical basis of the null space of ``matrix``."""
-    data = [list(row) for row in matrix.entries]
-    pivots = _rref_in_place(data, matrix.cols)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(matrix.cols) if c not in pivot_set]
-    vectors = []
-    for fc in free_cols:
-        v: list[Rat] = [0] * matrix.cols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            if data[r][fc]:
-                v[pc] = -data[r][fc]
-        vectors.append(v)
-    return SubspaceBasis.from_vectors(vectors, matrix.cols)
+    """Canonical basis of the null space of ``matrix``.
+
+    The rows are eliminated with the columns in reverse order, so every
+    pivot lies right of the free columns it meets.  The kernel vector of a
+    free column c, e_c minus each pivot column weighted by its row's entry
+    at c, then has its leading 1 at c and zeros at every other free column:
+    it already is a canonical RREF row, and no second elimination is needed.
+    """
+    last = matrix.cols - 1
+    reduced = _rref({last - j: x for j, x in row.items()} for row in matrix.data)
+    pivots = {last - min(row) for row in reduced}
+    vectors: dict[int, dict[int, Rat]] = {c: {c: 1} for c in range(matrix.cols) if c not in pivots}
+    for row in reduced:
+        p = last - min(row)
+        for j, x in row.items():
+            if last - j != p:
+                vectors[last - j][p] = -x
+    return SubspaceBasis(matrix.cols, tuple(vectors[c] for c in sorted(vectors)))
 
 
 def image_basis(matrix: RationalMatrix) -> SubspaceBasis:
     """Canonical basis of the column space of ``matrix``."""
-    columns = [[matrix.entries[i][j] for i in range(matrix.rows)] for j in range(matrix.cols)]
-    return SubspaceBasis.from_vectors(columns, matrix.rows)
+    return SubspaceBasis(matrix.rows, tuple(_rref(_transpose(matrix.data, matrix.cols))))
 
 
-def solve(matrix: RationalMatrix, rhs: Sequence[Rat]) -> Optional[tuple[Rat, ...]]:
+def solve(matrix: RationalMatrix, rhs: Vector) -> Optional[tuple[Rat, ...]]:
     """One solution of ``matrix @ x = rhs`` (free variables set to 0), or None."""
-    if len(rhs) != matrix.rows:
-        raise ValueError("right-hand side length does not match row count")
-    data = [list(row) + [as_rational(b)] for row, b in zip(matrix.entries, rhs)]
-    pivots = _rref_in_place(data, matrix.cols + 1)
-    if matrix.cols in pivots:
-        return None
-    x: list[Rat] = [0] * matrix.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = data[r][matrix.cols]
-    return _norm_row(x)
+    b = _sparse(rhs, matrix.rows)
+    n = matrix.cols
+    augmented = ({**row, n: b[i]} if i in b else row for i, row in enumerate(matrix.data))
+    x: dict[int, Rat] = {}
+    for row in _rref(augmented):
+        p = min(row)
+        if p == n:
+            return None
+        if n in row:
+            x[p] = row[n]
+    return _dense(x, n)
 
 
 def quotient_representatives(space: SubspaceBasis, subspace: SubspaceBasis) -> SubspaceBasis:
     """Vectors completing ``subspace`` to a basis of ``space``.
 
-    Each returned vector is reduced against the subspace pivots, so distinct
-    representatives stay independent modulo the subspace.  Raises
-    NotASubspaceError when ``subspace`` is not contained in ``space``.
+    Each vector of ``space`` is reduced against the subspace, and the
+    result is the canonical basis of the span of those remainders, which
+    meets the subspace only in zero.
+    Raises NotASubspaceError when ``subspace`` is not contained in ``space``.
     """
     if space.ambient_dim != subspace.ambient_dim:
         raise NotASubspaceError("ambient dimensions differ")
-    for v in subspace.vectors:
-        if not space.contains(v):
+    for row in subspace.rows:
+        if not space.contains(row):
             raise NotASubspaceError("claimed subspace has a vector outside the space")
 
-    # Echelon accumulator sorted by pivot, rows normalized to a leading 1.
-    # Distinct pivots are enough for a zero remainder to mean membership;
-    # full RREF is only restored at the end.
-    pivots = list(subspace.pivots())
-    rows = list(subspace.vectors)
-    reps = []
-    for z in space.vectors:
-        rem = _reduce(z, rows, pivots)
-        lead = next((j for j, x in enumerate(rem) if x), None)
-        if lead is None:
-            continue
-        if rem[lead] != 1:
-            inv = Fraction(1, 1) / rem[lead]
-            rem = [x * inv for x in rem]
-        reps.append(rem)
-        at = bisect(pivots, lead)
-        pivots.insert(at, lead)
-        rows.insert(at, _norm_row(rem))
-    return SubspaceBasis.from_vectors(reps, space.ambient_dim)
+    # Reducing against the representatives found so far as well would
+    # change each one only by earlier ones, so not their span.
+    reps = [_clear(dict(z), subspace._echelon) for z in space.rows]
+    return SubspaceBasis(space.ambient_dim, tuple(_rref(reps)))

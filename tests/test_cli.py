@@ -338,6 +338,7 @@ class TestInvalidAlgebras:
                 "associativity at (1, 1, 2)",
             ),
             (["verify", "--algebra", "clifford.json", "--suite", "complex"], "supercommutativity at (1, 1, 0)"),
+            (["verify", "--algebra", "nonassoc.json", "--suite", "equivalence"], "associativity at (1, 1, 2)"),
         ],
     )
     def test_exit_two_names_the_violation(self, capsys, bad_inputs, argv, violation):

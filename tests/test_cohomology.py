@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from conftest import BAD_FILES
 
 from superharrison.algebras import (
     exterior_algebra,
@@ -21,11 +22,13 @@ from superharrison.cohomology import (
     ComplexKind,
     ResourceCeilingError,
     ResourceLimits,
+    ShuffleClosureError,
     cochain_basis,
     coboundary_matrix,
     cohomology,
     derivation_space,
 )
+from superharrison.serialize import algebra_from_dict
 from superharrison.linalg import (
     SubspaceBasis,
     image_basis,
@@ -120,6 +123,17 @@ class TestCoboundaryMatrices:
             parity_coords = tuple(expanded.data[o] for o in offsets)
             assert codomain.coordinates(parity_coords) == column
 
+    @pytest.mark.parametrize(
+        "name, failure",
+        [("parity.json", "parity-violating entry"), ("clifford.json", "fails a shuffle condition")],
+    )
+    def test_harrison_columns_are_checked_for_closure(self, name, failure):
+        # Over a broken algebra d leaves the Harrison space; the column
+        # assembly says how instead of projecting the column back.
+        alg = algebra_from_dict(BAD_FILES[name])
+        with pytest.raises(ShuffleClosureError, match=failure):
+            coboundary_matrix(alg, self_module(alg), 1, HARR)
+
     def test_cochain_basis_counts(self):
         alg = exterior_algebra(2)
         mod = self_module(alg)
@@ -152,6 +166,19 @@ class TestDimensions:
                     res.dim_cohomology
                     == res.dim_cocycles - res.dim_coboundaries
                 )
+
+    @pytest.mark.parametrize(
+        "kind, expected",
+        [(HOCH, (4096, 479, 439, 40)), (HARR, (672, 108, 108, 0))],
+    )
+    def test_exterior_three_at_degree_three(self, kind, expected):
+        # exterior(3) is free supercommutative, so Harr^3 = 0 (ROADMAP item 4b);
+        # both rows agree with the dense elimination this layer replaced.
+        alg = exterior_algebra(3)
+        res = cohomology(alg, self_module(alg), 3, kind, ResourceLimits(max_degree=5, max_columns=40000))
+        got = (res.dim_cochain, res.dim_cocycles, res.dim_coboundaries, res.dim_cohomology)
+        assert got == expected
+        assert len(res.representatives) == expected[3]
 
     def test_degree_zero_cocycles_are_the_even_block(self, corpus_algebra):
         # Even elements commute with everything in a supercommutative

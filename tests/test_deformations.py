@@ -95,6 +95,26 @@ class TestDualNumber:
         assert 5 - x == DualNumber(3, -3)
         assert x * Fraction(1, 2) == DualNumber(1, Fraction(3, 2))
 
+    def test_values_from_outside_are_normalised(self):
+        x = DualNumber(Fraction(4, 2), Fraction(3, 1))
+        assert x.c0 == 2 and type(x.c0) is int
+        assert x.c1 == 3 and type(x.c1) is int
+
+    def test_floats_are_rejected(self):
+        with pytest.raises(TypeError):
+            DualNumber(0.5)
+        with pytest.raises(TypeError):
+            DualNumber(1, 0.5)
+        with pytest.raises(TypeError):
+            DualNumber(1) + 0.5
+
+    def test_arithmetic_results_match_normalised_values(self):
+        half = DualNumber(Fraction(1, 2), Fraction(1, 2))
+        whole = half + half
+        assert whole == DualNumber(1, 1)
+        assert hash(whole) == hash(DualNumber(1, 1))
+        assert (whole - DualNumber(1, 1)).is_zero()
+
 
 class TestFirstOrderCheck:
     def test_zero_cochain_deforms_trivially(self, corpus_algebra):

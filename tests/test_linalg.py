@@ -291,3 +291,125 @@ class TestContainment:
         b = SubspaceBasis.from_vectors([(Fraction(1, 2), 1)], 2)
         assert a == b
         assert a.vectors == b.vectors
+
+
+def reference_rref(vectors, ncols):
+    """Canonical RREF rows by dense Gauss-Jordan over Fractions, written independently of linalg."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    rank = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank][c]
+        rows[rank] = [x / lead for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return tuple(tuple(row) for row in rows[:rank])
+
+
+def leading(v):
+    return next(j for j, x in enumerate(v) if x)
+
+
+def reference_pivots(rows):
+    return [leading(row) for row in rows]
+
+
+def reference_kernel(entries, ncols):
+    reduced = reference_rref(entries, ncols)
+    pivots = reference_pivots(reduced)
+    vectors = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[free]
+        vectors.append(v)
+    return reference_rref(vectors, ncols)
+
+
+def reference_solve(entries, rhs, ncols):
+    reduced = reference_rref([list(row) + [b] for row, b in zip(entries, rhs)], ncols + 1)
+    pivots = reference_pivots(reduced)
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for row, p in zip(reduced, pivots):
+        x[p] = row[ncols]
+    return tuple(x)
+
+
+def reference_quotient(space_rows, sub_rows, ncols):
+    """Reduce each space row against the subspace and earlier representatives, in pivot order."""
+    basis = [list(row) for row in sub_rows]
+    reps = []
+    for z in space_rows:
+        rem = [Fraction(x) for x in z]
+        for row in sorted(basis, key=leading):
+            f = rem[leading(row)]
+            if f:
+                rem = [x - f * y for x, y in zip(rem, row)]
+        if any(rem):
+            lead = rem[leading(rem)]
+            rem = [x / lead for x in rem]
+            basis.append(rem)
+            reps.append(rem)
+    return reference_rref(reps, ncols)
+
+
+sparse_entries = st.one_of(st.just(0), st.just(0), rationals)
+
+
+@st.composite
+def matrices(draw):
+    """Row lists of random rational matrices, 0x0 to 7x7, often sparse, sometimes all zero."""
+    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    entries = st.just(0) if draw(st.integers(0, 5)) == 0 else sparse_entries
+    return [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)], ncols
+
+
+def is_normalised(vectors):
+    return all(not (isinstance(x, Fraction) and x.denominator == 1) for v in vectors for x in v)
+
+
+class TestAgainstDenseReference:
+    """The sparse core gives the same canonical bases as a plain dense Gauss-Jordan."""
+
+    @given(matrices())
+    @settings(max_examples=150)
+    def test_kernel_and_image(self, case):
+        entries, ncols = case
+        m = RationalMatrix.from_rows(entries, cols=ncols)
+        kernel, image = kernel_basis(m), image_basis(m)
+        assert kernel.vectors == reference_kernel(entries, ncols)
+        assert image.vectors == reference_rref([[row[j] for row in entries] for j in range(ncols)], len(entries))
+        assert is_normalised(kernel.vectors) and is_normalised(image.vectors)
+
+    @given(matrices(), st.data())
+    @settings(max_examples=150)
+    def test_solve(self, case, data):
+        entries, ncols = case
+        rhs = data.draw(st.lists(sparse_entries, min_size=len(entries), max_size=len(entries)))
+        x = solve(RationalMatrix.from_rows(entries, cols=ncols), rhs)
+        expected = reference_solve(entries, rhs, ncols)
+        assert x == expected
+        assert x is None or is_normalised([x])
+
+    @given(matrices(), st.data())
+    @settings(max_examples=150)
+    def test_quotient_representatives(self, case, data):
+        generators, dim = case
+        space = SubspaceBasis.from_vectors(generators, dim)
+        weights = data.draw(st.lists(st.lists(sparse_entries, min_size=len(generators), max_size=len(generators)), max_size=4))
+        sub_generators = [[sum(w * g[j] for w, g in zip(ws, generators)) for j in range(dim)] for ws in weights]
+        sub = SubspaceBasis.from_vectors(sub_generators, dim)
+        assert space.vectors == reference_rref(generators, dim)
+        assert sub.vectors == reference_rref(sub_generators, dim)
+        reps = quotient_representatives(space, sub)
+        assert reps.vectors == reference_quotient(space.vectors, sub.vectors, dim)
+        assert is_normalised(reps.vectors)
