@@ -46,7 +46,6 @@ from .cohomology import (
     ResourceLimits,
     ShuffleClosureError,
     coboundary_matrix,
-    cochain_basis,
     cohomology,
     derivation_space,
 )

@@ -280,12 +280,8 @@ def _cmd_derivations(args: argparse.Namespace) -> int:
         "inputs_digest": _digest(algebra_to_dict(algebra)),
         "dim": space.dim,
         "basis": [
-            [
-                {"arg": pairs[c][0], "value": pairs[c][1], "coeff": str(v)}
-                for c, v in enumerate(vec)
-                if v
-            ]
-            for vec in space.vectors
+            [{"arg": pairs[c][0], "value": pairs[c][1], "coeff": str(v)} for c, v in row.items()]
+            for row in space.rows
         ],
     }
     if args.json:
@@ -293,12 +289,11 @@ def _cmd_derivations(args: argparse.Namespace) -> int:
     else:
         print(f"algebra: {args.algebra}")
         print(f"dim Der = {space.dim}")
-        for idx, vec in enumerate(space.vectors):
+        for idx, row in enumerate(space.rows):
             terms = [
                 f"e_{algebra.basis_names[pairs[c][0]]} -> "
                 f"{_format_value(module, [v if l == pairs[c][1] else 0 for l in range(module.dim)])}"
-                for c, v in enumerate(vec)
-                if v
+                for c, v in row.items()
             ]
             print(f"derivation {idx}: " + "; ".join(terms))
     return EXIT_OK
@@ -448,7 +443,7 @@ def _run_suites(
         ok = True
         runs = max(budget // 10, 5)
         for _ in range(runs):
-            weights = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in z2.vectors]
+            weights = {i: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for i in range(z2.dim)}
             psi = cochain_from_coordinates(algebra, module, 2, harrison2.combination(z2.combination(weights)))
             g0 = random_parity_cochain(algebra, module, 1, rng)
             shifted = psi - hochschild_coboundary(g0)

@@ -1,9 +1,10 @@
 """Multilinear cochains, shuffle conditions, and the coboundary.
 
-A degree-n cochain is a linear map A^{(x)n} -> M, stored densely as the
-value tensor over basis tuples.  The flat index of entry (t, l) with
-t = (t_1, ..., t_n) is the mixed-radix number (((t_1*d + t_2)*d + ...)*d
-+ t_n)*dim_M + l, so enumeration order is lexicographic in (t, l).
+A degree-n cochain is a linear map A^{(x)n} -> M, stored sparsely as its
+nonzero values {flat offset: value} over basis tuples.  The flat index of
+entry (t, l) with t = (t_1, ..., t_n) is the mixed-radix number
+(((t_1*d + t_2)*d + ...)*d + t_n)*dim_M + l, so increasing offset order is
+lexicographic in (t, l).
 
 The cochain index lives here and nowhere else: ``encode``/``decode``
 convert between (t, l) and the flat offset, ``parity_offsets``,
@@ -40,11 +41,12 @@ Three layers live here:
 
 The coboundary has one implementation, ``coboundary_scatter``, which maps
 the nonzero entries {offset: value} of f to those of df, so a cochain costs
-what its support costs; ``hochschild_coboundary`` is its dense wrapper.
+what its support costs; ``hochschild_coboundary`` wraps it in a ``Cochain``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product as iter_product
@@ -93,21 +95,30 @@ def decode(flat: int, degree: int, dim_a: int, dim_m: int) -> tuple[tuple[int, .
 
 @dataclass(frozen=True)
 class Cochain:
-    """A degree-n multilinear map A^{(x)n} -> M with exact rational values."""
+    """A degree-n multilinear map A^{(x)n} -> M with exact rational values.
+
+    ``data`` holds the nonzero values as {flat offset: value}, normalised and
+    in increasing offset order whatever the mapping passed in.
+    """
 
     degree: int
     algebra: SuperAlgebra
     module: SuperModule
-    data: tuple[Rat, ...]
+    data: dict[int, Rat]
 
     def __post_init__(self) -> None:
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
-        expected = self.algebra.dim**self.degree * self.module.dim
-        if len(self.data) != expected:
-            raise ValueError(f"data length {len(self.data)} does not match {expected}")
         if self.module.algebra != self.algebra:
             raise ValueError("module is not over the given algebra")
+        size = self.algebra.dim**self.degree * self.module.dim
+        data = {off: as_rational(v) for off, v in sorted(self.data.items()) if v}
+        if data and not (0 <= min(data) and max(data) < size):
+            raise ValueError(f"entry offset out of range for {size} entries")
+        object.__setattr__(self, "data", data)
+
+    def __hash__(self) -> int:
+        return hash((self.degree, self.algebra, self.module, tuple(self.data.items())))
 
     @cached_property
     def parity_preserving(self) -> bool:
@@ -122,54 +133,42 @@ class Cochain:
     def entry(self, t: Sequence[int], l: int) -> Rat:
         if len(t) != self.degree:
             raise ValueError("tuple length does not match degree")
-        return self.data[self.offset(t, l)]
+        return self.data.get(self.offset(t, l), 0)
 
     def value_on_tuple(self, t: Sequence[int]) -> tuple[Rat, ...]:
         """The module vector f(e_{t_1}, ..., e_{t_n})."""
         base = self.offset(t, 0)
-        return tuple(self.data[base : base + self.module.dim])
+        get = self.data.get
+        return tuple([get(off, 0) for off in range(base, base + self.module.dim)])
 
     def iter_nonzero(self) -> Iterator[tuple[tuple[int, ...], int, Rat]]:
         n, dim_a, dim_m = self.degree, self.algebra.dim, self.module.dim
-        for flat, v in enumerate(self.data):
-            if v:
-                t, l = decode(flat, n, dim_a, dim_m)
-                yield t, l, v
-
-    def sparse(self) -> dict[int, Rat]:
-        """The nonzero entries as {flat offset: value}."""
-        return {flat: v for flat, v in enumerate(self.data) if v}
+        for flat, v in self.data.items():
+            t, l = decode(flat, n, dim_a, dim_m)
+            yield t, l, v
 
     def is_zero(self) -> bool:
-        return not any(self.data)
+        return not self.data
 
     def apply(self, args: Sequence[Sequence[Rat]]) -> tuple[Rat, ...]:
         return cochain_apply(self, args)
 
     def __add__(self, other: "Cochain") -> "Cochain":
         self._check_compatible(other)
-        return Cochain(
-            self.degree,
-            self.algebra,
-            self.module,
-            tuple(as_rational(a + b) for a, b in zip(self.data, other.data)),
-        )
+        out = dict(self.data)
+        for off, v in other.data.items():
+            out[off] = out.get(off, 0) + v
+        return Cochain(self.degree, self.algebra, self.module, out)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
-        self._check_compatible(other)
-        return Cochain(
-            self.degree,
-            self.algebra,
-            self.module,
-            tuple(as_rational(a - b) for a, b in zip(self.data, other.data)),
-        )
+        return self + -other
 
     def __neg__(self) -> "Cochain":
-        return Cochain(self.degree, self.algebra, self.module, tuple(-a for a in self.data))
+        return self.scale(-1)
 
     def scale(self, scalar: Rat) -> "Cochain":
         s = as_rational(scalar)
-        return Cochain(self.degree, self.algebra, self.module, tuple(as_rational(s * a) for a in self.data))
+        return Cochain(self.degree, self.algebra, self.module, {off: s * v for off, v in self.data.items()})
 
     def __rmul__(self, scalar: Rat) -> "Cochain":
         return self.scale(scalar)
@@ -180,8 +179,7 @@ class Cochain:
 
 
 def zero_cochain(algebra: SuperAlgebra, module: SuperModule, degree: int) -> Cochain:
-    size = algebra.dim**degree * module.dim
-    return Cochain(degree, algebra, module, tuple(0 for _ in range(size)))
+    return Cochain(degree, algebra, module, {})
 
 
 def cochain_from_entries(
@@ -191,15 +189,14 @@ def cochain_from_entries(
     entries: Mapping[tuple[tuple[int, ...], int], Rat],
 ) -> Cochain:
     """Build a cochain from a sparse {(basis_tuple, module_index): value} map."""
-    size = algebra.dim**degree * module.dim
-    data: list[Rat] = [0] * size
+    data: dict[int, Rat] = {}
     for (t, l), v in entries.items():
         if len(t) != degree:
             raise ValueError(f"tuple {t} does not have length {degree}")
         if any(not 0 <= i < algebra.dim for i in t) or not 0 <= l < module.dim:
             raise ValueError(f"entry ({t}, {l}) out of range")
-        data[encode(t, l, algebra.dim, module.dim)] = as_rational(v)
-    return Cochain(degree, algebra, module, tuple(data))
+        data[encode(t, l, algebra.dim, module.dim)] = v
+    return Cochain(degree, algebra, module, data)
 
 
 def elementary_cochain(
@@ -209,23 +206,17 @@ def elementary_cochain(
 
 
 def cochain_apply(f: Cochain, args: Sequence[Sequence[Rat]]) -> tuple[Rat, ...]:
-    """Evaluate f on coefficient vectors by multilinear expansion."""
+    """Evaluate f on coefficient vectors by multilinear expansion over its nonzero entries."""
     if len(args) != f.degree:
         raise ValueError(f"expected {f.degree} arguments, got {len(args)}")
     for a in args:
         if len(a) != f.algebra.dim:
             raise ValueError("argument length does not match algebra dimension")
     out: list[Rat] = [0] * f.module.dim
-    supports = [[(i, v) for i, v in enumerate(a) if v] for a in args]
-    for combo in iter_product(*supports):
-        coeff: Rat = 1
-        for _, v in combo:
-            coeff = coeff * v
-        t = tuple(i for i, _ in combo)
-        base = f.offset(t, 0)
-        for l in range(f.module.dim):
-            if f.data[base + l]:
-                out[l] = out[l] + coeff * f.data[base + l]
+    for t, l, v in f.iter_nonzero():
+        for a, i in zip(args, t):
+            v = v * a[i]
+        out[l] = out[l] + v
     return tuple(as_rational(v) for v in out)
 
 
@@ -259,37 +250,31 @@ def parity_count(algebra: SuperAlgebra, module: SuperModule, degree: int) -> int
     return even_tuples * (module.dim - odd_values) + (tuples - even_tuples) * odd_values
 
 
-def parity_coordinates(f: Cochain) -> tuple[Rat, ...]:
-    """Coordinates of f over ``parity_offsets``; inverse of ``cochain_from_coordinates``."""
-    if not f.parity_preserving:
-        raise ValueError("cochain has a parity-violating entry")
-    return tuple(f.data[off] for off in parity_offsets(f.algebra, f.module, f.degree))
+def parity_coordinates(f: Cochain) -> dict[int, Rat]:
+    """Coordinates of f over ``parity_offsets`` as {position: value}; inverse of ``cochain_from_coordinates``."""
+    offsets = parity_offsets(f.algebra, f.module, f.degree)
+    coords: dict[int, Rat] = {}
+    for off, v in f.data.items():
+        pos = bisect_left(offsets, off)
+        if pos == len(offsets) or offsets[pos] != off:
+            raise ValueError("cochain has a parity-violating entry")
+        coords[pos] = v
+    return coords
 
 
 def cochain_from_coordinates(
-    algebra: SuperAlgebra, module: SuperModule, degree: int, coords: Sequence[Rat]
+    algebra: SuperAlgebra, module: SuperModule, degree: int, coords: Mapping[int, Rat]
 ) -> Cochain:
-    """Cochain with the given coordinates over the parity-offset enumeration."""
+    """Cochain with the given {position: value} coordinates over the parity-offset enumeration."""
     offsets = parity_offsets(algebra, module, degree)
-    if len(coords) != len(offsets):
-        raise ValueError("coordinate length does not match parity basis size")
-    size = algebra.dim**degree * module.dim
-    data: list[Rat] = [0] * size
-    for off, v in zip(offsets, coords):
-        if v:
-            data[off] = as_rational(v)
-    return Cochain(degree, algebra, module, tuple(data))
+    if any(not 0 <= pos < len(offsets) for pos in coords):
+        raise ValueError("coordinate position out of range for the parity basis")
+    return Cochain(degree, algebra, module, {offsets[pos]: v for pos, v in coords.items()})
 
 
 def parity_basis(algebra: SuperAlgebra, module: SuperModule, degree: int) -> list[Cochain]:
     """Elementary parity-preserving cochains, one per parity-consistent entry."""
-    size = algebra.dim**degree * module.dim
-    out = []
-    for off in parity_offsets(algebra, module, degree):
-        data: list[Rat] = [0] * size
-        data[off] = 1
-        out.append(Cochain(degree, algebra, module, tuple(data)))
-    return out
+    return [Cochain(degree, algebra, module, {off: 1}) for off in parity_offsets(algebra, module, degree)]
 
 
 @lru_cache(maxsize=None)
@@ -308,7 +293,7 @@ def shuffle_action(
 ) -> Iterator[tuple[int, int]]:
     """The summands of su_{n,p} at entry (t, l): (flat offset of (u, l), sign).
 
-    (su_{n,p} f)(t, l) is the sum of sign * f.data[offset] over them.
+    (su_{n,p} f)(t, l) is the sum of sign * f.data.get(offset, 0) over them.
     """
     parities = tuple(algebra.parity[i] for i in t)
     for slot_map, sign in _signed_shuffles(len(t), p, parities):
@@ -316,22 +301,30 @@ def shuffle_action(
 
 
 def super_shuffle_sum(f: Cochain, p: int) -> Cochain:
-    """The graded shuffle sum su_{n,p} applied to f (n = f.degree)."""
+    """The graded shuffle sum su_{n,p} applied to f (n = f.degree).
+
+    Each nonzero entry (u, l) of f is scattered to the entries (t, l) whose
+    summands read it: per shuffle, the t with u = t composed with its slot
+    map, signed as ``shuffle_action`` signs that shuffle at t.
+    """
     n = f.degree
     if n < 2:
         raise ValueError("shuffle sums need degree at least 2")
     if not 1 <= p <= n - 1:
         raise ValueError(f"p must satisfy 1 <= p <= n-1, got {p}")
     algebra, module = f.algebra, f.module
-    dim_m = module.dim
-    out: list[Rat] = [0] * len(f.data)
-    for t in iter_product(range(algebra.dim), repeat=n):
-        base = encode(t, 0, algebra.dim, dim_m)
-        for u_base, sign in shuffle_action(algebra, module, t, 0, p):
-            for l, x in enumerate(f.data[u_base : u_base + dim_m]):
-                if x:
-                    out[base + l] += sign * x
-    return Cochain(n, algebra, module, tuple(as_rational(v) for v in out))
+    a_par = algebra.parity
+    out: dict[int, Rat] = {}
+    for u, l, x in f.iter_nonzero():
+        for k, (slot_map, _) in enumerate(_signed_shuffles(n, p, tuple(a_par[i] for i in u))):
+            t = [0] * n
+            for m, slot in enumerate(slot_map):
+                t[slot] = u[m]
+            # Shuffles come in one order for every parity vector, so entry k is this shuffle.
+            sign = _signed_shuffles(n, p, tuple(a_par[i] for i in t))[k][1]
+            off = encode(t, l, algebra.dim, module.dim)
+            out[off] = out.get(off, 0) + sign * x
+    return Cochain(n, algebra, module, out)
 
 
 @lru_cache(maxsize=None)
@@ -378,8 +371,7 @@ def harrison_space(algebra: SuperAlgebra, module: SuperModule, degree: int) -> S
 
 def harrison_basis(algebra: SuperAlgebra, module: SuperModule, degree: int) -> list[Cochain]:
     """The graded Harrison subspace as explicit cochains."""
-    space = harrison_space(algebra, module, degree)
-    return [cochain_from_coordinates(algebra, module, degree, v) for v in space.vectors]
+    return [cochain_from_coordinates(algebra, module, degree, row) for row in harrison_space(algebra, module, degree).rows]
 
 
 def coboundary_scatter(
@@ -432,12 +424,8 @@ def coboundary_scatter(
 
 
 def hochschild_coboundary(f: Cochain) -> Cochain:
-    """The coboundary df, one degree up: ``coboundary_scatter`` written out densely."""
-    algebra, module, n = f.algebra, f.module, f.degree
-    out: list[Rat] = [0] * (algebra.dim ** (n + 1) * module.dim)
-    for off, x in coboundary_scatter(algebra, module, n, f.sparse()).items():
-        out[off] = as_rational(x)
-    return Cochain(n + 1, algebra, module, tuple(out))
+    """The coboundary df, one degree up: ``coboundary_scatter`` of f's entries."""
+    return Cochain(f.degree + 1, f.algebra, f.module, coboundary_scatter(f.algebra, f.module, f.degree, f.data))
 
 
 def is_graded_symmetric(f: Cochain) -> bool:
@@ -445,11 +433,8 @@ def is_graded_symmetric(f: Cochain) -> bool:
     if f.degree != 2:
         raise ValueError("graded symmetry is a degree-2 test")
     a_par = f.algebra.parity
-    for i in range(f.algebra.dim):
-        for j in range(i, f.algebra.dim):
-            sign = -1 if a_par[i] and a_par[j] else 1
-            left = f.value_on_tuple((i, j))
-            right = f.value_on_tuple((j, i))
-            if any(x != sign * y for x, y in zip(left, right)):
-                return False
-    return True
+    # A pair with one side zero fails at its nonzero side, so the support suffices.
+    return all(
+        f.data.get(f.offset((j, i), l), 0) == (-v if a_par[i] and a_par[j] else v)
+        for (i, j), l, v in f.iter_nonzero()
+    )

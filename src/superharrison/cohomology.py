@@ -44,7 +44,6 @@ __all__ = [
     "ResourceCeilingError",
     "ShuffleClosureError",
     "CohomologyResult",
-    "cochain_basis",
     "coboundary_matrix",
     "cohomology",
     "derivation_space",
@@ -90,26 +89,6 @@ def _dimension(algebra: SuperAlgebra, module: SuperModule, degree: int, kind: Co
     if kind is ComplexKind.HOCHSCHILD:
         return algebra.dim**degree * module.dim
     return parity_count(algebra, module, degree)
-
-
-def cochain_basis(
-    algebra: SuperAlgebra,
-    module: SuperModule,
-    degree: int,
-    kind: ComplexKind,
-    limits: ResourceLimits = DEFAULT_LIMITS,
-) -> list[Cochain]:
-    """Deterministic basis of the degree-n cochain space of the given kind.
-
-    Elementary cochains in flat order for the full complex, the rows of
-    ``harrison_space`` for the Harrison subcomplex.
-    """
-    size = _dimension(algebra, module, degree, kind)
-    _guard(degree, size, limits)
-    if kind is ComplexKind.HOCHSCHILD:
-        return [Cochain(degree, algebra, module, (0,) * i + (1,) + (0,) * (size - 1 - i)) for i in range(size)]
-    space = harrison_space(algebra, module, degree)
-    return [cochain_from_coordinates(algebra, module, degree, v) for v in space.vectors]
 
 
 @lru_cache(maxsize=None)
@@ -188,14 +167,14 @@ def cohomology(
     reps = quotient_representatives(cocycles, coboundaries)
 
     if kind is ComplexKind.HOCHSCHILD:
-        representatives = tuple(Cochain(degree, algebra, module, v) for v in reps.vectors)
+        representatives = tuple(Cochain(degree, algebra, module, row) for row in reps.rows)
     else:
         space = harrison_space(algebra, module, degree)
         representatives = tuple(
-            cochain_from_coordinates(algebra, module, degree, space.combination(v)) for v in reps.vectors
+            cochain_from_coordinates(algebra, module, degree, space.combination(row)) for row in reps.rows
         )
     for rep in representatives:
-        if coboundary_scatter(algebra, module, degree, rep.sparse()):
+        if coboundary_scatter(algebra, module, degree, rep.data):
             raise AssertionError("representative is not a cocycle")
     return CohomologyResult(
         kind=kind,

@@ -47,7 +47,7 @@ from .cochains import (
     is_graded_symmetric,
     parity_basis,
     parity_coordinates,
-    parity_offsets,
+    parity_count,
 )
 from .cohomology import (
     DEFAULT_LIMITS,
@@ -57,7 +57,7 @@ from .cohomology import (
     coboundary_matrix,
     cohomology,
 )
-from .linalg import Rat, as_rational, solve
+from .linalg import Rat, solve
 
 __all__ = [
     "DeformationReport",
@@ -97,7 +97,14 @@ class DeformationReport:
 def _check_psi(algebra: SuperAlgebra, psi: Cochain) -> None:
     if psi.degree != 2:
         raise ValueError("a deformation direction must be a degree-2 cochain")
-    if psi.algebra != algebra or psi.module != self_module(algebra):
+    # The fields of self_module(algebra), compared without building it.
+    m = psi.module
+    if psi.algebra != algebra or (m.algebra, m.parity, m.action, m.basis_names) != (
+        algebra,
+        algebra.parity,
+        algebra.structure,
+        algebra.basis_names,
+    ):
         raise ValueError("psi must take values in the algebra acting on itself")
 
 
@@ -189,14 +196,11 @@ def random_parity_cochain(
     density: float = 0.6,
 ) -> Cochain:
     """A random rational combination of the parity basis."""
-    offsets = parity_offsets(algebra, module, degree)
-    coords: list[Rat] = []
-    for _ in offsets:
+    coords: dict[int, Rat] = {}
+    for pos in range(parity_count(algebra, module, degree)):
         if rng.random() < density:
-            coords.append(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
-        else:
-            coords.append(0)
-    return cochain_from_coordinates(algebra, module, degree, [as_rational(c) for c in coords])
+            coords[pos] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    return cochain_from_coordinates(algebra, module, degree, coords)
 
 
 def _sweep(
@@ -271,10 +275,8 @@ def square_zero_extension(
             cell = structure[i][j]
             for k, c in algebra.products[i][j]:
                 cell[k] += c
-            base = psi.offset((i, j), 0)
-            for l in range(dm):
-                if psi.data[base + l]:
-                    cell[da + l] += psi.data[base + l]
+    for (i, j), l, v in psi.iter_nonzero():
+        structure[i][j][da + l] += v
 
     for i in range(da):
         for k in range(dm):
@@ -335,13 +337,13 @@ def extension_equivalence(
 
     matrix = coboundary_matrix(algebra, module, 1, ComplexKind.SUPER_HARRISON)
     diff = psi1 - psi2
-    rhs = harrison_space(algebra, module, 2).coordinates(parity_coordinates(diff))
+    rhs = harrison_space(algebra, module, 2).sparse_coordinates(parity_coordinates(diff))
     if rhs is None:
         raise AssertionError("difference of cocycles escaped the Harrison space")
     solution = solve(matrix, rhs)
     if solution is None:
         return None
-    g = cochain_from_coordinates(algebra, module, 1, solution)
+    g = cochain_from_coordinates(algebra, module, 1, dict(enumerate(solution)))
     if hochschild_coboundary(g) != diff:
         raise AssertionError("solver returned g with dg != psi1 - psi2")
     return g

@@ -304,14 +304,13 @@ class SubspaceBasis:
         coords = self.sparse_coordinates(vector)
         return None if coords is None else _dense(coords, self.dim)
 
-    def combination(self, coeffs: Sequence[Rat]) -> tuple[Rat, ...]:
-        """The vector with the given coefficients in this basis; inverse of ``coordinates``."""
+    def combination(self, coeffs: Mapping[int, Rat]) -> dict[int, Rat]:
+        """The vector with coefficients {basis index: value}, sparse; inverse of ``sparse_coordinates``."""
         out: dict[int, Rat] = {}
-        for coeff, row in zip(coeffs, self.rows):
-            if coeff:
-                for j, x in row.items():
-                    out[j] = out.get(j, 0) + coeff * x
-        return _dense(out, self.ambient_dim)
+        for i, coeff in coeffs.items():
+            for j, x in self.rows[i].items():
+                out[j] = out.get(j, 0) + coeff * x
+        return {j: as_rational(x) for j, x in out.items() if x}
 
     def contains(self, vector: Vector) -> bool:
         return not self._remainder(vector)

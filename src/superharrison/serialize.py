@@ -210,8 +210,8 @@ def load_cochain(
     """The cochain document in ``path``.
 
     With ``degree`` given, a document of any other degree is refused as
-    "``name`` must have degree ..." before its dense values, dim A^n * dim M
-    of them, are built.
+    "``name`` must have degree ..." before ``cochain_from_dict`` reads any
+    of its entries.
     """
     doc = _read_json(path)
     found = doc.get("degree") if isinstance(doc, dict) else None

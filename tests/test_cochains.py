@@ -8,6 +8,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import CORPUS
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superharrison.algebras import (
     act,
@@ -38,6 +41,8 @@ from superharrison.cochains import (
     zero_cochain,
 )
 from superharrison.linalg import SubspaceBasis, kernel_basis, RationalMatrix
+from superharrison.serialize import cochain_to_dict
+from superharrison.shuffles import enumerate_shuffles, sigma_o_sign
 
 
 def basis_vector(dim, i):
@@ -238,7 +243,8 @@ class TestCochainIndex:
             f = random_parity_combo(corpus_algebra, degree, rng)
             coords = parity_coordinates(f)
             assert cochain_from_coordinates(corpus_algebra, mod, degree, coords) == f
-            assert coords == tuple(f.data[o] for o in parity_offsets(corpus_algebra, mod, degree))
+            offsets = parity_offsets(corpus_algebra, mod, degree)
+            assert {offsets[pos]: x for pos, x in coords.items()} == f.data
 
     def test_parity_coordinates_reject_parity_violating_entries(self):
         alg = exterior_algebra(1)
@@ -255,7 +261,7 @@ class TestCochainIndex:
             for t in itertools.product(range(corpus_algebra.dim), repeat=3):
                 for l in range(mod.dim):
                     value = sum(
-                        sign * f.data[off]
+                        sign * f.data.get(off, 0)
                         for off, sign in shuffle_action(corpus_algebra, mod, t, l, p)
                     )
                     assert summed.entry(t, l) == value
@@ -365,7 +371,7 @@ class TestHarrisonSpace:
                 col = []
                 for p in range(1, degree):
                     s = super_shuffle_sum(f, p)
-                    col.extend(s.data[o] for o in offsets)
+                    col.extend(s.data.get(o, 0) for o in offsets)
                 columns.append(col)
             stacked = RationalMatrix.from_columns(
                 columns, len(offsets) * (degree - 1)
@@ -380,11 +386,10 @@ class TestHarrisonSpace:
         mod = self_module(alg)
         space = harrison_space(alg, mod, 2)
         basis = harrison_basis(alg, mod, 2)
-        offsets = parity_offsets(alg, mod, 2)
-        for vec, f in zip(space.vectors, basis):
-            rebuilt = cochain_from_coordinates(alg, mod, 2, vec)
-            assert rebuilt.data == f.data
-            assert tuple(f.data[o] for o in offsets) == vec
+        for row, f in zip(space.rows, basis):
+            rebuilt = cochain_from_coordinates(alg, mod, 2, row)
+            assert rebuilt == f
+            assert parity_coordinates(f) == row
 
 
 class TestCoboundary:
@@ -420,13 +425,13 @@ class TestCoboundary:
                 f = random_parity_combo(corpus_algebra, degree, rng)
                 fast = hochschild_coboundary(f)
                 slow = naive_coboundary(f)
-                assert fast.data == slow.data, (corpus_algebra.basis_names, degree)
+                assert fast == slow, (corpus_algebra.basis_names, degree)
 
     def test_matches_term_by_term_evaluation_degree_three(self):
         rng = random.Random(23)
         alg = exterior_algebra(2)
         f = random_parity_combo(alg, 3, rng)
-        assert hochschild_coboundary(f).data == naive_coboundary(f).data
+        assert hochschild_coboundary(f) == naive_coboundary(f)
 
     def test_preserves_parity(self, corpus_algebra):
         rng = random.Random(29)
@@ -448,3 +453,134 @@ class TestCoboundary:
             boundary = hochschild_coboundary(f)
             for p in (1, 2):
                 assert super_shuffle_sum(boundary, p).is_zero()
+
+
+# Values with explicit zeros and integral Fractions, which a cochain must drop and normalise.
+values = st.one_of(st.just(0), st.fractions(min_value=-4, max_value=4, max_denominator=3))
+
+
+@st.composite
+def dense_cases(draw, min_degree=0):
+    """A small corpus algebra on itself, a degree up to 3, its entries (t, l)
+    in lexicographic order, and two dense value lists over them, mostly zero."""
+    algebra = CORPUS[draw(st.sampled_from(["exterior1", "truncpoly2", "truncpoly3", "mixed"]))]
+    module = self_module(algebra)
+    degree = draw(st.integers(min_degree, 3))
+    keys = [(t, l) for t in itertools.product(range(algebra.dim), repeat=degree) for l in range(module.dim)]
+    parity_only = draw(st.booleans())
+
+    def dense():
+        filled = draw(st.dictionaries(st.integers(0, len(keys) - 1), values, max_size=12))
+        out = [filled.get(i, 0) for i in range(len(keys))]
+        if parity_only:
+            out = [x if parity_consistent(algebra, module, t, l) else 0 for x, (t, l) in zip(out, keys)]
+        return out
+
+    return algebra, module, degree, keys, dense(), dense()
+
+
+def parity_consistent(algebra, module, t, l):
+    return sum(algebra.parity[i] for i in t) % 2 == module.parity[l]
+
+
+def dense_shuffle_sum(algebra, keys, dense, p):
+    """su_{n,p} on a dense model, straight from the definition: summand s at
+    (t, l) reads f(t_{s^{-1}(1)}, ..., t_{s^{-1}(n)}; l), signed sign(s) * oddsign(s^{-1})."""
+    value = dict(zip(keys, dense))
+    out = []
+    for t, l in keys:
+        total = 0
+        for s in enumerate_shuffles(len(t), p):
+            inv = s.perm.inverse()
+            u = tuple(t[inv(m) - 1] for m in range(1, len(t) + 1))
+            total += s.perm.sign() * sigma_o_sign(inv, tuple(algebra.parity[i] for i in t)) * value[(u, l)]
+        out.append(total)
+    return out
+
+
+class TestAgainstDenseReference:
+    """The sparse cochain behaves as the plain dense value list it stands for."""
+
+    @staticmethod
+    def build(algebra, module, degree, keys, dense):
+        # Every entry, zeros included, so explicit zeros reach the constructor.
+        return cochain_from_entries(algebra, module, degree, dict(zip(keys, dense)))
+
+    @staticmethod
+    def check(f, keys, expected):
+        assert [f.entry(t, l) for t, l in keys] == expected
+        assert list(f.data) == sorted(f.data)
+        assert all(x and not (isinstance(x, Fraction) and x.denominator == 1) for x in f.data.values())
+
+    @given(dense_cases(), values)
+    @settings(max_examples=120, deadline=None)
+    def test_arithmetic_and_equality(self, case, scalar):
+        algebra, module, degree, keys, a, b = case
+        f, g = (self.build(algebra, module, degree, keys, x) for x in (a, b))
+        zero = zero_cochain(algebra, module, degree)
+        self.check(f + g, keys, [x + y for x, y in zip(a, b)])
+        self.check(f - g, keys, [x - y for x, y in zip(a, b)])
+        self.check(-f, keys, [-x for x in a])
+        self.check(f.scale(scalar), keys, [scalar * x for x in a])
+        assert (f == g) == (a == b)
+        assert f - f == zero and (f - f).is_zero() and hash(f - f) == hash(zero)
+        assert f.scale(0) == zero
+        assert self.build(algebra, module, degree, keys, [0] * len(keys)) == zero
+        assert f == cochain_from_entries(algebra, module, degree, {k: x for k, x in zip(keys, a) if x})
+
+    @given(dense_cases(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_evaluation(self, case, data):
+        algebra, module, degree, keys, a, _ = case
+        f = self.build(algebra, module, degree, keys, a)
+        value = dict(zip(keys, a))
+        for t in {t for t, _ in keys}:
+            assert f.value_on_tuple(t) == tuple(value[(t, l)] for l in range(module.dim))
+        args = [data.draw(st.lists(values, min_size=algebra.dim, max_size=algebra.dim)) for _ in range(degree)]
+        expected = [0] * module.dim
+        for (t, l), x in value.items():
+            for arg, i in zip(args, t):
+                x *= arg[i]
+            expected[l] += x
+        assert cochain_apply(f, args) == tuple(expected)
+
+    @given(dense_cases(min_degree=2), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_shuffle_sums(self, case, data):
+        algebra, module, degree, keys, a, _ = case
+        p = data.draw(st.integers(1, degree - 1))
+        f = self.build(algebra, module, degree, keys, a)
+        self.check(super_shuffle_sum(f, p), keys, dense_shuffle_sum(algebra, keys, a, p))
+
+    @given(dense_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_parity_coordinates(self, case):
+        algebra, module, degree, keys, a, _ = case
+        f = self.build(algebra, module, degree, keys, a)
+        consistent = [k for k in keys if parity_consistent(algebra, module, *k)]
+        value = dict(zip(keys, a))
+        if any(x for k, x in value.items() if not parity_consistent(algebra, module, *k)):
+            with pytest.raises(ValueError, match="parity"):
+                parity_coordinates(f)
+        else:
+            assert parity_coordinates(f) == {pos: value[k] for pos, k in enumerate(consistent) if value[k]}
+
+    @given(dense_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_entries_in_any_order_serialize_lexicographically(self, case):
+        algebra, module, degree, keys, a, _ = case
+        entries = {k: x for k, x in zip(keys, a) if x}
+        forward = cochain_to_dict(cochain_from_entries(algebra, module, degree, entries))
+        backward = cochain_to_dict(cochain_from_entries(algebra, module, degree, dict(reversed(entries.items()))))
+        assert forward == backward
+        assert [(tuple(e["i"]), e["l"]) for e in forward["entries"]] == [k for k in keys if k in entries]
+
+    def test_out_of_range_offset_is_refused(self):
+        algebra = CORPUS["truncpoly2"]
+        module = self_module(algebra)
+        for degree in range(4):
+            size = algebra.dim**degree * module.dim
+            assert Cochain(degree, algebra, module, {size - 1: 1}).entry((1,) * degree, 1) == 1
+            for off in (size, -1):
+                with pytest.raises(ValueError, match="out of range"):
+                    Cochain(degree, algebra, module, {off: 1})

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from superharrison.algebras import (
     DualNumber,
+    SuperModule,
     exterior_algebra,
     ground_field,
     multiply,
@@ -166,6 +167,33 @@ class TestFirstOrderCheck:
         with pytest.raises(ValueError):
             first_order_deformation_check(alg, f)
 
+    def test_check_builds_no_module(self, monkeypatch):
+        alg = truncated_polynomial(3)
+        psi = cochain_from_entries(alg, self_module(alg), 2, {((1, 1), 0): 1})
+
+        def refuse(module):
+            raise AssertionError("first_order_deformation_check built a SuperModule")
+
+        monkeypatch.setattr(SuperModule, "__post_init__", refuse)
+        assert first_order_deformation_check(alg, psi).associativity_witness == (1, 1, 2)
+
+    def test_psi_over_another_module_is_refused(self):
+        alg = truncated_polynomial(2)
+        zero_action = [[[0] * 2 for _ in range(2)] for _ in range(2)]
+        others = [
+            SuperModule(alg, 2, alg.parity, alg.structure, basis_names=("u", "v")),
+            SuperModule(alg, 2, alg.parity, zero_action, basis_names=alg.basis_names),
+            SuperModule(alg, 2, (0, 1), alg.structure, basis_names=alg.basis_names),
+            SuperModule(alg, 1, (0,), [[[1]], [[0]]], basis_names=("1",)),
+        ]
+        for module in others:
+            psi = zero_cochain(alg, module, 2)
+            with pytest.raises(ValueError, match="algebra acting on itself"):
+                first_order_deformation_check(alg, psi)
+        line = exterior_algebra(1)
+        with pytest.raises(ValueError, match="algebra acting on itself"):
+            first_order_deformation_check(alg, zero_cochain(line, self_module(line), 2))
+
     def test_verdicts_match_the_cochain_side_predicates(self, corpus_algebra):
         rng = random.Random(41)
         mod = self_module(corpus_algebra)
@@ -292,7 +320,7 @@ class TestEquivalence:
         psi2 = psi1 - hochschild_coboundary(g0)
         g = extension_equivalence(corpus_algebra, mod, psi1, psi2)
         assert g is not None
-        assert hochschild_coboundary(g).data == (psi1 - psi2).data
+        assert hochschild_coboundary(g) == psi1 - psi2
 
     def test_distinct_classes_are_inequivalent(self):
         alg = truncated_polynomial(2)
@@ -397,6 +425,6 @@ class TestRandomCochains:
         mod = self_module(alg)
         a = random_parity_cochain(alg, mod, 2, random.Random(99))
         b = random_parity_cochain(alg, mod, 2, random.Random(99))
-        assert a.data == b.data
+        assert a == b
         assert a.parity_preserving
         assert a.degree == 2

@@ -175,14 +175,14 @@ class TestCochainDocuments:
         )
         doc = cochain_to_dict(f)
         again = cochain_from_dict(doc, self.alg, self.mod)
-        assert again.data == f.data
+        assert again == f
 
     def test_json_serializable(self):
         f = cochain_from_entries(self.alg, self.mod, 1, {((1,), 1): 1})
         text = json.dumps(cochain_to_dict(f))
         assert cochain_from_dict(
             json.loads(text), self.alg, self.mod
-        ).data == f.data
+        ) == f
 
     def test_duplicate_entries_rejected(self):
         doc = {
