@@ -18,11 +18,11 @@ used to check first-order deformations by direct arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
 from .linalg import Rat, as_rational
+from .records import Record, set_field
 
 __all__ = [
     "SuperAlgebra",
@@ -70,25 +70,36 @@ def _check_parity(parity: Sequence[int], dim: int) -> tuple[int, ...]:
     return tuple(parity)
 
 
-@dataclass(frozen=True)
-class SuperAlgebra:
+class SuperAlgebra(Record):
     """Structure constants of a superalgebra: e_i e_j = sum_k c[i][j][k] e_k."""
 
     dim: int
     basis_names: tuple[str, ...]
     parity: tuple[int, ...]
     structure: StructureTensor
-    unit_index: Optional[int] = None
+    unit_index: Optional[int]
 
-    def __post_init__(self) -> None:
-        if self.dim < 1:
+    def __init__(
+        self,
+        dim: int,
+        basis_names: tuple[str, ...],
+        parity: Sequence[int],
+        structure: Sequence[Sequence[Sequence[Rat]]],
+        unit_index: Optional[int] = None,
+    ) -> None:
+        if dim < 1:
             raise ValueError("dim must be at least 1")
-        if len(self.basis_names) != self.dim:
+        if len(basis_names) != dim:
             raise ValueError("basis_names length does not match dim")
-        object.__setattr__(self, "parity", _check_parity(self.parity, self.dim))
-        object.__setattr__(self, "structure", _freeze_tensor(self.structure, self.dim, self.dim, self.dim))
-        if self.unit_index is not None and not 0 <= self.unit_index < self.dim:
-            raise ValueError(f"unit index {self.unit_index} out of range")
+        parity = _check_parity(parity, dim)
+        structure = _freeze_tensor(structure, dim, dim, dim)
+        if unit_index is not None and not 0 <= unit_index < dim:
+            raise ValueError(f"unit index {unit_index} out of range")
+        set_field(self, "dim", dim)
+        set_field(self, "basis_names", basis_names)
+        set_field(self, "parity", parity)
+        set_field(self, "structure", structure)
+        set_field(self, "unit_index", unit_index)
 
     @cached_property
     def products(self) -> SparseTable:
@@ -110,8 +121,7 @@ class SuperAlgebra:
         return tuple(tuple(entries) for entries in out)
 
 
-@dataclass(frozen=True)
-class SuperModule:
+class SuperModule(Record):
     """A supermodule over ``algebra`` given by a left action tensor.
 
     action[i][k][l] is the coefficient of m_l in e_i * m_k.
@@ -121,19 +131,31 @@ class SuperModule:
     dim: int
     parity: tuple[int, ...]
     action: StructureTensor
-    basis_names: tuple[str, ...] = ()
+    basis_names: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if self.dim < 1:
+    def __init__(
+        self,
+        algebra: SuperAlgebra,
+        dim: int,
+        parity: Sequence[int],
+        action: Sequence[Sequence[Sequence[Rat]]],
+        basis_names: tuple[str, ...] = (),
+    ) -> None:
+        if dim < 1:
             raise ValueError("dim must be at least 1")
-        object.__setattr__(self, "parity", _check_parity(self.parity, self.dim))
-        object.__setattr__(
-            self, "action", _freeze_tensor(self.action, self.algebra.dim, self.dim, self.dim)
-        )
-        if not self.basis_names:
-            object.__setattr__(self, "basis_names", tuple(f"m{k}" for k in range(self.dim)))
-        if len(self.basis_names) != self.dim:
+        parity = _check_parity(parity, dim)
+        # The algebra's own frozen tensor needs no second pass.
+        if not (action is algebra.structure and dim == algebra.dim):
+            action = _freeze_tensor(action, algebra.dim, dim, dim)
+        if not basis_names:
+            basis_names = tuple(f"m{k}" for k in range(dim))
+        if len(basis_names) != dim:
             raise ValueError("basis_names length does not match dim")
+        set_field(self, "algebra", algebra)
+        set_field(self, "dim", dim)
+        set_field(self, "parity", parity)
+        set_field(self, "action", action)
+        set_field(self, "basis_names", basis_names)
 
     @cached_property
     def action_sparse(self) -> SparseTable:
@@ -212,18 +234,24 @@ def right_action(module: SuperModule, m: Sequence[Rat], a: Sequence[Rat]) -> tup
     return tuple(as_rational(v) for v in out)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One violated identity: which law, at which basis indices, with detail."""
 
     kind: str
     indices: tuple[int, ...]
     detail: str
 
+    def __init__(self, kind: str, indices: tuple[int, ...], detail: str) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "indices", indices)
+        set_field(self, "detail", detail)
 
-@dataclass(frozen=True)
-class ValidationReport:
+
+class ValidationReport(Record):
     violations: tuple[Violation, ...]
+
+    def __init__(self, violations: tuple[Violation, ...]) -> None:
+        set_field(self, "violations", violations)
 
     @property
     def ok(self) -> bool:
@@ -355,27 +383,37 @@ def validate_supermodule(module: SuperModule) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-@dataclass(frozen=True)
-class DualNumber:
+class DualNumber(Record):
     """c0 + c1*t with t^2 = 0, over exact rationals."""
 
     c0: Rat
-    c1: Rat = 0
+    c1: Rat
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "c0", as_rational(self.c0))
-        object.__setattr__(self, "c1", as_rational(self.c1))
+    def __init__(self, c0: Rat, c1: Rat = 0) -> None:
+        set_field(self, "c0", as_rational(c0))
+        set_field(self, "c1", as_rational(c1))
+
+    # Spelled out, not ``Record``'s generic pair: the deformation checks
+    # compare DualNumbers by the thousand.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not DualNumber:
+            return NotImplemented
+        return self.c0 == other.c0 and self.c1 == other.c1
+
+    def __hash__(self) -> int:
+        return hash((self.c0, self.c1))
 
     @staticmethod
     def _exact(c0: Rat, c1: Rat) -> "DualNumber":
         """c0 + c1*t from values that are already exact, such as sums and products of exact values.
 
         Arithmetic builds its results here, skipping the normalisation that
-        ``__post_init__`` applies to values from outside, so a component may
+        ``__init__`` applies to values from outside, so a component may
         be an integral ``Fraction``; it still compares and hashes as the int.
         """
         out = object.__new__(DualNumber)
-        out.__dict__.update(c0=c0, c1=c1)
+        set_field(out, "c0", c0)
+        set_field(out, "c1", c1)
         return out
 
     @staticmethod

@@ -10,10 +10,10 @@ The cochain index lives here and nowhere else: ``encode``/``decode``
 convert between (t, l) and the flat offset, ``parity_offsets``,
 ``parity_count``, ``parity_coordinates`` and ``cochain_from_coordinates``
 map between cochains and coordinates over the parity-consistent entries,
-and ``shuffle_action`` gives the signed slot permutations of su_{n,p}.
-``encode``, ``decode`` and ``shuffle_action`` run once per entry, so they
-stay out of ``__all__``, the names that profilers such as
-``perfbench/traced_cli.py`` wrap call by call.
+and ``_signed_shuffles`` gives the signed slot permutations of su_{n,p}
+for one vector of argument parities.  ``encode`` and ``decode`` run once
+per entry, so they stay out of ``__all__``, the names that profilers such
+as ``perfbench/traced_cli.py`` wrap call by call.
 
 Three layers live here:
 
@@ -47,13 +47,13 @@ what its support costs; ``hochschild_coboundary`` wraps it in a ``Cochain``.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product as iter_product
+from itertools import permutations, product as iter_product
 from typing import Iterator, Mapping, Sequence
 
 from .algebras import SuperAlgebra, SuperModule
 from .linalg import Rat, SubspaceBasis, as_rational, kernel_basis, RationalMatrix
+from .records import Record, set_field
 from .shuffles import enumerate_shuffles, sigma_o_sign
 
 __all__ = [
@@ -93,8 +93,7 @@ def decode(flat: int, degree: int, dim_a: int, dim_m: int) -> tuple[tuple[int, .
     return tuple(t), l
 
 
-@dataclass(frozen=True)
-class Cochain:
+class Cochain(Record):
     """A degree-n multilinear map A^{(x)n} -> M with exact rational values.
 
     ``data`` holds the nonzero values as {flat offset: value}, normalised and
@@ -106,16 +105,19 @@ class Cochain:
     module: SuperModule
     data: dict[int, Rat]
 
-    def __post_init__(self) -> None:
-        if self.degree < 0:
+    def __init__(self, degree: int, algebra: SuperAlgebra, module: SuperModule, data: Mapping[int, Rat]) -> None:
+        if degree < 0:
             raise ValueError("degree must be nonnegative")
-        if self.module.algebra != self.algebra:
+        if module.algebra != algebra:
             raise ValueError("module is not over the given algebra")
-        size = self.algebra.dim**self.degree * self.module.dim
-        data = {off: as_rational(v) for off, v in sorted(self.data.items()) if v}
+        size = algebra.dim**degree * module.dim
+        data = {off: as_rational(v) for off, v in sorted(data.items()) if v}
         if data and not (0 <= min(data) and max(data) < size):
             raise ValueError(f"entry offset out of range for {size} entries")
-        object.__setattr__(self, "data", data)
+        set_field(self, "degree", degree)
+        set_field(self, "algebra", algebra)
+        set_field(self, "module", module)
+        set_field(self, "data", data)
 
     def __hash__(self) -> int:
         return hash((self.degree, self.algebra, self.module, tuple(self.data.items())))
@@ -288,24 +290,14 @@ def _signed_shuffles(n: int, p: int, parities: tuple[int, ...]) -> tuple[tuple[t
     return tuple(out)
 
 
-def shuffle_action(
-    algebra: SuperAlgebra, module: SuperModule, t: tuple[int, ...], l: int, p: int
-) -> Iterator[tuple[int, int]]:
-    """The summands of su_{n,p} at entry (t, l): (flat offset of (u, l), sign).
-
-    (su_{n,p} f)(t, l) is the sum of sign * f.data.get(offset, 0) over them.
-    """
-    parities = tuple(algebra.parity[i] for i in t)
-    for slot_map, sign in _signed_shuffles(len(t), p, parities):
-        yield encode([t[m] for m in slot_map], l, algebra.dim, module.dim), sign
-
-
 def super_shuffle_sum(f: Cochain, p: int) -> Cochain:
     """The graded shuffle sum su_{n,p} applied to f (n = f.degree).
 
-    Each nonzero entry (u, l) of f is scattered to the entries (t, l) whose
-    summands read it: per shuffle, the t with u = t composed with its slot
-    map, signed as ``shuffle_action`` signs that shuffle at t.
+    (su_{n,p} f)(t, l) sums sign * f(t composed with the slot map, l) over
+    the ``_signed_shuffles`` of the parities of t.  Each nonzero entry (u, l)
+    of f is scattered to the entries (t, l) whose summands read it: per
+    shuffle, the t with u = t composed with its slot map, signed as that
+    shuffle is signed at t.
     """
     n = f.degree
     if n < 2:
@@ -336,37 +328,67 @@ def harrison_space(algebra: SuperAlgebra, module: SuperModule, degree: int) -> S
     parity-preserving.  Otherwise the stacked conditions su_{n,p} f = 0
     (p = 1..n-1) decompose into independent blocks, one per (argument
     multiset, module index) orbit, because a shuffle only permutes argument
-    slots; the kernel is assembled block by block.  The result equals the
-    kernel of the literally stacked system since the reduced echelon basis
-    of a subspace is unique.
+    slots.  A block's system depends only on its orbit pattern: the rank
+    tuple of the sorted arguments and the parity of each rank.  So one
+    kernel is solved per pattern, on the rank tuples themselves, and its
+    rows are copied to every block of that pattern by member index.  An
+    order-preserving relabelling keeps the members in lexicographic order,
+    so the copied rows are canonical too.  The result equals the kernel of
+    the literally stacked system since the reduced echelon basis of a
+    subspace is unique.
     """
-    offsets = parity_offsets(algebra, module, degree)
-    ncols = len(offsets)
+    a_par = algebra.parity
+    # The number of module indices l of each parity: the parity-consistent
+    # entries (t, l) of one tuple t, which are adjacent in the enumeration.
+    values = (module.parity.count(0), module.parity.count(1))
+    # Sorted arguments -> position of each member's first entry, members in
+    # lexicographic order.
+    blocks: dict[tuple[int, ...], list[int]] = {}
+    ncols = 0
+    for t in iter_product(range(algebra.dim), repeat=degree):
+        count = values[sum(a_par[i] for i in t) % 2]
+        if count:
+            blocks.setdefault(tuple(sorted(t)), []).append(ncols)
+            ncols += count
     if degree <= 1:
         return SubspaceBasis(ncols, tuple({i: 1} for i in range(ncols)))
 
-    groups: dict[tuple[tuple[int, ...], int], list[tuple[int, tuple[int, ...]]]] = {}
-    for pos, off in enumerate(offsets):
-        t, l = decode(off, degree, algebra.dim, module.dim)
-        groups.setdefault((tuple(sorted(t)), l), []).append((pos, t))
-
-    # Members are listed by increasing position, so embedding a block's
-    # canonical rows keeps them canonical; the blocks have disjoint supports,
-    # so their rows sorted by pivot are the canonical rows of the whole.
+    kernels: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[dict[int, Rat], ...]] = {}
+    # The blocks have disjoint supports, so their rows sorted by pivot are
+    # the canonical rows of the whole.
     rows: list[dict[int, Rat]] = []
-    for (_, l), members in groups.items():
-        column = {offsets[pos]: c for c, (pos, _) in enumerate(members)}
-        conditions: list[dict[int, Rat]] = []
-        for _, t in members:
-            for p in range(1, degree):
-                condition: dict[int, Rat] = {}
-                for off, sign in shuffle_action(algebra, module, t, l, p):
-                    condition[column[off]] = condition.get(column[off], 0) + sign
-                conditions.append(condition)
-        block_kernel = kernel_basis(RationalMatrix.from_rows(conditions, cols=len(members)))
-        rows.extend({members[c][0]: x for c, x in row.items()} for row in block_kernel.rows)
+    for args, members in blocks.items():
+        distinct = sorted(set(args))
+        rank = {x: r for r, x in enumerate(distinct)}
+        key = (tuple(rank[x] for x in args), tuple(a_par[x] for x in distinct))
+        if key not in kernels:
+            kernels[key] = _pattern_kernel(*key)
+        # One block per parity-consistent module index, the k-th of each member's entries.
+        for k in range(values[sum(a_par[i] for i in args) % 2]):
+            rows.extend({members[c] + k: x for c, x in row.items()} for row in kernels[key])
     rows.sort(key=min)
     return SubspaceBasis(ncols, tuple(rows))
+
+
+def _pattern_kernel(ranks: tuple[int, ...], parities: tuple[int, ...]) -> tuple[dict[int, Rat], ...]:
+    """Kernel of the stacked su_{n,p} system on the rearrangements of ``ranks``.
+
+    Coordinates index the distinct rearrangements in lexicographic order;
+    ``parities[r]`` is the parity of rank r.
+    """
+    n = len(ranks)
+    members = sorted(set(permutations(ranks)))
+    index = {u: c for c, u in enumerate(members)}
+    conditions: list[dict[int, Rat]] = []
+    for u in members:
+        u_par = tuple(parities[r] for r in u)
+        for p in range(1, n):
+            condition: dict[int, Rat] = {}
+            for slot_map, sign in _signed_shuffles(n, p, u_par):
+                c = index[tuple([u[m] for m in slot_map])]
+                condition[c] = condition.get(c, 0) + sign
+            conditions.append(condition)
+    return kernel_basis(RationalMatrix.from_rows(conditions, cols=len(members))).rows
 
 
 def harrison_basis(algebra: SuperAlgebra, module: SuperModule, degree: int) -> list[Cochain]:

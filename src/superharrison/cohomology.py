@@ -16,7 +16,6 @@ on every run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -37,6 +36,7 @@ from .linalg import (
     kernel_basis,
     quotient_representatives,
 )
+from .records import Record, set_field
 
 __all__ = [
     "ComplexKind",
@@ -55,12 +55,16 @@ class ComplexKind(Enum):
     SUPER_HARRISON = "harrison"
 
 
-@dataclass(frozen=True)
-class ResourceLimits:
+class ResourceLimits(Record):
     """Ceilings guarding the exact-arithmetic core against runaway inputs."""
 
+    # The defaults stay readable on the class itself.
     max_degree: int = 4
     max_columns: int = 20000
+
+    def __init__(self, max_degree: int = max_degree, max_columns: int = max_columns) -> None:
+        set_field(self, "max_degree", max_degree)
+        set_field(self, "max_columns", max_columns)
 
 
 DEFAULT_LIMITS = ResourceLimits()
@@ -134,8 +138,7 @@ def coboundary_matrix(
     return _coboundary_matrix_cached(algebra, module, degree, kind)
 
 
-@dataclass(frozen=True)
-class CohomologyResult:
+class CohomologyResult(Record):
     """Dimensions and canonical representatives at one degree of one complex."""
 
     kind: ComplexKind
@@ -145,6 +148,24 @@ class CohomologyResult:
     dim_coboundaries: int
     dim_cohomology: int
     representatives: tuple[Cochain, ...]
+
+    def __init__(
+        self,
+        kind: ComplexKind,
+        degree: int,
+        dim_cochain: int,
+        dim_cocycles: int,
+        dim_coboundaries: int,
+        dim_cohomology: int,
+        representatives: tuple[Cochain, ...],
+    ) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "degree", degree)
+        set_field(self, "dim_cochain", dim_cochain)
+        set_field(self, "dim_cocycles", dim_cocycles)
+        set_field(self, "dim_coboundaries", dim_coboundaries)
+        set_field(self, "dim_cohomology", dim_cohomology)
+        set_field(self, "representatives", representatives)
 
 
 def cohomology(

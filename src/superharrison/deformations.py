@@ -28,7 +28,6 @@ looks for such a g by exact linear solving and returns it when it exists.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -58,6 +57,7 @@ from .cohomology import (
     cohomology,
 )
 from .linalg import Rat, solve
+from .records import Record, set_field
 
 __all__ = [
     "DeformationReport",
@@ -79,8 +79,7 @@ class NotACocycleError(ValueError):
     """A cochain that must be a cocycle has a nonzero coboundary."""
 
 
-@dataclass(frozen=True)
-class DeformationReport:
+class DeformationReport(Record):
     """Outcome of checking m_t(a, b) = ab + t psi(a, b) over t^2 = 0."""
 
     parity_ok: bool
@@ -88,6 +87,20 @@ class DeformationReport:
     associative_mod_t2: bool
     supercommutativity_witness: Optional[tuple[int, int]]
     associativity_witness: Optional[tuple[int, int, int]]
+
+    def __init__(
+        self,
+        parity_ok: bool,
+        supercommutative_mod_t2: bool,
+        associative_mod_t2: bool,
+        supercommutativity_witness: Optional[tuple[int, int]],
+        associativity_witness: Optional[tuple[int, int, int]],
+    ) -> None:
+        set_field(self, "parity_ok", parity_ok)
+        set_field(self, "supercommutative_mod_t2", supercommutative_mod_t2)
+        set_field(self, "associative_mod_t2", associative_mod_t2)
+        set_field(self, "supercommutativity_witness", supercommutativity_witness)
+        set_field(self, "associativity_witness", associativity_witness)
 
     @property
     def valid(self) -> bool:
@@ -179,13 +192,17 @@ def is_cocycle(psi: Cochain) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(Record):
     """Result of sweeping an equivalence claim over many cochains."""
 
     passed: bool
     cases: int
     failures: tuple[str, ...]
+
+    def __init__(self, passed: bool, cases: int, failures: tuple[str, ...]) -> None:
+        set_field(self, "passed", passed)
+        set_field(self, "cases", cases)
+        set_field(self, "failures", failures)
 
 
 def random_parity_cochain(
@@ -238,8 +255,7 @@ def deformation_iff_cocycle(
     return _sweep(algebra, self_module(algebra), budget, seed, failures_of)
 
 
-@dataclass(frozen=True)
-class ExtensionResult:
+class ExtensionResult(Record):
     """The square-zero extension algebra plus index bookkeeping.
 
     ``algebra_block`` maps A-basis indices into the extension;
@@ -249,6 +265,11 @@ class ExtensionResult:
     algebra: SuperAlgebra
     algebra_block: tuple[int, ...]
     module_block: tuple[int, ...]
+
+    def __init__(self, algebra: SuperAlgebra, algebra_block: tuple[int, ...], module_block: tuple[int, ...]) -> None:
+        set_field(self, "algebra", algebra)
+        set_field(self, "algebra_block", algebra_block)
+        set_field(self, "module_block", module_block)
 
 
 def square_zero_extension(

@@ -20,11 +20,12 @@ columns: a coboundary matrix has a handful of nonzeros per column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
+
+from .records import Record, set_field
 
 Rat = Union[int, Fraction]
 # A vector, densely as a sequence or sparsely as {position: value}.
@@ -167,8 +168,7 @@ def _rref(rows: Iterable[Mapping[int, Rat]]) -> list[dict[int, Rat]]:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class RationalMatrix:
+class RationalMatrix(Record):
     """Matrix with exact rational entries, stored as sparse rows.
 
     ``data[i]`` maps each column j to the nonzero entry (i, j).  Build one
@@ -179,16 +179,14 @@ class RationalMatrix:
     cols: int
     data: tuple[dict[int, Rat], ...]
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, data: tuple[dict[int, Rat], ...]) -> None:
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.data) != self.rows:
+        if len(data) != rows:
             raise ValueError("row count does not match data")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.data) == (other.rows, other.cols, other.data)
+        set_field(self, "rows", rows)
+        set_field(self, "cols", cols)
+        set_field(self, "data", data)
 
     def __hash__(self) -> int:
         return hash((self.rows, self.cols, tuple(tuple(sorted(row.items())) for row in self.data)))
@@ -236,30 +234,25 @@ class RationalMatrix:
         return RationalMatrix(self.rows, other.cols, tuple(out))
 
 
-@dataclass(frozen=True, eq=False)
-class SubspaceBasis:
+class SubspaceBasis(Record):
     """Canonical (reduced row echelon) basis of a subspace of Q^ambient_dim.
 
     ``rows`` are the nonzero RREF rows, sparse, as ``from_vectors`` builds
     them; ``vectors`` is the same basis densely.  Because the RREF basis of
     a subspace is unique, two SubspaceBasis values are equal iff they span
-    the same subspace.  The pivot of each row is found once, here.
+    the same subspace.  The pivot of each row is found once, here, and kept
+    as ``_echelon`` (pivot -> row) and ``_index`` (pivot -> row index).
     """
 
     ambient_dim: int
     rows: tuple[dict[int, Rat], ...]
-    _echelon: dict[int, dict[int, Rat]] = field(init=False, repr=False)
-    _index: dict[int, int] = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        pivots = [min(row) for row in self.rows]
-        object.__setattr__(self, "_echelon", dict(zip(pivots, self.rows)))
-        object.__setattr__(self, "_index", {p: i for i, p in enumerate(pivots)})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SubspaceBasis):
-            return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.rows == other.rows
+    def __init__(self, ambient_dim: int, rows: tuple[dict[int, Rat], ...]) -> None:
+        pivots = [min(row) for row in rows]
+        set_field(self, "ambient_dim", ambient_dim)
+        set_field(self, "rows", rows)
+        set_field(self, "_echelon", dict(zip(pivots, rows)))
+        set_field(self, "_index", {p: i for i, p in enumerate(pivots)})
 
     def __hash__(self) -> int:
         return hash((self.ambient_dim, tuple(tuple(sorted(row.items())) for row in self.rows)))

@@ -27,10 +27,11 @@ permutations: ``Permutation((3, 1, 2))`` sends 1 to 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
+
+from .records import Record, set_field
 
 ParityVector = tuple[int, ...]
 
@@ -48,16 +49,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Record):
     """A permutation of {1, ..., n} in word notation: images[i-1] = sigma(i)."""
 
     images: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.images}")
+    def __init__(self, images: tuple[int, ...]) -> None:
+        n = len(images)
+        if sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {images}")
+        set_field(self, "images", images)
 
     @property
     def n(self) -> int:
@@ -105,16 +106,17 @@ def _inversion_sign(values: tuple[int, ...]) -> int:
     return -1 if inversions % 2 else 1
 
 
-@dataclass(frozen=True)
-class Shuffle:
+class Shuffle(Record):
     """A (p, n-p)-shuffle: both runs of ``perm`` strictly increase."""
 
     perm: Permutation
     p: int
 
-    def __post_init__(self) -> None:
-        if not is_shuffle(self.perm, self.p):
-            raise ValueError(f"{self.perm.images} is not a ({self.p},{self.perm.n - self.p})-shuffle")
+    def __init__(self, perm: Permutation, p: int) -> None:
+        if not is_shuffle(perm, p):
+            raise ValueError(f"{perm.images} is not a ({p},{perm.n - p})-shuffle")
+        set_field(self, "perm", perm)
+        set_field(self, "p", p)
 
 
 def is_shuffle(perm: Permutation, p: int) -> bool:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -237,6 +236,19 @@ class TestModuleActions:
         assert mod.basis_names == ("1", "t1", "t2", "t1t2")
         assert mod.parity == (0, 1, 1, 0)
 
+    def test_self_module_shares_the_frozen_structure(self):
+        alg = tensor_product(truncated_polynomial(2), exterior_algebra(1))
+        assert self_module(alg).action is alg.structure
+        assert self_module(alg) == SuperModule(alg, alg.dim, alg.parity, [list(map(list, p)) for p in alg.structure],
+                                               basis_names=alg.basis_names)
+
+    def test_wrongly_shaped_action_is_refused_even_when_it_is_the_structure(self):
+        alg = exterior_algebra(1)
+        with pytest.raises(ValueError):
+            SuperModule(alg, 1, (0,), alg.structure)
+        with pytest.raises(ValueError):
+            SuperModule(alg, 2, (0, 1), alg.structure[:1])
+
 
 class TestValidators:
     def test_odd_generator_with_nonzero_square_is_flagged(self):
@@ -290,7 +302,8 @@ class TestValidators:
         assert "unit" in report.kinds()
 
     def test_zero_action_module_without_unit_is_valid(self):
-        base = dataclasses.replace(exterior_algebra(1), unit_index=None)
+        line = exterior_algebra(1)
+        base = SuperAlgebra(line.dim, line.basis_names, line.parity, line.structure, unit_index=None)
         mod = SuperModule(
             algebra=base,
             dim=2,
@@ -313,8 +326,8 @@ class TestValidators:
     def test_perturbed_self_action_breaks_the_module_law(self):
         mod = self_module(exterior_algebra(1))
         # Make t1 act as the identity instead of multiplication by t1.
-        bad = dataclasses.replace(
-            mod, action=(((1, 0), (0, 1)), ((0, 1), (1, 0)))
+        bad = SuperModule(
+            mod.algebra, mod.dim, mod.parity, action=(((1, 0), (0, 1)), ((0, 1), (1, 0))), basis_names=mod.basis_names
         )
         report = validate_supermodule(bad)
         assert not report.ok
@@ -348,10 +361,10 @@ class TestValidators:
         assert as_algebra == as_module
 
     def test_algebra_validator_builds_no_module(self, monkeypatch):
-        def refuse(module):
+        def refuse(module, *args, **kwargs):
             raise AssertionError("validate_superalgebra built a SuperModule")
 
-        monkeypatch.setattr(SuperModule, "__post_init__", refuse)
+        monkeypatch.setattr(SuperModule, "__init__", refuse)
         assert validate_superalgebra(exterior_algebra(2)).ok
 
     def test_structure_shape_is_checked_at_construction(self):

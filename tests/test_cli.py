@@ -253,7 +253,7 @@ class TestDeformCommands:
     )
     def test_wrong_degree_is_refused_before_the_cochain_is_built(self, capsys, monkeypatch, bad_inputs, command, what):
         built = []
-        monkeypatch.setattr(Cochain, "__post_init__", lambda f: built.append(f.degree))
+        monkeypatch.setattr(Cochain, "__init__", lambda f, degree, *args: built.append(degree))
         code = run([command, "--algebra", "builtin:truncpoly:2", "--psi", "psi_degree22.json"])
         assert code == 2
         assert capsys.readouterr().err == f"error: {what} must have degree 2, got 22\n"

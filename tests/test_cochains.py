@@ -9,10 +9,12 @@ from fractions import Fraction
 
 import pytest
 from conftest import CORPUS
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superharrison.algebras import (
+    SuperAlgebra,
+    SuperModule,
     act,
     exterior_algebra,
     multiply,
@@ -22,6 +24,7 @@ from superharrison.algebras import (
 )
 from superharrison.cochains import (
     Cochain,
+    _signed_shuffles,
     cochain_apply,
     cochain_from_coordinates,
     cochain_from_entries,
@@ -36,13 +39,22 @@ from superharrison.cochains import (
     parity_coordinates,
     parity_count,
     parity_offsets,
-    shuffle_action,
     super_shuffle_sum,
     zero_cochain,
 )
 from superharrison.linalg import SubspaceBasis, kernel_basis, RationalMatrix
 from superharrison.serialize import cochain_to_dict
 from superharrison.shuffles import enumerate_shuffles, sigma_o_sign
+
+
+def shuffle_action(algebra, module, t, l, p):
+    """The summands of su_{n,p} at entry (t, l): (flat offset of (u, l), sign).
+
+    (su_{n,p} f)(t, l) is the sum of sign * f.data.get(offset, 0) over them.
+    """
+    parities = tuple(algebra.parity[i] for i in t)
+    for slot_map, sign in _signed_shuffles(len(t), p, parities):
+        yield encode([t[m] for m in slot_map], l, algebra.dim, module.dim), sign
 
 
 def basis_vector(dim, i):
@@ -380,6 +392,33 @@ class TestHarrisonSpace:
                 kernel_basis(stacked).vectors
                 == harrison_space(alg, mod, degree).vectors
             )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        a_par=st.lists(st.integers(0, 1), min_size=1, max_size=5).map(tuple),
+        m_par=st.lists(st.integers(0, 1), min_size=1, max_size=3).map(tuple),
+        degree=st.integers(2, 4),
+    )
+    # One rank pattern under several parity vectors: (0, 0, 1) arises from
+    # the multisets {0, 0, 1}, {0, 0, 2}, {1, 1, 2}, {1, 1, 3}, ...
+    @example(a_par=(0, 1, 0, 1), m_par=(0, 1), degree=3)
+    @example(a_par=(1, 0, 1, 1, 0), m_par=(1, 0, 0), degree=4)
+    def test_pattern_kernels_match_the_literal_stacked_system(self, a_par, m_par, degree):
+        # The shuffle conditions read only the parities, so a zero product will do.
+        dim = len(a_par)
+        alg = SuperAlgebra(dim, tuple(f"e{i}" for i in range(dim)), a_par, [[[0] * dim] * dim] * dim)
+        mod = SuperModule(alg, len(m_par), m_par, [[[0] * len(m_par)] * len(m_par)] * dim)
+        offsets = parity_offsets(alg, mod, degree)
+        position = {off: pos for pos, off in enumerate(offsets)}
+        columns = []
+        for f in parity_basis(alg, mod, degree):
+            column = {}
+            for p in range(1, degree):
+                for off, x in super_shuffle_sum(f, p).data.items():
+                    column[(p - 1) * len(offsets) + position[off]] = x
+            columns.append(column)
+        stacked = RationalMatrix.from_columns(columns, rows=len(offsets) * (degree - 1))
+        assert harrison_space(alg, mod, degree) == kernel_basis(stacked)
 
     def test_coordinates_round_trip(self):
         alg = truncated_polynomial(2)

@@ -171,10 +171,10 @@ class TestFirstOrderCheck:
         alg = truncated_polynomial(3)
         psi = cochain_from_entries(alg, self_module(alg), 2, {((1, 1), 0): 1})
 
-        def refuse(module):
+        def refuse(module, *args, **kwargs):
             raise AssertionError("first_order_deformation_check built a SuperModule")
 
-        monkeypatch.setattr(SuperModule, "__post_init__", refuse)
+        monkeypatch.setattr(SuperModule, "__init__", refuse)
         assert first_order_deformation_check(alg, psi).associativity_witness == (1, 1, 2)
 
     def test_psi_over_another_module_is_refused(self):
