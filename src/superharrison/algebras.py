@@ -8,6 +8,16 @@ a full list of violated identities with witnesses instead of raising.  That
 split is deliberate: the deformation layer needs to build broken algebras on
 purpose and see exactly which law fails where.
 
+Alongside the dense tensor each algebra and module keeps a sparse table of
+its nonzero (index, coefficient) pairs per row, built once; a self-module
+shares the algebra's.  The validators read the sparse tables: one checker
+scatters (e_i e_j)x_k and e_i(e_j x_k) from nonzero products only, and
+serves both associativity and the module law, and the other laws compare
+sparse rows, walking a row densely only where it differs.  Their cost
+follows the number of nonzero products, not dim^3.  Algebras and modules
+are hashed once, since ``lru_cache`` keys on them would otherwise rehash
+the whole tensor per lookup.
+
 A supermodule stores a left action tensor.  The right action is never stored:
 it is induced from the left one on homogeneous components by the Koszul rule
 m*a = (-1)^{|a||m|} a*m, which is the convention used by the coboundary.
@@ -22,7 +32,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .linalg import Rat, as_rational
-from .records import Record, set_field
+from .records import HashOnceRecord, Record, set_field
 
 __all__ = [
     "SuperAlgebra",
@@ -45,6 +55,8 @@ __all__ = [
 StructureTensor = tuple[tuple[tuple[Rat, ...], ...], ...]
 SparseTable = tuple[tuple[tuple[tuple[int, Rat], ...], ...], ...]
 
+_INT_ONLY = {int}
+
 
 def _freeze_tensor(tensor: Sequence[Sequence[Sequence[Rat]]], d0: int, d1: int, d2: int) -> StructureTensor:
     if len(tensor) != d0:
@@ -57,9 +69,21 @@ def _freeze_tensor(tensor: Sequence[Sequence[Sequence[Rat]]], d0: int, d1: int, 
         for row in plane:
             if len(row) != d2:
                 raise ValueError(f"tensor row has {len(row)} entries, expected {d2}")
-            rows.append(tuple(as_rational(x) for x in row))
+            # A row of plain ints is already exact: keep it in one step.
+            if set(map(type, row)) <= _INT_ONLY:
+                rows.append(tuple(row))
+            else:
+                rows.append(tuple(as_rational(x) for x in row))
         out.append(tuple(rows))
     return tuple(out)
+
+
+def _sparse_table(tensor: StructureTensor) -> SparseTable:
+    """The nonzero (index, coefficient) pairs of every row; ``any`` skips a zero row at C speed."""
+    return tuple(
+        tuple(tuple((k, c) for k, c in enumerate(row) if c) if any(row) else () for row in plane)
+        for plane in tensor
+    )
 
 
 def _check_parity(parity: Sequence[int], dim: int) -> tuple[int, ...]:
@@ -70,7 +94,7 @@ def _check_parity(parity: Sequence[int], dim: int) -> tuple[int, ...]:
     return tuple(parity)
 
 
-class SuperAlgebra(Record):
+class SuperAlgebra(HashOnceRecord):
     """Structure constants of a superalgebra: e_i e_j = sum_k c[i][j][k] e_k."""
 
     dim: int
@@ -104,10 +128,7 @@ class SuperAlgebra(Record):
     @cached_property
     def products(self) -> SparseTable:
         """Sparse view of the structure tensor: products[i][j] = ((k, c), ...)."""
-        return tuple(
-            tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
-            for plane in self.structure
-        )
+        return _sparse_table(self.structure)
 
     @cached_property
     def pairs_producing(self) -> tuple[tuple[tuple[int, int, Rat], ...], ...]:
@@ -121,7 +142,7 @@ class SuperAlgebra(Record):
         return tuple(tuple(entries) for entries in out)
 
 
-class SuperModule(Record):
+class SuperModule(HashOnceRecord):
     """A supermodule over ``algebra`` given by a left action tensor.
 
     action[i][k][l] is the coefficient of m_l in e_i * m_k.
@@ -160,10 +181,9 @@ class SuperModule(Record):
     @cached_property
     def action_sparse(self) -> SparseTable:
         """action_sparse[i][k] = ((l, c), ...) for e_i * m_k."""
-        return tuple(
-            tuple(tuple((l, c) for l, c in enumerate(row) if c) for row in plane)
-            for plane in self.action
-        )
+        if self.action is self.algebra.structure:
+            return self.algebra.products
+        return _sparse_table(self.action)
 
 
 def self_module(algebra: SuperAlgebra) -> SuperModule:
@@ -289,31 +309,52 @@ def _action_law_violations(products: SparseTable, table: SparseTable, x: str, ki
     """(e_i e_j)x_k = e_i(e_j x_k), first differing x_l reported per triple.
 
     With ``table`` the algebra's own products this is associativity; with a
-    module's action it is the module law.
+    module's action it is the module law.  Both sides are scattered from
+    nonzero entries only, one i at a time: the left from each e_i e_j =
+    sum c e_mid times the rows of ``table[mid]``, the right from each
+    e_i x_mid != 0 times every e_j x_k with a term on x_mid.  A triple with
+    both sides zero is never visited.
     """
+    # rows[mid]: the nonzero e_mid x_k as (k, row); producing[mid]: every
+    # (j, k, c) with c the coefficient of x_mid in e_j x_k.
+    rows: list[list[tuple[int, tuple[tuple[int, Rat], ...]]]] = []
+    producing: list[list[tuple[int, int, Rat]]] = [[] for _ in range(len(table[0]))]
+    for j, plane in enumerate(table):
+        rows.append([(k, row) for k, row in enumerate(plane) if row])
+        for k, row in enumerate(plane):
+            for mid, coeff in row:
+                producing[mid].append((j, k, coeff))
     out = []
     for i, plane in enumerate(products):
+        lhs: dict[tuple[int, int], dict[int, Rat]] = {}
         for j, prod in enumerate(plane):
-            for k in range(len(table[0])):
-                lhs: dict[int, Rat] = {}
-                for mid, coeff in prod:
-                    for l, c2 in table[mid][k]:
-                        lhs[l] = lhs.get(l, 0) + coeff * c2
-                rhs: dict[int, Rat] = {}
-                for mid, coeff in table[j][k]:
-                    for l, c2 in table[i][mid]:
-                        rhs[l] = rhs.get(l, 0) + coeff * c2
-                for l in sorted(set(lhs) | set(rhs)):
-                    if lhs.get(l, 0) != rhs.get(l, 0):
-                        out.append(
-                            Violation(
-                                kind,
-                                (i, j, k),
-                                f"(e{i}e{j}){x}{k} and e{i}(e{j}{x}{k}) differ at {x}{l}: "
-                                f"{lhs.get(l, 0)} vs {rhs.get(l, 0)}",
-                            )
+            for mid, coeff in prod:
+                for k, row in rows[mid]:
+                    acc = lhs.setdefault((j, k), {})
+                    for l, c2 in row:
+                        acc[l] = acc.get(l, 0) + coeff * c2
+        rhs: dict[tuple[int, int], dict[int, Rat]] = {}
+        for mid, row in rows[i]:
+            for j, k, coeff in producing[mid]:
+                acc = rhs.setdefault((j, k), {})
+                for l, c2 in row:
+                    acc[l] = acc.get(l, 0) + coeff * c2
+        for j, k in sorted(lhs.keys() | rhs.keys()):
+            left = lhs.get((j, k), {})
+            right = rhs.get((j, k), {})
+            if left == right:
+                continue
+            for l in sorted(left.keys() | right.keys()):
+                if left.get(l, 0) != right.get(l, 0):
+                    out.append(
+                        Violation(
+                            kind,
+                            (i, j, k),
+                            f"(e{i}e{j}){x}{k} and e{i}(e{j}{x}{k}) differ at {x}{l}: "
+                            f"{left.get(l, 0)} vs {right.get(l, 0)}",
                         )
-                        break
+                    )
+                    break
     return out
 
 
@@ -322,15 +363,23 @@ def validate_superalgebra(algebra: SuperAlgebra) -> ValidationReport:
 
     Every violated identity is reported, in lexicographic witness order per law.
     Parity and associativity are the module laws of A acting on itself.
+    Each law compares sparse rows, and walks a row densely only where it
+    finds a difference, so the cost follows the nonzero products.
     """
     dim = algebra.dim
     par = algebra.parity
     c = algebra.structure
-    violations = _parity_violations(par, algebra.products, par, "e")
+    products = algebra.products
+    violations = _parity_violations(par, products, par, "e")
 
     for i in range(dim):
         for j in range(dim):
             sign = -1 if par[i] and par[j] else 1
+            forward = products[i][j]
+            if sign < 0:
+                forward = tuple((k, -ck) for k, ck in forward)
+            if products[j][i] == forward:
+                continue
             for k in range(dim):
                 if c[j][i][k] != sign * c[i][j][k]:
                     violations.append(
@@ -342,13 +391,15 @@ def validate_superalgebra(algebra: SuperAlgebra) -> ValidationReport:
                         )
                     )
 
-    violations += _action_law_violations(algebra.products, algebra.products, "e", "associativity")
+    violations += _action_law_violations(products, products, "e", "associativity")
 
     if algebra.unit_index is not None:
         u = algebra.unit_index
         if par[u] != 0:
             violations.append(Violation("unit", (u,), "unit element must be even"))
         for i in range(dim):
+            if products[u][i] == products[i][u] == ((i, 1),):
+                continue
             for k in range(dim):
                 want = 1 if k == i else 0
                 if c[u][i][k] != want:
@@ -366,13 +417,15 @@ def validate_superalgebra(algebra: SuperAlgebra) -> ValidationReport:
 def validate_supermodule(module: SuperModule) -> ValidationReport:
     """Check parity compatibility, the module law (e_i e_j)m = e_i(e_j m), unit action."""
     algebra = module.algebra
-    a = module.action
-    violations = _parity_violations(algebra.parity, module.action_sparse, module.parity, "m")
-    violations += _action_law_violations(algebra.products, module.action_sparse, "m", "module_law")
-
+    table = module.action_sparse
+    violations = _parity_violations(algebra.parity, table, module.parity, "m")
+    violations += _action_law_violations(algebra.products, table, "m", "module_law")
     if algebra.unit_index is not None:
         u = algebra.unit_index
+        a = module.action
         for k in range(module.dim):
+            if table[u][k] == ((k, 1),):
+                continue
             for l in range(module.dim):
                 want = 1 if l == k else 0
                 if a[u][k][l] != want:

@@ -9,13 +9,17 @@ equal when they have the same class and equal fields, and the hash is that
 of the fields.  The package avoids ``dataclasses`` because every CLI call is a
 fresh process: importing it pulls in ``inspect``, ``ast`` and ``dis``, and
 each decorated class compiles generated code at import.
+
+``HashOnceRecord`` keeps its hash after the first call, for records whose
+fields are large tuples that an ``lru_cache`` key would rehash per lookup.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from operator import attrgetter
 
-__all__ = ["Record", "set_field"]
+__all__ = ["Record", "HashOnceRecord", "set_field"]
 
 # Stores a field past ``Record.__setattr__``; the instance keeps Python's
 # compact attribute layout, which ``self.__dict__.update`` would give up.
@@ -52,3 +56,14 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
+
+
+class HashOnceRecord(Record):
+    """A record hashed once per instance: a tuple does not keep its hash."""
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self._values(self))
+
+    def __hash__(self) -> int:
+        return self._hash

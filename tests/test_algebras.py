@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from superharrison.algebras import (
     SuperAlgebra,
     SuperModule,
+    Violation,
+    _freeze_tensor,
     act,
     exterior_algebra,
     ground_field,
@@ -24,6 +26,7 @@ from superharrison.algebras import (
     validate_superalgebra,
     validate_supermodule,
 )
+from superharrison.linalg import as_rational
 from superharrison.shuffles import Permutation, sigma_o_sign
 
 small_coeffs = st.integers(min_value=-4, max_value=4)
@@ -376,3 +379,204 @@ class TestValidators:
                 structure=(((1, 0),),),
                 unit_index=None,
             )
+
+
+# The dense reference: the validators as they were before they went sparse,
+# looping over every (i, j, k) triple and reading the dense tensors.  Their
+# violation lists, message text included, are the contract the sparse
+# checker keeps.
+
+
+def _dense_sparse_table(tensor):
+    return [[[(l, c) for l, c in enumerate(row) if c] for row in plane] for plane in tensor]
+
+
+def _dense_parity_violations(a_par, tensor, x_par, x):
+    out = []
+    for i, plane in enumerate(tensor):
+        for k, row in enumerate(plane):
+            target = (a_par[i] + x_par[k]) % 2
+            for l, c in enumerate(row):
+                if c and x_par[l] != target:
+                    out.append(
+                        Violation("parity", (i, k, l), f"e{i}*{x}{k} hits {x}{l} of parity {x_par[l]}, expected {target}")
+                    )
+    return out
+
+
+def _dense_action_law_violations(products, table, x, kind):
+    out = []
+    for i, plane in enumerate(products):
+        for j, prod in enumerate(plane):
+            for k in range(len(table[0])):
+                lhs = {}
+                for mid, coeff in prod:
+                    for l, c2 in table[mid][k]:
+                        lhs[l] = lhs.get(l, 0) + coeff * c2
+                rhs = {}
+                for mid, coeff in table[j][k]:
+                    for l, c2 in table[i][mid]:
+                        rhs[l] = rhs.get(l, 0) + coeff * c2
+                for l in sorted(set(lhs) | set(rhs)):
+                    if lhs.get(l, 0) != rhs.get(l, 0):
+                        out.append(
+                            Violation(
+                                kind,
+                                (i, j, k),
+                                f"(e{i}e{j}){x}{k} and e{i}(e{j}{x}{k}) differ at {x}{l}: "
+                                f"{lhs.get(l, 0)} vs {rhs.get(l, 0)}",
+                            )
+                        )
+                        break
+    return out
+
+
+def dense_algebra_violations(algebra):
+    dim, par, c = algebra.dim, algebra.parity, algebra.structure
+    products = _dense_sparse_table(c)
+    violations = _dense_parity_violations(par, c, par, "e")
+    for i in range(dim):
+        for j in range(dim):
+            sign = -1 if par[i] and par[j] else 1
+            for k in range(dim):
+                if c[j][i][k] != sign * c[i][j][k]:
+                    violations.append(
+                        Violation(
+                            "supercommutativity",
+                            (i, j, k),
+                            f"coefficient of e{k}: e{j}*e{i} = {c[j][i][k]}, expected {sign * c[i][j][k]}",
+                        )
+                    )
+    violations += _dense_action_law_violations(products, products, "e", "associativity")
+    if algebra.unit_index is not None:
+        u = algebra.unit_index
+        if par[u] != 0:
+            violations.append(Violation("unit", (u,), "unit element must be even"))
+        for i in range(dim):
+            for k in range(dim):
+                want = 1 if k == i else 0
+                if c[u][i][k] != want:
+                    violations.append(Violation("unit", (u, i, k), f"e_unit*e{i} is not e{i}"))
+                if c[i][u][k] != want:
+                    violations.append(Violation("unit", (i, u, k), f"e{i}*e_unit is not e{i}"))
+    return tuple(violations)
+
+
+def dense_module_violations(module):
+    algebra, a = module.algebra, module.action
+    violations = _dense_parity_violations(algebra.parity, a, module.parity, "m")
+    violations += _dense_action_law_violations(
+        _dense_sparse_table(algebra.structure), _dense_sparse_table(a), "m", "module_law"
+    )
+    if algebra.unit_index is not None:
+        u = algebra.unit_index
+        for k in range(module.dim):
+            for l in range(module.dim):
+                if a[u][k][l] != (1 if l == k else 0):
+                    violations.append(Violation("unit", (u, k, l), f"e_unit*m{k} is not m{k}"))
+    return tuple(violations)
+
+
+_VALID_BASES = (
+    exterior_algebra(1),
+    exterior_algebra(2),
+    truncated_polynomial(2),
+    truncated_polynomial(3),
+    tensor_product(truncated_polynomial(2), exterior_algebra(1)),
+)
+_constants = st.one_of(
+    st.integers(min_value=-2, max_value=2),
+    st.builds(Fraction, st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=3)),
+)
+
+
+def _perturbed(draw, tensor, shape):
+    """``tensor`` as nested lists, with up to three cells set to drawn constants."""
+    cells = [[list(row) for row in plane] for plane in tensor]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        i, j, k = (draw(st.integers(min_value=0, max_value=n - 1)) for n in shape)
+        cells[i][j][k] = draw(_constants)
+    return cells
+
+
+@st.composite
+def perturbed_algebras(draw):
+    """A valid corpus algebra or a zero product, with a few cells changed; unital or not."""
+    if draw(st.booleans()):
+        base = draw(st.sampled_from(_VALID_BASES))
+        dim, parity, structure = base.dim, base.parity, base.structure
+        unit = draw(st.sampled_from((base.unit_index, None)))
+    else:
+        dim = draw(st.integers(min_value=1, max_value=4))
+        parity = tuple(draw(st.lists(st.integers(0, 1), min_size=dim, max_size=dim)))
+        structure = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+        unit = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=dim - 1)))
+    structure = _perturbed(draw, structure, (dim,) * 3)
+    return SuperAlgebra(dim, tuple(f"b{i}" for i in range(dim)), parity, structure, unit_index=unit)
+
+
+@st.composite
+def perturbed_modules(draw):
+    """The self-action or a zero action of any module dimension, with a few cells changed."""
+    algebra = draw(perturbed_algebras())
+    if draw(st.booleans()):
+        dim, parity, action = algebra.dim, algebra.parity, algebra.structure
+    else:
+        dim = draw(st.integers(min_value=1, max_value=4))
+        parity = tuple(draw(st.lists(st.integers(0, 1), min_size=dim, max_size=dim)))
+        action = [[[0] * dim for _ in range(dim)] for _ in range(algebra.dim)]
+    action = _perturbed(draw, action, (algebra.dim, dim, dim))
+    return SuperModule(algebra, dim, parity, action)
+
+
+class TestSparseValidators:
+    @given(perturbed_algebras())
+    @settings(max_examples=300, deadline=None)
+    def test_algebra_violations_match_the_dense_reference(self, algebra):
+        assert validate_superalgebra(algebra).violations == dense_algebra_violations(algebra)
+
+    @given(perturbed_modules())
+    @settings(max_examples=300, deadline=None)
+    def test_module_violations_match_the_dense_reference(self, module):
+        assert validate_supermodule(module).violations == dense_module_violations(module)
+
+    def test_self_module_of_a_perturbed_algebra_matches_the_dense_reference(self):
+        # The self-module shares the algebra's sparse table: a broken
+        # algebra must be reported as the dense loops report it.
+        half = Fraction(1, 2)
+        # b*b = b breaks parity; (aa)b = b/2 but a(ab) = b/4.
+        alg = SuperAlgebra(2, ("a", "b"), (0, 1), (((1, 0), (0, half)), ((0, half), (0, 1))), unit_index=None)
+        mod = self_module(alg)
+        assert mod.action_sparse is alg.products
+        assert validate_supermodule(mod).violations == dense_module_violations(mod)
+        assert {v.kind for v in dense_module_violations(mod)} == {"parity", "module_law"}
+
+    def test_exterior_six_and_its_self_module_validate_clean(self):
+        alg = exterior_algebra(6)
+        mod = self_module(alg)
+        assert mod.action_sparse is alg.products
+        assert validate_superalgebra(alg).ok
+        assert validate_supermodule(mod).ok
+
+
+class TestFreezeTensor:
+    def test_int_rows_are_kept_as_they_are(self):
+        frozen = _freeze_tensor([[[0, 1], [2, -3]]], 1, 2, 2)
+        assert frozen == (((0, 1), (2, -3)),)
+        assert all(type(x) is int for row in frozen[0] for x in row)
+
+    @pytest.mark.parametrize("row", [[0, 1.0], [1.5, 2.5], [0.0, 0]])
+    def test_floats_are_refused(self, row):
+        with pytest.raises(TypeError):
+            _freeze_tensor([[row]], 1, 1, 2)
+
+    def test_integral_fractions_become_ints(self):
+        frozen = _freeze_tensor([[[Fraction(4, 2), 1], [Fraction(1, 2), Fraction(0)]]], 1, 2, 2)
+        assert frozen == (((2, 1), (Fraction(1, 2), 0)),)
+        assert [type(x) for row in frozen[0] for x in row] == [int, int, Fraction, int]
+
+    def test_bools_are_kept_as_as_rational_keeps_them(self):
+        rows = [[True, 0], [False, True], [True, Fraction(2, 2)]]
+        frozen = _freeze_tensor([rows], 1, 3, 2)
+        for row, frozen_row in zip(rows, frozen[0]):
+            assert [(type(x), x) for x in frozen_row] == [(type(as_rational(x)), as_rational(x)) for x in row]

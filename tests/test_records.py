@@ -75,6 +75,14 @@ def test_values_of_different_fields_or_classes_differ():
     assert Violation("unit", (0,), "x") != ValidationReport(())
 
 
+def test_algebras_and_modules_keep_their_hash():
+    alg = exterior_algebra(2)
+    mod = self_module(alg)
+    for value in (alg, mod):
+        assert hash(value) == hash(value._values(value)) == value.__dict__["_hash"]
+    assert hash(mod) == hash(SuperModule(exterior_algebra(2), 4, alg.parity, alg.structure, alg.basis_names))
+
+
 def test_defaults_match_the_signatures():
     assert ResourceLimits() == ResourceLimits(4, 20000)
     assert (ResourceLimits.max_degree, ResourceLimits.max_columns) == (4, 20000)
