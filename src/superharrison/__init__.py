@@ -27,7 +27,6 @@ from .cochains import (
     Cochain,
     coboundary_scatter,
     cochain_apply,
-    cochain_from_coordinates,
     cochain_from_entries,
     elementary_cochain,
     harrison_basis,

@@ -40,7 +40,6 @@ from .algebras import (
 )
 from .cochains import (
     Cochain,
-    cochain_from_coordinates,
     harrison_basis,
     harrison_space,
     hochschild_coboundary,
@@ -444,7 +443,7 @@ def _run_suites(
         runs = max(budget // 10, 5)
         for _ in range(runs):
             weights = {i: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for i in range(z2.dim)}
-            psi = cochain_from_coordinates(algebra, module, 2, harrison2.combination(z2.combination(weights)))
+            psi = Cochain(2, algebra, module, harrison2.combination(z2.combination(weights)))
             g0 = random_parity_cochain(algebra, module, 1, rng)
             shifted = psi - hochschild_coboundary(g0)
             g = extension_equivalence(algebra, module, psi, shifted)

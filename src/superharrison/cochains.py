@@ -7,13 +7,14 @@ entry (t, l) with t = (t_1, ..., t_n) is the mixed-radix number
 lexicographic in (t, l).
 
 The cochain index lives here and nowhere else: ``encode``/``decode``
-convert between (t, l) and the flat offset, ``parity_offsets``,
-``parity_count``, ``parity_coordinates`` and ``cochain_from_coordinates``
-map between cochains and coordinates over the parity-consistent entries,
-and ``_signed_shuffles`` gives the signed slot permutations of su_{n,p}
-for one vector of argument parities.  ``encode`` and ``decode`` run once
-per entry, so they stay out of ``__all__``, the names that profilers such
-as ``perfbench/traced_cli.py`` wrap call by call.
+convert between (t, l) and the flat offset, ``parity_offsets`` and
+``parity_count`` list and count the parity-consistent entries, and
+``_signed_shuffles`` gives the signed slot permutations of su_{n,p} for one
+vector of argument parities.  Every cochain space, the Harrison subspace
+included, is written over flat offsets: a ``harrison_space`` row is the
+``data`` of a cochain.  ``encode`` and ``decode`` run once per entry, so
+they stay out of ``__all__``, the names that profilers such as
+``perfbench/traced_cli.py`` wrap call by call.
 
 Three layers live here:
 
@@ -46,7 +47,6 @@ what its support costs; ``hochschild_coboundary`` wraps it in a ``Cochain``.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import cached_property, lru_cache
 from itertools import permutations, product as iter_product
 from typing import Iterator, Mapping, Sequence
@@ -64,7 +64,6 @@ __all__ = [
     "cochain_apply",
     "parity_offsets",
     "parity_count",
-    "parity_coordinates",
     "parity_basis",
     "super_shuffle_sum",
     "harrison_space",
@@ -72,7 +71,6 @@ __all__ = [
     "hochschild_coboundary",
     "coboundary_scatter",
     "is_graded_symmetric",
-    "cochain_from_coordinates",
 ]
 
 
@@ -252,28 +250,6 @@ def parity_count(algebra: SuperAlgebra, module: SuperModule, degree: int) -> int
     return even_tuples * (module.dim - odd_values) + (tuples - even_tuples) * odd_values
 
 
-def parity_coordinates(f: Cochain) -> dict[int, Rat]:
-    """Coordinates of f over ``parity_offsets`` as {position: value}; inverse of ``cochain_from_coordinates``."""
-    offsets = parity_offsets(f.algebra, f.module, f.degree)
-    coords: dict[int, Rat] = {}
-    for off, v in f.data.items():
-        pos = bisect_left(offsets, off)
-        if pos == len(offsets) or offsets[pos] != off:
-            raise ValueError("cochain has a parity-violating entry")
-        coords[pos] = v
-    return coords
-
-
-def cochain_from_coordinates(
-    algebra: SuperAlgebra, module: SuperModule, degree: int, coords: Mapping[int, Rat]
-) -> Cochain:
-    """Cochain with the given {position: value} coordinates over the parity-offset enumeration."""
-    offsets = parity_offsets(algebra, module, degree)
-    if any(not 0 <= pos < len(offsets) for pos in coords):
-        raise ValueError("coordinate position out of range for the parity basis")
-    return Cochain(degree, algebra, module, {offsets[pos]: v for pos, v in coords.items()})
-
-
 def parity_basis(algebra: SuperAlgebra, module: SuperModule, degree: int) -> list[Cochain]:
     """Elementary parity-preserving cochains, one per parity-consistent entry."""
     return [Cochain(degree, algebra, module, {off: 1}) for off in parity_offsets(algebra, module, degree)]
@@ -321,53 +297,49 @@ def super_shuffle_sum(f: Cochain, p: int) -> Cochain:
 
 @lru_cache(maxsize=None)
 def harrison_space(algebra: SuperAlgebra, module: SuperModule, degree: int) -> SubspaceBasis:
-    """Canonical basis of the graded Harrison subspace, in parity-offset coordinates.
+    """Canonical basis of the graded Harrison subspace, over flat cochain offsets.
 
-    Coordinates index ``parity_offsets(algebra, module, degree)``.  For
-    degree <= 1 there are no shuffle conditions and the space is everything
-    parity-preserving.  Otherwise the stacked conditions su_{n,p} f = 0
-    (p = 1..n-1) decompose into independent blocks, one per (argument
-    multiset, module index) orbit, because a shuffle only permutes argument
-    slots.  A block's system depends only on its orbit pattern: the rank
-    tuple of the sorted arguments and the parity of each rank.  So one
-    kernel is solved per pattern, on the rank tuples themselves, and its
-    rows are copied to every block of that pattern by member index.  An
-    order-preserving relabelling keeps the members in lexicographic order,
-    so the copied rows are canonical too.  The result equals the kernel of
-    the literally stacked system since the reduced echelon basis of a
-    subspace is unique.
+    Each row is the ``data`` of a Harrison cochain.  The stacked conditions
+    su_{n,p} f = 0 (p = 1..n-1) decompose into independent blocks, one per
+    parity-consistent (argument multiset, module index) orbit, because a
+    shuffle only permutes argument slots.  A block's system depends only on
+    its orbit pattern: the rank tuple of the sorted arguments and the
+    parity of each rank.  So one kernel is solved per pattern, on the rank
+    tuples themselves, and its rows are copied to every block of that
+    pattern by member offset.  An order-preserving relabelling keeps the
+    members in lexicographic order, so the copied rows are canonical too.
+    The result equals the kernel of the literally stacked system since the
+    reduced echelon basis of a subspace is unique.  For degree <= 1 a block
+    has one member and no conditions, so the space is everything
+    parity-preserving.
     """
+    dim_m = module.dim
     a_par = algebra.parity
-    # The number of module indices l of each parity: the parity-consistent
-    # entries (t, l) of one tuple t, which are adjacent in the enumeration.
-    values = (module.parity.count(0), module.parity.count(1))
-    # Sorted arguments -> position of each member's first entry, members in
+    values = tuple(tuple(l for l in range(dim_m) if module.parity[l] == q) for q in (0, 1))
+    # Sorted arguments -> offset of each member's entry (t, 0), members in
     # lexicographic order.
     blocks: dict[tuple[int, ...], list[int]] = {}
-    ncols = 0
-    for t in iter_product(range(algebra.dim), repeat=degree):
-        count = values[sum(a_par[i] for i in t) % 2]
-        if count:
-            blocks.setdefault(tuple(sorted(t)), []).append(ncols)
-            ncols += count
-    if degree <= 1:
-        return SubspaceBasis(ncols, tuple({i: 1} for i in range(ncols)))
+    for idx, t in enumerate(iter_product(range(algebra.dim), repeat=degree)):
+        blocks.setdefault(tuple(sorted(t)), []).append(idx * dim_m)
 
     kernels: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[dict[int, Rat], ...]] = {}
     # The blocks have disjoint supports, so their rows sorted by pivot are
     # the canonical rows of the whole.
     rows: list[dict[int, Rat]] = []
     for args, members in blocks.items():
+        # One block per module index l of the arguments' parity.
+        ls = values[sum(a_par[i] for i in args) % 2]
+        if not ls:
+            continue
         distinct = sorted(set(args))
         rank = {x: r for r, x in enumerate(distinct)}
         key = (tuple(rank[x] for x in args), tuple(a_par[x] for x in distinct))
         if key not in kernels:
             kernels[key] = _pattern_kernel(*key)
-        # One block per parity-consistent module index, the k-th of each member's entries.
-        for k in range(values[sum(a_par[i] for i in args) % 2]):
-            rows.extend({members[c] + k: x for c, x in row.items()} for row in kernels[key])
+        for l in ls:
+            rows.extend({members[c] + l: x for c, x in row.items()} for row in kernels[key])
     rows.sort(key=min)
-    return SubspaceBasis(ncols, tuple(rows))
+    return SubspaceBasis(algebra.dim**degree * dim_m, tuple(rows))
 
 
 def _pattern_kernel(ranks: tuple[int, ...], parities: tuple[int, ...]) -> tuple[dict[int, Rat], ...]:
@@ -393,7 +365,7 @@ def _pattern_kernel(ranks: tuple[int, ...], parities: tuple[int, ...]) -> tuple[
 
 def harrison_basis(algebra: SuperAlgebra, module: SuperModule, degree: int) -> list[Cochain]:
     """The graded Harrison subspace as explicit cochains."""
-    return [cochain_from_coordinates(algebra, module, degree, row) for row in harrison_space(algebra, module, degree).rows]
+    return [Cochain(degree, algebra, module, row) for row in harrison_space(algebra, module, degree).rows]
 
 
 def coboundary_scatter(

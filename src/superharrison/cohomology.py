@@ -1,13 +1,18 @@
 """Cohomology of the full Hochschild complex and of its graded Harrison subcomplex.
 
+Both complexes live in one cochain space, written over flat offsets.
 Matrices are taken with respect to deterministic bases: the full complex
 uses the elementary cochains in flat enumeration order, and the Harrison
-subcomplex uses the canonical echelon basis from ``harrison_space``.  Each
-column is the sparse coboundary (``coboundary_scatter``) of one basis
-element; no dense cochain is built.  Every Harrison coboundary column is
-checked to land inside the degree-(n+1) Harrison space; a failure would
-mean the shuffle conditions are not closed under the coboundary and is
-raised as ``ShuffleClosureError`` instead of being silently projected away.
+subcomplex uses the canonical echelon basis from ``harrison_space``, whose
+rows are cochains' ``data``.  Each column is the sparse coboundary
+(``coboundary_scatter``) of one basis element; no dense cochain is built.
+A Harrison column is expanded in the degree-(n+1) Harrison basis by
+``SubspaceBasis.sparse_coordinates``, which also checks that it lies in
+that space; a failure would mean the shuffle conditions are not closed
+under the coboundary and is raised as ``ShuffleClosureError``, naming the
+basis row, the first offending entry and, for a shuffle failure, the p of
+the first su_{n+1,p} that does not vanish, instead of being silently
+projected away.
 
 Cocycle representatives returned by ``cohomology`` are reduced against the
 coboundary subspace, so they are canonical for the given bases and the same
@@ -23,10 +28,10 @@ from .algebras import SuperAlgebra, SuperModule
 from .cochains import (
     Cochain,
     coboundary_scatter,
-    cochain_from_coordinates,
+    decode,
     harrison_space,
     parity_count,
-    parity_offsets,
+    super_shuffle_sum,
 )
 from .linalg import (
     Rat,
@@ -106,21 +111,36 @@ def _coboundary_matrix_cached(
         ]
         return RationalMatrix.from_columns(columns, rows=_dimension(algebra, module, degree + 1, kind))
 
-    domain = parity_offsets(algebra, module, degree)
-    position = {off: pos for pos, off in enumerate(parity_offsets(algebra, module, degree + 1))}
     codomain = harrison_space(algebra, module, degree + 1)
     columns = []
-    for row in harrison_space(algebra, module, degree).rows:
-        coords = {}
-        for off, x in coboundary_scatter(algebra, module, degree, {domain[pos]: x for pos, x in row.items()}).items():
-            if off not in position:
-                raise ShuffleClosureError("coboundary of a Harrison element has a parity-violating entry")
-            coords[position[off]] = x
-        expansion = codomain.sparse_coordinates(coords)
+    for index, row in enumerate(harrison_space(algebra, module, degree).rows):
+        image = coboundary_scatter(algebra, module, degree, row)
+        expansion = codomain.sparse_coordinates(image)
         if expansion is None:
-            raise ShuffleClosureError("coboundary of a Harrison element fails a shuffle condition")
+            raise _closure_error(Cochain(degree + 1, algebra, module, image), index)
         columns.append(expansion)
     return RationalMatrix.from_columns(columns, rows=codomain.dim)
+
+
+def _entry_name(f: Cochain, t: tuple[int, ...], l: int) -> str:
+    """Entry (t, l) of a cochain over f's algebra and module, with the basis names of its arguments and value."""
+    args = ", ".join(f.algebra.basis_names[i] for i in t)
+    return f"entry (t, l) = ({t}, {l}), that is ({args}) -> {f.module.basis_names[l]}"
+
+
+def _closure_error(df: Cochain, index: int) -> ShuffleClosureError:
+    """Why df, the coboundary of Harrison basis row ``index``, left the Harrison space."""
+    prefix = f"coboundary of Harrison basis row {index} in degree {df.degree - 1}"
+    a_par, m_par = df.algebra.parity, df.module.parity
+    for t, l, _ in df.iter_nonzero():
+        if sum(a_par[i] for i in t) % 2 != m_par[l]:
+            return ShuffleClosureError(f"{prefix} has a parity-violating {_entry_name(df, t, l)}")
+    for p in range(1, df.degree):
+        for t, l, _ in super_shuffle_sum(df, p).iter_nonzero():
+            return ShuffleClosureError(
+                f"{prefix} fails a shuffle condition: su_{{{df.degree},{p}}} is nonzero at {_entry_name(df, t, l)}"
+            )
+    return ShuffleClosureError(f"{prefix} fails a shuffle condition")
 
 
 def coboundary_matrix(
@@ -187,16 +207,18 @@ def cohomology(
         coboundaries = image_basis(incoming)
     reps = quotient_representatives(cocycles, coboundaries)
 
-    if kind is ComplexKind.HOCHSCHILD:
-        representatives = tuple(Cochain(degree, algebra, module, row) for row in reps.rows)
-    else:
-        space = harrison_space(algebra, module, degree)
-        representatives = tuple(
-            cochain_from_coordinates(algebra, module, degree, space.combination(row)) for row in reps.rows
-        )
-    for rep in representatives:
-        if coboundary_scatter(algebra, module, degree, rep.data):
-            raise AssertionError("representative is not a cocycle")
+    space = None if kind is ComplexKind.HOCHSCHILD else harrison_space(algebra, module, degree)
+    representatives = tuple(
+        Cochain(degree, algebra, module, row if space is None else space.combination(row)) for row in reps.rows
+    )
+    for index, rep in enumerate(representatives):
+        image = coboundary_scatter(algebra, module, degree, rep.data)
+        if image:
+            t, l = decode(min(image), degree + 1, algebra.dim, module.dim)
+            raise AssertionError(
+                f"{kind.value} representative {index} in degree {degree} is not a cocycle: "
+                f"its coboundary is nonzero at {_entry_name(rep, t, l)}"
+            )
     return CohomologyResult(
         kind=kind,
         degree=degree,
@@ -223,32 +245,24 @@ def derivation_space(algebra: SuperAlgebra, module: SuperModule) -> SubspaceBasi
         if algebra.parity[i] == module.parity[l]
     ]
     col = {pair: idx for idx, pair in enumerate(unknowns)}
-    rows: list[list[Rat]] = []
-    c = algebra.structure
-    action = module.action
+    products = algebra.products
+    action = module.action_sparse
     a_par = algebra.parity
     m_par = module.parity
+    rows: list[dict[int, Rat]] = []
     for i in range(algebra.dim):
         for j in range(algebra.dim):
-            for l2 in range(module.dim):
-                row: list[Rat] = [0] * len(unknowns)
-
-                # f(e_i e_j) component on m_{l2}
-                for k in range(algebra.dim):
-                    if c[i][j][k] and (k, l2) in col:
-                        row[col[(k, l2)]] += c[i][j][k]
-
-                # minus e_i * f(e_j)
-                for l in range(module.dim):
-                    if (j, l) in col and action[i][l][l2]:
-                        row[col[(j, l)]] -= action[i][l][l2]
-
-                # minus f(e_i) * e_j  (Koszul right action)
-                for l in range(module.dim):
-                    if (i, l) in col and action[j][l][l2]:
-                        sign = -1 if a_par[j] and m_par[l] else 1
-                        row[col[(i, l)]] -= sign * action[j][l][l2]
-
-                if any(row):
-                    rows.append(row)
+            # (l2, unknown, coefficient) of f(e_i e_j) - e_i f(e_j) - f(e_i) e_j
+            # on m_{l2}; the last term takes the Koszul right action.
+            terms = [(l2, (k, l2), c) for k, c in products[i][j] for l2 in range(module.dim)]
+            for l in range(module.dim):
+                terms.extend((l2, (j, l), -c) for l2, c in action[i][l])
+                sign = -1 if a_par[j] and m_par[l] else 1
+                terms.extend((l2, (i, l), -sign * c) for l2, c in action[j][l])
+            equations: list[dict[int, Rat]] = [{} for _ in range(module.dim)]
+            for l2, pair, c in terms:
+                if pair in col:
+                    row = equations[l2]
+                    row[col[pair]] = row.get(col[pair], 0) + c
+            rows.extend(row for row in equations if any(row.values()))
     return kernel_basis(RationalMatrix.from_rows(rows, cols=len(unknowns)))

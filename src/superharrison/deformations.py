@@ -40,13 +40,11 @@ from .algebras import (
 )
 from .cochains import (
     Cochain,
-    cochain_from_coordinates,
     harrison_space,
     hochschild_coboundary,
     is_graded_symmetric,
     parity_basis,
-    parity_coordinates,
-    parity_count,
+    parity_offsets,
 )
 from .cohomology import (
     DEFAULT_LIMITS,
@@ -213,11 +211,11 @@ def random_parity_cochain(
     density: float = 0.6,
 ) -> Cochain:
     """A random rational combination of the parity basis."""
-    coords: dict[int, Rat] = {}
-    for pos in range(parity_count(algebra, module, degree)):
+    data: dict[int, Rat] = {}
+    for off in parity_offsets(algebra, module, degree):
         if rng.random() < density:
-            coords[pos] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-    return cochain_from_coordinates(algebra, module, degree, coords)
+            data[off] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    return Cochain(degree, algebra, module, data)
 
 
 def _sweep(
@@ -358,13 +356,13 @@ def extension_equivalence(
 
     matrix = coboundary_matrix(algebra, module, 1, ComplexKind.SUPER_HARRISON)
     diff = psi1 - psi2
-    rhs = harrison_space(algebra, module, 2).sparse_coordinates(parity_coordinates(diff))
+    rhs = harrison_space(algebra, module, 2).sparse_coordinates(diff.data)
     if rhs is None:
         raise AssertionError("difference of cocycles escaped the Harrison space")
     solution = solve(matrix, rhs)
     if solution is None:
         return None
-    g = cochain_from_coordinates(algebra, module, 1, dict(enumerate(solution)))
+    g = Cochain(1, algebra, module, harrison_space(algebra, module, 1).combination(solution))
     if hochschild_coboundary(g) != diff:
         raise AssertionError("solver returned g with dg != psi1 - psi2")
     return g

@@ -335,8 +335,8 @@ def image_basis(matrix: RationalMatrix) -> SubspaceBasis:
     return SubspaceBasis(matrix.rows, tuple(_rref(_transpose(matrix.data, matrix.cols))))
 
 
-def solve(matrix: RationalMatrix, rhs: Vector) -> Optional[tuple[Rat, ...]]:
-    """One solution of ``matrix @ x = rhs`` (free variables set to 0), or None."""
+def solve(matrix: RationalMatrix, rhs: Vector) -> Optional[dict[int, Rat]]:
+    """One solution of ``matrix @ x = rhs`` as {column: nonzero value} (free variables 0), or None."""
     b = _sparse(rhs, matrix.rows)
     n = matrix.cols
     augmented = ({**row, n: b[i]} if i in b else row for i, row in enumerate(matrix.data))
@@ -347,7 +347,7 @@ def solve(matrix: RationalMatrix, rhs: Vector) -> Optional[tuple[Rat, ...]]:
             return None
         if n in row:
             x[p] = row[n]
-    return _dense(x, n)
+    return x
 
 
 def quotient_representatives(space: SubspaceBasis, subspace: SubspaceBasis) -> SubspaceBasis:

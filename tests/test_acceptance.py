@@ -21,7 +21,6 @@ from superharrison.cochains import (
     harrison_space,
     hochschild_coboundary,
     parity_basis,
-    parity_coordinates,
     super_shuffle_sum,
     zero_cochain,
 )
@@ -200,7 +199,7 @@ def test_second_cohomology_matches_deformation_oracles():
     # The image of the restricted matrix lives in canonical-basis
     # coordinates of the degree-2 shuffle-closed space.
     space = harrison_space(nil, nil_module, 2)
-    square_coords = space.coordinates(parity_coordinates(square))
+    square_coords = space.coordinates(square.data)
     assert square_coords is not None
     boundaries = image_basis(coboundary_matrix(nil, nil_module, 1, HARR))
     assert not boundaries.contains(square_coords)

@@ -26,7 +26,6 @@ from superharrison.cochains import (
     Cochain,
     _signed_shuffles,
     cochain_apply,
-    cochain_from_coordinates,
     cochain_from_entries,
     decode,
     elementary_cochain,
@@ -36,7 +35,6 @@ from superharrison.cochains import (
     hochschild_coboundary,
     is_graded_symmetric,
     parity_basis,
-    parity_coordinates,
     parity_count,
     parity_offsets,
     super_shuffle_sum,
@@ -246,24 +244,6 @@ class TestCochainIndex:
             )
             assert [decode(flat, degree, dim_a, dim_m) for flat in range(len(entries))] == entries
 
-    def test_parity_coordinates_invert_cochain_from_coordinates(
-        self, corpus_algebra
-    ):
-        rng = random.Random(3)
-        mod = self_module(corpus_algebra)
-        for degree in range(4):
-            f = random_parity_combo(corpus_algebra, degree, rng)
-            coords = parity_coordinates(f)
-            assert cochain_from_coordinates(corpus_algebra, mod, degree, coords) == f
-            offsets = parity_offsets(corpus_algebra, mod, degree)
-            assert {offsets[pos]: x for pos, x in coords.items()} == f.data
-
-    def test_parity_coordinates_reject_parity_violating_entries(self):
-        alg = exterior_algebra(1)
-        skew = elementary_cochain(alg, self_module(alg), 1, (1,), 0)
-        with pytest.raises(ValueError, match="parity"):
-            parity_coordinates(skew)
-
     def test_shuffle_action_sums_to_the_shuffle_sum(self, corpus_algebra):
         rng = random.Random(5)
         mod = self_module(corpus_algebra)
@@ -336,6 +316,14 @@ class TestHarrisonSpace:
                 parity_basis(corpus_algebra, mod, degree)
             )
 
+    def test_rows_are_cochains_over_flat_offsets(self, corpus_algebra):
+        mod = self_module(corpus_algebra)
+        for degree in range(4):
+            space = harrison_space(corpus_algebra, mod, degree)
+            assert space.ambient_dim == corpus_algebra.dim**degree * mod.dim
+            for row in space.rows:
+                assert Cochain(degree, corpus_algebra, mod, row).parity_preserving
+
     def test_degree_two_dimension_matches_symmetry_count(
         self, corpus_algebra
     ):
@@ -388,8 +376,13 @@ class TestHarrisonSpace:
             stacked = RationalMatrix.from_columns(
                 columns, len(offsets) * (degree - 1)
             )
+            # The kernel is over parity positions; map each to its offset.
+            kernel = SubspaceBasis(
+                alg.dim**degree * mod.dim,
+                tuple({offsets[pos]: x for pos, x in row.items()} for row in kernel_basis(stacked).rows),
+            )
             assert (
-                kernel_basis(stacked).vectors
+                kernel.vectors
                 == harrison_space(alg, mod, degree).vectors
             )
 
@@ -418,7 +411,12 @@ class TestHarrisonSpace:
                     column[(p - 1) * len(offsets) + position[off]] = x
             columns.append(column)
         stacked = RationalMatrix.from_columns(columns, rows=len(offsets) * (degree - 1))
-        assert harrison_space(alg, mod, degree) == kernel_basis(stacked)
+        # The kernel is over parity positions; map each to its offset.
+        kernel = SubspaceBasis(
+            dim**degree * len(m_par),
+            tuple({offsets[pos]: x for pos, x in row.items()} for row in kernel_basis(stacked).rows),
+        )
+        assert harrison_space(alg, mod, degree) == kernel
 
     def test_coordinates_round_trip(self):
         alg = truncated_polynomial(2)
@@ -426,9 +424,9 @@ class TestHarrisonSpace:
         space = harrison_space(alg, mod, 2)
         basis = harrison_basis(alg, mod, 2)
         for row, f in zip(space.rows, basis):
-            rebuilt = cochain_from_coordinates(alg, mod, 2, row)
+            rebuilt = Cochain(2, alg, mod, row)
             assert rebuilt == f
-            assert parity_coordinates(f) == row
+            assert f.data == row
 
 
 class TestCoboundary:
@@ -590,19 +588,6 @@ class TestAgainstDenseReference:
         p = data.draw(st.integers(1, degree - 1))
         f = self.build(algebra, module, degree, keys, a)
         self.check(super_shuffle_sum(f, p), keys, dense_shuffle_sum(algebra, keys, a, p))
-
-    @given(dense_cases())
-    @settings(max_examples=120, deadline=None)
-    def test_parity_coordinates(self, case):
-        algebra, module, degree, keys, a, _ = case
-        f = self.build(algebra, module, degree, keys, a)
-        consistent = [k for k in keys if parity_consistent(algebra, module, *k)]
-        value = dict(zip(keys, a))
-        if any(x for k, x in value.items() if not parity_consistent(algebra, module, *k)):
-            with pytest.raises(ValueError, match="parity"):
-                parity_coordinates(f)
-        else:
-            assert parity_coordinates(f) == {pos: value[k] for pos, k in enumerate(consistent) if value[k]}
 
     @given(dense_cases())
     @settings(max_examples=60, deadline=None)

@@ -2,23 +2,27 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from conftest import BAD_FILES
+from hypothesis import given, settings
+from test_algebras import perturbed_modules
 
 from superharrison.algebras import (
+    SuperAlgebra,
     exterior_algebra,
     ground_field,
     self_module,
 )
 from superharrison.cochains import (
-    cochain_from_coordinates,
+    Cochain,
     cochain_from_entries,
     elementary_cochain,
     harrison_basis,
     harrison_space,
     hochschild_coboundary,
     is_graded_symmetric,
-    parity_coordinates,
     parity_count,
     parity_offsets,
 )
@@ -33,6 +37,7 @@ from superharrison.cohomology import (
 )
 from superharrison.serialize import algebra_from_dict
 from superharrison.linalg import (
+    RationalMatrix,
     SubspaceBasis,
     image_basis,
     kernel_basis,
@@ -120,10 +125,10 @@ class TestCoboundaryMatrices:
         codomain = harrison_space(alg, mod, 3)
         assert matrix.rows == codomain.dim
         for col, row in enumerate(domain.rows):
-            f = cochain_from_coordinates(alg, mod, 2, row)
+            f = Cochain(2, alg, mod, row)
             expanded = hochschild_coboundary(f)
             column = tuple(matrix.entries[r][col] for r in range(matrix.rows))
-            assert codomain.coordinates(parity_coordinates(expanded)) == column
+            assert codomain.coordinates(expanded.data) == column
 
     @pytest.mark.parametrize(
         "name, failure",
@@ -131,10 +136,19 @@ class TestCoboundaryMatrices:
     )
     def test_harrison_columns_are_checked_for_closure(self, name, failure):
         # Over a broken algebra d leaves the Harrison space; the column
-        # assembly says how instead of projecting the column back.
+        # assembly says how instead of projecting the column back, naming
+        # the basis row, the first offending entry and the failing p.
+        cause = {
+            # f(1) = x gives df(1, x) = f(1) x = x x = y, odd on even arguments.
+            "parity.json": "row 1 in degree 1 has a parity-violating entry (t, l) = ((0, 1), 2), that is (1, x) -> y",
+            # f(1) = 1 gives df(t, t) = -f(t t) = -1, and su_{2,1} doubles it.
+            "clifford.json": "row 0 in degree 1 fails a shuffle condition: "
+            "su_{2,1} is nonzero at entry (t, l) = ((1, 1), 0), that is (t, t) -> 1",
+        }[name]
         alg = algebra_from_dict(BAD_FILES[name])
-        with pytest.raises(ShuffleClosureError, match=failure):
+        with pytest.raises(ShuffleClosureError, match=failure) as info:
             coboundary_matrix(alg, self_module(alg), 1, HARR)
+        assert cause in str(info.value)
 
     def test_cochain_basis_counts(self):
         alg = exterior_algebra(2)
@@ -202,15 +216,56 @@ class TestDimensions:
         sym_cocycles = kernel_basis(
             coboundary_matrix(corpus_algebra, mod, 1, HARR)
         )
-        # At degree 1 the symmetric space is the whole parity space, so
-        # kernel coordinates are already parity-offset coordinates.
+        # Kernel coordinates index the degree-1 Harrison basis.
+        space = harrison_space(corpus_algebra, mod, 1)
         for row in sym_cocycles.rows:
-            f = cochain_from_coordinates(corpus_algebra, mod, 1, row)
+            f = Cochain(1, corpus_algebra, mod, space.combination(row))
             assert full.contains(f.data)
         assert sym.dim_cocycles <= full.dim
 
 
+def dense_derivation_space(algebra, module):
+    """The Leibniz system with one dense row per (i, j, l2), as ``derivation_space`` built it before."""
+    unknowns = [
+        (i, l)
+        for i in range(algebra.dim)
+        for l in range(module.dim)
+        if algebra.parity[i] == module.parity[l]
+    ]
+    col = {pair: idx for idx, pair in enumerate(unknowns)}
+    rows = []
+    c = algebra.structure
+    action = module.action
+    for i in range(algebra.dim):
+        for j in range(algebra.dim):
+            for l2 in range(module.dim):
+                row = [0] * len(unknowns)
+                for k in range(algebra.dim):
+                    if c[i][j][k] and (k, l2) in col:
+                        row[col[(k, l2)]] += c[i][j][k]
+                for l in range(module.dim):
+                    if (j, l) in col and action[i][l][l2]:
+                        row[col[(j, l)]] -= action[i][l][l2]
+                for l in range(module.dim):
+                    if (i, l) in col and action[j][l][l2]:
+                        sign = -1 if algebra.parity[j] and module.parity[l] else 1
+                        row[col[(i, l)]] -= sign * action[j][l][l2]
+                if any(row):
+                    rows.append(row)
+    return kernel_basis(RationalMatrix.from_rows(rows, cols=len(unknowns)))
+
+
 class TestDerivations:
+    def test_sparse_system_matches_the_dense_reference(self, corpus_algebra):
+        mod = self_module(corpus_algebra)
+        assert derivation_space(corpus_algebra, mod) == dense_derivation_space(corpus_algebra, mod)
+
+    @given(perturbed_modules())
+    @settings(max_examples=150, deadline=None)
+    def test_perturbed_algebras_and_modules_match_the_dense_reference(self, module):
+        # Broken laws and module dimensions other than dim A included.
+        assert derivation_space(module.algebra, module) == dense_derivation_space(module.algebra, module)
+
     def test_degree_one_cocycles_are_exactly_the_derivations(
         self, corpus_algebra
     ):
@@ -260,7 +315,7 @@ class TestRepresentatives:
                 for rep in res.representatives:
                     if kind is HARR:
                         space = harrison_space(corpus_algebra, mod, degree)
-                        coords = space.coordinates(parity_coordinates(rep))
+                        coords = space.coordinates(rep.data)
                         assert coords is not None
                         rep_coords.append(coords)
                     else:
@@ -270,6 +325,22 @@ class TestRepresentatives:
                     boundaries.ambient_dim,
                 )
                 assert joined.dim == boundaries.dim + len(rep_coords)
+
+    @pytest.mark.parametrize("kind", [HOCH, HARR])
+    def test_a_representative_that_is_no_cocycle_is_named(self, kind, monkeypatch):
+        # Hand back every basis cochain as a representative; the first,
+        # f(1) = 1, has df(1, 1) = 1 - 1 + 1 = 1.
+        def every_basis_cochain(space, subspace):
+            return SubspaceBasis(space.ambient_dim, tuple({i: 1} for i in range(space.ambient_dim)))
+
+        monkeypatch.setattr(sys.modules["superharrison.cohomology"], "quotient_representatives", every_basis_cochain)
+        alg = exterior_algebra(1)
+        with pytest.raises(AssertionError) as info:
+            cohomology(alg, self_module(alg), 1, kind)
+        assert str(info.value) == (
+            f"{kind.value} representative 0 in degree 1 is not a cocycle: "
+            "its coboundary is nonzero at entry (t, l) = ((0, 0), 0), that is (1, 1) -> 1"
+        )
 
     def test_euler_class_generates_first_cohomology_of_the_line(self):
         alg = exterior_algebra(1)
@@ -325,6 +396,16 @@ class TestResourceLimits:
         alg = exterior_algebra(1)
         with pytest.raises(ResourceCeilingError, match="ceiling"):
             cohomology(alg, self_module(alg), 8, HARR)
+
+    def test_harrison_cohomology_builds_no_parity_table(self):
+        # exterior(2) under basis names of its own: no cache holds it yet.
+        ext = exterior_algebra(2)
+        alg = SuperAlgebra(ext.dim, ("u", "a", "b", "ab"), ext.parity, ext.structure, unit_index=0)
+        mod = self_module(alg)
+        before = parity_offsets.cache_info().misses
+        for degree in (1, 2, 3):
+            cohomology(alg, mod, degree, HARR)
+        assert parity_offsets.cache_info().misses == before
 
     def test_oversized_harrison_request_builds_no_parity_table(self):
         alg = exterior_algebra(6)
