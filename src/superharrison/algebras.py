@@ -1,26 +1,30 @@
 """Finite-dimensional supercommutative superalgebras and their supermodules.
 
-An algebra is a dense structure tensor ``c[i][j][k]`` over a chosen basis,
-with a Z_2 parity per basis element.  Constructors only enforce shapes;
-algebraic laws (supercommutativity b*a = (-1)^{|a||b|} a*b, associativity,
-parity compatibility, unit laws) are checked by the validators, which return
-a full list of violated identities with witnesses instead of raising.  That
-split is deliberate: the deformation layer needs to build broken algebras on
-purpose and see exactly which law fails where.
+An algebra is stored as its nonzero structure constants over a chosen
+basis, with a Z_2 parity per basis element: ``products[i][j]`` lists the
+(k, c) with c != 0 the coefficient of e_k in e_i e_j, k ascending.  A
+module stores its left action the same way, as ``action_sparse``; a
+self-module shares the algebra's table.  Memory and construction time
+follow the number of nonzero products, not dim^3.  The dense tensors
+``structure`` and ``action`` are read-only views, built from the tables on
+first read; nothing in the package reads them.  The dense constructor
+arguments are still accepted: they are normalised once and handed to the
+same sparse constructor that the builders call.
 
-Alongside the dense tensor each algebra and module keeps a sparse table of
-its nonzero (index, coefficient) pairs per row, built once; a self-module
-shares the algebra's.  The validators read the sparse tables: one checker
-scatters (e_i e_j)x_k and e_i(e_j x_k) from nonzero products only, and
-serves both associativity and the module law, and the other laws compare
-sparse rows, walking a row densely only where it differs.  Their cost
-follows the number of nonzero products, not dim^3.  Algebras and modules
-are hashed once, since ``lru_cache`` keys on them would otherwise rehash
-the whole tensor per lookup.
+Constructors only enforce shapes and exact coefficients; algebraic laws
+(supercommutativity b*a = (-1)^{|a||b|} a*b, associativity, parity
+compatibility, unit laws) are checked by the validators, which return a
+full list of violated identities with witnesses instead of raising.  That
+split is deliberate: the deformation layer needs to build broken algebras
+on purpose and see exactly which law fails where.  One checker scatters
+(e_i e_j)x_k and e_i(e_j x_k) from nonzero products only, and serves both
+associativity and the module law; the other laws compare sparse rows.
+Algebras and modules are hashed once, since ``lru_cache`` keys on them
+would otherwise rehash the whole table per lookup.
 
-A supermodule stores a left action tensor.  The right action is never stored:
-it is induced from the left one on homogeneous components by the Koszul rule
-m*a = (-1)^{|a||m|} a*m, which is the convention used by the coboundary.
+The right action is never stored: it is induced from the left one on
+homogeneous components by the Koszul rule m*a = (-1)^{|a||m|} a*m, which
+is the convention used by the coboundary.
 
 ``DualNumber`` implements rationals adjoined an infinitesimal t with t^2 = 0,
 used to check first-order deformations by direct arithmetic.
@@ -29,7 +33,7 @@ used to check first-order deformations by direct arithmetic.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .linalg import Rat, as_rational
 from .records import HashOnceRecord, Record, set_field
@@ -53,7 +57,8 @@ __all__ = [
 ]
 
 StructureTensor = tuple[tuple[tuple[Rat, ...], ...], ...]
-SparseTable = tuple[tuple[tuple[tuple[int, Rat], ...], ...], ...]
+SparseRow = tuple[tuple[int, Rat], ...]
+SparseTable = tuple[tuple[SparseRow, ...], ...]
 
 _INT_ONLY = {int}
 
@@ -86,6 +91,50 @@ def _sparse_table(tensor: StructureTensor) -> SparseTable:
     )
 
 
+def _table_from_cells(cells: Mapping[tuple[int, int], Mapping[int, Rat]], d0: int, d1: int) -> SparseTable:
+    """The sparse table of d0 slices of d1 rows holding the sums cells[(i, j)][k]; zero sums are dropped."""
+    return tuple(
+        tuple(
+            tuple((k, as_rational(c)) for k, c in sorted(cells[i, j].items()) if c) if (i, j) in cells else ()
+            for j in range(d1)
+        )
+        for i in range(d0)
+    )
+
+
+def _dense_tensor(table: SparseTable, width: int) -> StructureTensor:
+    """The dense tensor of ``table``, with rows of ``width`` coefficients."""
+    out = []
+    for plane in table:
+        rows = []
+        for row in plane:
+            values: list[Rat] = [0] * width
+            for k, c in row:
+                values[k] = c
+            rows.append(tuple(values))
+        out.append(tuple(rows))
+    return tuple(out)
+
+
+def _check_table(table: SparseTable, d0: int, d1: int, d2: int) -> None:
+    """``table`` has d0 slices of d1 rows; a row lists ascending k < d2 with nonzero normalised exact values."""
+    if len(table) != d0:
+        raise ValueError(f"table has {len(table)} slices, expected {d0}")
+    for plane in table:
+        if len(plane) != d1:
+            raise ValueError(f"table slice has {len(plane)} rows, expected {d1}")
+        for row in plane:
+            last = -1
+            for k, c in row:
+                if not last < k < d2:
+                    raise ValueError(f"table row index {k} after {last} is out of order or not below {d2}")
+                # as_rational refuses floats and returns an exact scalar unchanged
+                # unless it is an integral Fraction, which must be stored as an int.
+                if not c or as_rational(c) is not c:
+                    raise ValueError(f"table coefficient {c!r} at index {k} is not a nonzero normalised exact scalar")
+                last = k
+
+
 def _check_parity(parity: Sequence[int], dim: int) -> tuple[int, ...]:
     if len(parity) != dim:
         raise ValueError(f"parity vector length {len(parity)} does not match dim {dim}")
@@ -95,12 +144,12 @@ def _check_parity(parity: Sequence[int], dim: int) -> tuple[int, ...]:
 
 
 class SuperAlgebra(HashOnceRecord):
-    """Structure constants of a superalgebra: e_i e_j = sum_k c[i][j][k] e_k."""
+    """Structure constants of a superalgebra: e_i e_j = sum_k c e_k over products[i][j] = ((k, c), ...)."""
 
     dim: int
     basis_names: tuple[str, ...]
     parity: tuple[int, ...]
-    structure: StructureTensor
+    products: SparseTable
     unit_index: Optional[int]
 
     def __init__(
@@ -111,47 +160,72 @@ class SuperAlgebra(HashOnceRecord):
         structure: Sequence[Sequence[Sequence[Rat]]],
         unit_index: Optional[int] = None,
     ) -> None:
+        """From a dense tensor: structure[i][j][k] is the coefficient of e_k in e_i e_j."""
+        self._store(dim, basis_names, parity, _sparse_table(_freeze_tensor(structure, dim, dim, dim)), unit_index)
+
+    @classmethod
+    def _from_products(
+        cls,
+        dim: int,
+        basis_names: tuple[str, ...],
+        parity: Sequence[int],
+        products: SparseTable,
+        unit_index: Optional[int] = None,
+    ) -> "SuperAlgebra":
+        """The sparse constructor: ``products`` is checked and stored as it is."""
+        algebra = object.__new__(cls)
+        algebra._store(dim, basis_names, parity, products, unit_index)
+        return algebra
+
+    def _store(
+        self,
+        dim: int,
+        basis_names: tuple[str, ...],
+        parity: Sequence[int],
+        products: SparseTable,
+        unit_index: Optional[int],
+    ) -> None:
         if dim < 1:
             raise ValueError("dim must be at least 1")
         if len(basis_names) != dim:
             raise ValueError("basis_names length does not match dim")
         parity = _check_parity(parity, dim)
-        structure = _freeze_tensor(structure, dim, dim, dim)
+        _check_table(products, dim, dim, dim)
         if unit_index is not None and not 0 <= unit_index < dim:
             raise ValueError(f"unit index {unit_index} out of range")
         set_field(self, "dim", dim)
         set_field(self, "basis_names", basis_names)
         set_field(self, "parity", parity)
-        set_field(self, "structure", structure)
+        set_field(self, "products", products)
         set_field(self, "unit_index", unit_index)
 
     @cached_property
-    def products(self) -> SparseTable:
-        """Sparse view of the structure tensor: products[i][j] = ((k, c), ...)."""
-        return _sparse_table(self.structure)
+    def structure(self) -> StructureTensor:
+        """Read-only dense view of ``products``: structure[i][j][k], built on first read."""
+        return _dense_tensor(self.products, self.dim)
 
     @cached_property
     def pairs_producing(self) -> tuple[tuple[tuple[int, int, Rat], ...], ...]:
         """pairs_producing[k] = all (i, j, c) with e_i e_j having coefficient c on e_k."""
         out: list[list[tuple[int, int, Rat]]] = [[] for _ in range(self.dim)]
-        for i, plane in enumerate(self.structure):
+        for i, plane in enumerate(self.products):
             for j, row in enumerate(plane):
-                for k, c in enumerate(row):
-                    if c:
-                        out[k].append((i, j, c))
+                for k, c in row:
+                    out[k].append((i, j, c))
         return tuple(tuple(entries) for entries in out)
 
 
 class SuperModule(HashOnceRecord):
-    """A supermodule over ``algebra`` given by a left action tensor.
+    """A supermodule over ``algebra`` given by its left action.
 
-    action[i][k][l] is the coefficient of m_l in e_i * m_k.
+    action_sparse[i][k] = ((l, c), ...) lists the nonzero coefficients c of
+    m_l in e_i * m_k.
     """
 
     algebra: SuperAlgebra
     dim: int
     parity: tuple[int, ...]
-    action: StructureTensor
+    action_sparse: SparseTable
     basis_names: tuple[str, ...]
 
     def __init__(
@@ -162,12 +236,37 @@ class SuperModule(HashOnceRecord):
         action: Sequence[Sequence[Sequence[Rat]]],
         basis_names: tuple[str, ...] = (),
     ) -> None:
+        """From a dense tensor: action[i][k][l] is the coefficient of m_l in e_i * m_k."""
+        self._store(algebra, dim, parity, _sparse_table(_freeze_tensor(action, algebra.dim, dim, dim)), basis_names)
+
+    @classmethod
+    def _from_table(
+        cls,
+        algebra: SuperAlgebra,
+        dim: int,
+        parity: Sequence[int],
+        action_sparse: SparseTable,
+        basis_names: tuple[str, ...] = (),
+    ) -> "SuperModule":
+        """The sparse constructor: ``action_sparse`` is checked and stored as it is."""
+        module = object.__new__(cls)
+        module._store(algebra, dim, parity, action_sparse, basis_names)
+        return module
+
+    def _store(
+        self,
+        algebra: SuperAlgebra,
+        dim: int,
+        parity: Sequence[int],
+        action_sparse: SparseTable,
+        basis_names: tuple[str, ...],
+    ) -> None:
         if dim < 1:
             raise ValueError("dim must be at least 1")
         parity = _check_parity(parity, dim)
-        # The algebra's own frozen tensor needs no second pass.
-        if not (action is algebra.structure and dim == algebra.dim):
-            action = _freeze_tensor(action, algebra.dim, dim, dim)
+        # The algebra's own table was checked when the algebra was built.
+        if not (action_sparse is algebra.products and dim == algebra.dim):
+            _check_table(action_sparse, algebra.dim, dim, dim)
         if not basis_names:
             basis_names = tuple(f"m{k}" for k in range(dim))
         if len(basis_names) != dim:
@@ -175,26 +274,18 @@ class SuperModule(HashOnceRecord):
         set_field(self, "algebra", algebra)
         set_field(self, "dim", dim)
         set_field(self, "parity", parity)
-        set_field(self, "action", action)
+        set_field(self, "action_sparse", action_sparse)
         set_field(self, "basis_names", basis_names)
 
     @cached_property
-    def action_sparse(self) -> SparseTable:
-        """action_sparse[i][k] = ((l, c), ...) for e_i * m_k."""
-        if self.action is self.algebra.structure:
-            return self.algebra.products
-        return _sparse_table(self.action)
+    def action(self) -> StructureTensor:
+        """Read-only dense view of ``action_sparse``: action[i][k][l], built on first read."""
+        return _dense_tensor(self.action_sparse, self.dim)
 
 
 def self_module(algebra: SuperAlgebra) -> SuperModule:
-    """The algebra acting on itself by left multiplication."""
-    return SuperModule(
-        algebra=algebra,
-        dim=algebra.dim,
-        parity=algebra.parity,
-        action=algebra.structure,
-        basis_names=algebra.basis_names,
-    )
+    """The algebra acting on itself by left multiplication; it shares the algebra's table."""
+    return SuperModule._from_table(algebra, algebra.dim, algebra.parity, algebra.products, algebra.basis_names)
 
 
 def multiply(algebra: SuperAlgebra, x: Sequence[Rat], y: Sequence[Rat]) -> tuple[Rat, ...]:
@@ -363,12 +454,11 @@ def validate_superalgebra(algebra: SuperAlgebra) -> ValidationReport:
 
     Every violated identity is reported, in lexicographic witness order per law.
     Parity and associativity are the module laws of A acting on itself.
-    Each law compares sparse rows, and walks a row densely only where it
-    finds a difference, so the cost follows the nonzero products.
+    Each law compares sparse rows, and where two differ it walks only their
+    nonzero positions, so the cost follows the nonzero products.
     """
     dim = algebra.dim
     par = algebra.parity
-    c = algebra.structure
     products = algebra.products
     violations = _parity_violations(par, products, par, "e")
 
@@ -380,14 +470,15 @@ def validate_superalgebra(algebra: SuperAlgebra) -> ValidationReport:
                 forward = tuple((k, -ck) for k, ck in forward)
             if products[j][i] == forward:
                 continue
-            for k in range(dim):
-                if c[j][i][k] != sign * c[i][j][k]:
+            ji, ij = dict(products[j][i]), dict(products[i][j])
+            for k in sorted(ji.keys() | ij.keys()):
+                got, want = ji.get(k, 0), sign * ij.get(k, 0)
+                if got != want:
                     violations.append(
                         Violation(
                             "supercommutativity",
                             (i, j, k),
-                            f"coefficient of e{k}: e{j}*e{i} = {c[j][i][k]}, "
-                            f"expected {sign * c[i][j][k]}",
+                            f"coefficient of e{k}: e{j}*e{i} = {got}, expected {want}",
                         )
                     )
 
@@ -400,13 +491,14 @@ def validate_superalgebra(algebra: SuperAlgebra) -> ValidationReport:
         for i in range(dim):
             if products[u][i] == products[i][u] == ((i, 1),):
                 continue
-            for k in range(dim):
+            left, right = dict(products[u][i]), dict(products[i][u])
+            for k in sorted(left.keys() | right.keys() | {i}):
                 want = 1 if k == i else 0
-                if c[u][i][k] != want:
+                if left.get(k, 0) != want:
                     violations.append(
                         Violation("unit", (u, i, k), f"e_unit*e{i} is not e{i}")
                     )
-                if c[i][u][k] != want:
+                if right.get(k, 0) != want:
                     violations.append(
                         Violation("unit", (i, u, k), f"e{i}*e_unit is not e{i}")
                     )
@@ -422,13 +514,13 @@ def validate_supermodule(module: SuperModule) -> ValidationReport:
     violations += _action_law_violations(algebra.products, table, "m", "module_law")
     if algebra.unit_index is not None:
         u = algebra.unit_index
-        a = module.action
         for k in range(module.dim):
             if table[u][k] == ((k, 1),):
                 continue
-            for l in range(module.dim):
+            image = dict(table[u][k])
+            for l in sorted(image.keys() | {k}):
                 want = 1 if l == k else 0
-                if a[u][k][l] != want:
+                if image.get(l, 0) != want:
                     violations.append(
                         Violation("unit", (u, k, l), f"e_unit*m{k} is not m{k}")
                     )
@@ -518,16 +610,19 @@ def exterior_algebra(k: int) -> SuperAlgebra:
         elems = [g + 1 for g in range(k) if mask >> g & 1]
         names.append("".join(f"t{g}" for g in elems) if elems else "1")
         parity.append(len(elems) % 2)
-    structure = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    products = []
     for s_mask in range(dim):
         s_elems = [g for g in range(k) if s_mask >> g & 1]
+        plane: list[SparseRow] = []
         for t_mask in range(dim):
             if s_mask & t_mask:
+                plane.append(())
                 continue
             t_elems = [g for g in range(k) if t_mask >> g & 1]
             crossings = sum(1 for s in s_elems for t in t_elems if s > t)
-            structure[s_mask][t_mask][s_mask | t_mask] = -1 if crossings % 2 else 1
-    return SuperAlgebra(dim, tuple(names), tuple(parity), structure, unit_index=0)
+            plane.append(((s_mask | t_mask, -1 if crossings % 2 else 1),))
+        products.append(tuple(plane))
+    return SuperAlgebra._from_products(dim, tuple(names), tuple(parity), tuple(products), unit_index=0)
 
 
 def truncated_polynomial(n: int) -> SuperAlgebra:
@@ -535,12 +630,8 @@ def truncated_polynomial(n: int) -> SuperAlgebra:
     if n < 1:
         raise ValueError(f"truncation order must be at least 1, got {n}")
     names = tuple("1" if i == 0 else ("x" if i == 1 else f"x^{i}") for i in range(n))
-    structure = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i + j < n:
-                structure[i][j][i + j] = 1
-    return SuperAlgebra(n, names, tuple(0 for _ in range(n)), structure, unit_index=0)
+    products = tuple(tuple(((i + j, 1),) if i + j < n else () for j in range(n)) for i in range(n))
+    return SuperAlgebra._from_products(n, names, tuple(0 for _ in range(n)), products, unit_index=0)
 
 
 def ground_field() -> SuperAlgebra:
@@ -553,19 +644,24 @@ def tensor_product(a: SuperAlgebra, b: SuperAlgebra) -> SuperAlgebra:
     dim = a.dim * b.dim
     names = tuple(f"{na}*{nb}" for na in a.basis_names for nb in b.basis_names)
     parity = tuple((pa + pb) % 2 for pa in a.parity for pb in b.parity)
-    structure = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    # (e_i (x) e_j)(e_k (x) e_l) has one term per pair of terms e_m of e_i e_k and
+    # e_q of e_j e_l; their targets m * b.dim + q are distinct and ascending.
+    products = []
     for i in range(a.dim):
         for j in range(b.dim):
-            row_idx = i * b.dim + j
+            plane: list[SparseRow] = []
             for k in range(a.dim):
                 sign = -1 if b.parity[j] and a.parity[k] else 1
                 for l in range(b.dim):
-                    col_idx = k * b.dim + l
-                    cell = structure[row_idx][col_idx]
-                    for m, ca in a.products[i][k]:
-                        for q, cb in b.products[j][l]:
-                            cell[m * b.dim + q] += sign * ca * cb
+                    plane.append(
+                        tuple(
+                            (m * b.dim + q, as_rational(sign * ca * cb))
+                            for m, ca in a.products[i][k]
+                            for q, cb in b.products[j][l]
+                        )
+                    )
+            products.append(tuple(plane))
     unit = None
     if a.unit_index is not None and b.unit_index is not None:
         unit = a.unit_index * b.dim + b.unit_index
-    return SuperAlgebra(dim, names, parity, structure, unit_index=unit)
+    return SuperAlgebra._from_products(dim, names, parity, tuple(products), unit_index=unit)

@@ -19,10 +19,11 @@ The same game is played with the square-zero extension A (+) M: the product
 
     (a, m) (b, n) = (ab, a n + m b + psi(a, b))
 
-is materialized as an honest structure tensor and handed to the generic
-algebra validator.  Finally, two cocycles differing by a coboundary give
-isomorphic extensions via (a, m) |-> (a, m + g(a)); ``extension_equivalence``
-looks for such a g by exact linear solving and returns it when it exists.
+is materialized as the sparse structure constants of an algebra on the
+direct sum and handed to the generic algebra validator.  Finally, two
+cocycles differing by a coboundary give isomorphic extensions via
+(a, m) |-> (a, m + g(a)); ``extension_equivalence`` looks for such a g by
+exact linear solving and returns it when it exists.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .algebras import (
     DualNumber,
     SuperAlgebra,
     SuperModule,
+    _table_from_cells,
     self_module,
     validate_superalgebra,
 )
@@ -110,10 +112,10 @@ def _check_psi(algebra: SuperAlgebra, psi: Cochain) -> None:
         raise ValueError("a deformation direction must be a degree-2 cochain")
     # The fields of self_module(algebra), compared without building it.
     m = psi.module
-    if psi.algebra != algebra or (m.algebra, m.parity, m.action, m.basis_names) != (
+    if psi.algebra != algebra or (m.algebra, m.parity, m.action_sparse, m.basis_names) != (
         algebra,
         algebra.parity,
-        algebra.structure,
+        algebra.products,
         algebra.basis_names,
     ):
         raise ValueError("psi must take values in the algebra acting on itself")
@@ -123,18 +125,34 @@ def _check_psi(algebra: SuperAlgebra, psi: Cochain) -> None:
 DualVector = tuple[tuple[int, DualNumber], ...]
 
 
-def _mt_table(algebra: SuperAlgebra, psi: Cochain) -> tuple[tuple[DualVector, ...], ...]:
-    """m_t on basis pairs: table[i][j] = c_ij + t psi(e_i, e_j)."""
-    return tuple(
-        tuple(
-            tuple((l, DualNumber(c, v)) for l, (c, v) in enumerate(zip(row, psi.value_on_tuple((i, j)))) if c or v)
-            for j, row in enumerate(plane)
-        )
-        for i, plane in enumerate(algebra.structure)
-    )
+def _mt_table(algebra: SuperAlgebra, psi: Cochain) -> list[list[DualVector]]:
+    """m_t on basis pairs: table[i][j] = c_ij + t psi(e_i, e_j), from the nonzero products and psi entries."""
+    dim = algebra.dim
+    # twists[i * dim + j] = {l: psi(e_i, e_j)_l}; psi takes values in the algebra itself.
+    twists: dict[int, dict[int, Rat]] = {}
+    for off, v in psi.data.items():
+        pair, l = divmod(off, dim)
+        twists.setdefault(pair, {})[l] = v
+    table = []
+    for i, plane in enumerate(algebra.products):
+        out = []
+        for j, prod in enumerate(plane):
+            twist = twists.get(i * dim + j)
+            if twist is None:
+                out.append(tuple((k, DualNumber._exact(c, 0)) for k, c in prod))
+                continue
+            product = dict(prod)
+            out.append(
+                tuple(
+                    (l, DualNumber._exact(product.get(l, 0), twist.get(l, 0)))
+                    for l in sorted(product.keys() | twist.keys())
+                )
+            )
+        table.append(out)
+    return table
 
 
-def _m_t(table: tuple[tuple[DualVector, ...], ...], x: DualVector, y: DualVector) -> DualVector:
+def _m_t(table: list[list[DualVector]], x: DualVector, y: DualVector) -> DualVector:
     """The deformed product m_t(x, y), bilinearly over the table."""
     out: dict[int, DualNumber] = {}
     for a, xa in x:
@@ -285,27 +303,30 @@ def square_zero_extension(
     dim = da + dm
     names = tuple(algebra.basis_names) + tuple(f"m.{n}" for n in module.basis_names)
     parity = tuple(algebra.parity) + tuple(module.parity)
-    structure = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
     a_par = algebra.parity
     m_par = module.parity
+    # cells[(row, col)][k]: the coefficient of basis element k in the product.
+    cells: dict[tuple[int, int], dict[int, Rat]] = {}
 
-    for i in range(da):
-        for j in range(da):
-            cell = structure[i][j]
-            for k, c in algebra.products[i][j]:
-                cell[k] += c
+    def add(row: int, col: int, k: int, c: Rat) -> None:
+        cell = cells.setdefault((row, col), {})
+        cell[k] = cell.get(k, 0) + c
+
+    for i, plane in enumerate(algebra.products):
+        for j, prod in enumerate(plane):
+            for k, c in prod:
+                add(i, j, k, c)
     for (i, j), l, v in psi.iter_nonzero():
-        structure[i][j][da + l] += v
+        add(i, j, da + l, v)
 
     for i in range(da):
         for k in range(dm):
             for l, c in module.action_sparse[i][k]:
-                structure[i][da + k][da + l] += c
+                add(i, da + k, da + l, c)
                 # m * a on homogeneous components
-                sign = -1 if a_par[i] and m_par[k] else 1
-                structure[da + k][i][da + l] += sign * c
+                add(da + k, i, da + l, -c if a_par[i] and m_par[k] else c)
 
-    ext = SuperAlgebra(dim, names, parity, structure, unit_index=None)
+    ext = SuperAlgebra._from_products(dim, names, parity, _table_from_cells(cells, dim, dim), unit_index=None)
     return ExtensionResult(
         algebra=ext,
         algebra_block=tuple(range(da)),

@@ -30,7 +30,7 @@ import re
 from fractions import Fraction
 from typing import Any, Optional
 
-from .algebras import SuperAlgebra, SuperModule
+from .algebras import SuperAlgebra, SuperModule, _table_from_cells
 from .cochains import Cochain, cochain_from_entries
 from .linalg import Rat, as_rational
 
@@ -102,9 +102,9 @@ def algebra_from_dict(doc: dict) -> SuperAlgebra:
     unit = doc.get("unit")
     if unit is not None:
         _expect(isinstance(unit, int) and 0 <= unit < dim, "'unit' must be a valid 0-based index")
-    structure = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
     _expect(isinstance(doc["products"], list), "'products' must be a list")
-    seen: set[tuple[int, int]] = set()
+    # cells[(i, j)][k]: the coefficient of e_k in e_i e_j; terms on the same k add up.
+    cells: dict[tuple[int, int], dict[int, Rat]] = {}
     for entry in doc["products"]:
         _expect(isinstance(entry, dict), "each product entry must be an object")
         for key in ("i", "j", "terms"):
@@ -114,17 +114,20 @@ def algebra_from_dict(doc: dict) -> SuperAlgebra:
             isinstance(i, int) and isinstance(j, int) and 0 <= i < dim and 0 <= j < dim,
             f"product indices ({i}, {j}) out of range",
         )
-        _expect((i, j) not in seen, f"duplicate product entry for ({i}, {j})")
-        seen.add((i, j))
+        _expect((i, j) not in cells, f"duplicate product entry for ({i}, {j})")
+        cell = cells[i, j] = {}
         _expect(isinstance(entry["terms"], list), "'terms' must be a list")
         for term in entry["terms"]:
             _expect(isinstance(term, dict) and "k" in term and "coeff" in term,
                     "each term needs 'k' and 'coeff'")
             k = term["k"]
             _expect(isinstance(k, int) and 0 <= k < dim, f"term index {k} out of range")
-            structure[i][j][k] = structure[i][j][k] + parse_rational(term["coeff"])
+            k = int(k)  # a JSON ``true`` passes as index 1 and is stored as 1
+            cell[k] = cell.get(k, 0) + parse_rational(term["coeff"])
     try:
-        return SuperAlgebra(dim, tuple(basis), tuple(parity), structure, unit_index=unit)
+        return SuperAlgebra._from_products(
+            dim, tuple(basis), tuple(parity), _table_from_cells(cells, dim, dim), unit_index=unit
+        )
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable
 
 from .records import Record, set_field
 

@@ -239,9 +239,9 @@ class TestModuleActions:
         assert mod.basis_names == ("1", "t1", "t2", "t1t2")
         assert mod.parity == (0, 1, 1, 0)
 
-    def test_self_module_shares_the_frozen_structure(self):
+    def test_self_module_shares_the_algebra_products(self):
         alg = tensor_product(truncated_polynomial(2), exterior_algebra(1))
-        assert self_module(alg).action is alg.structure
+        assert self_module(alg).action_sparse is alg.products
         assert self_module(alg) == SuperModule(alg, alg.dim, alg.parity, [list(map(list, p)) for p in alg.structure],
                                                basis_names=alg.basis_names)
 
@@ -367,7 +367,7 @@ class TestValidators:
         def refuse(module, *args, **kwargs):
             raise AssertionError("validate_superalgebra built a SuperModule")
 
-        monkeypatch.setattr(SuperModule, "__init__", refuse)
+        monkeypatch.setattr(SuperModule, "_store", refuse)
         assert validate_superalgebra(exterior_algebra(2)).ok
 
     def test_structure_shape_is_checked_at_construction(self):

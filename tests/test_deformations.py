@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from superharrison.algebras import (
@@ -174,7 +174,7 @@ class TestFirstOrderCheck:
         def refuse(module, *args, **kwargs):
             raise AssertionError("first_order_deformation_check built a SuperModule")
 
-        monkeypatch.setattr(SuperModule, "__init__", refuse)
+        monkeypatch.setattr(SuperModule, "_store", refuse)
         assert first_order_deformation_check(alg, psi).associativity_witness == (1, 1, 2)
 
     def test_psi_over_another_module_is_refused(self):
