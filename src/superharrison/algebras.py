@@ -1,15 +1,13 @@
 """Finite-dimensional supercommutative superalgebras and their supermodules.
 
-An algebra is stored as its nonzero structure constants over a chosen
-basis, with a Z_2 parity per basis element: ``products[i][j]`` lists the
-(k, c) with c != 0 the coefficient of e_k in e_i e_j, k ascending.  A
-module stores its left action the same way, as ``action_sparse``; a
-self-module shares the algebra's table.  Memory and construction time
-follow the number of nonzero products, not dim^3.  The dense tensors
-``structure`` and ``action`` are read-only views, built from the tables on
-first read; nothing in the package reads them.  The dense constructor
-arguments are still accepted: they are normalised once and handed to the
-same sparse constructor that the builders call.
+An algebra is its nonzero structure constants over a chosen basis, with a
+Z_2 parity per basis element: ``products[i][j]`` lists the (k, c) with
+c != 0 the coefficient of e_k in e_i e_j, k ascending.  A module stores its
+left action the same way, as ``action_sparse``; a self-module shares the
+algebra's table.  These tables are the only representation: each class has
+one constructor, which checks the table it is given and stores it as it is,
+so memory and construction time follow the number of nonzero products, not
+dim^3.  ``_table_from_cells`` builds a table from {(i, j): {k: c}} sums.
 
 Constructors only enforce shapes and exact coefficients; algebraic laws
 (supercommutativity b*a = (-1)^{|a||b|} a*b, associativity, parity
@@ -56,39 +54,13 @@ __all__ = [
     "tensor_product",
 ]
 
-StructureTensor = tuple[tuple[tuple[Rat, ...], ...], ...]
+# The largest builtin algebra.  A builder allocates all dim^2 product rows
+# before any ceiling runs, and under the default 20000-column ceiling no
+# computation of degree >= 1 fits above dim 141.
+MAX_BUILTIN_DIM = 256
+
 SparseRow = tuple[tuple[int, Rat], ...]
 SparseTable = tuple[tuple[SparseRow, ...], ...]
-
-_INT_ONLY = {int}
-
-
-def _freeze_tensor(tensor: Sequence[Sequence[Sequence[Rat]]], d0: int, d1: int, d2: int) -> StructureTensor:
-    if len(tensor) != d0:
-        raise ValueError(f"tensor has {len(tensor)} slices, expected {d0}")
-    out = []
-    for plane in tensor:
-        if len(plane) != d1:
-            raise ValueError(f"tensor slice has {len(plane)} rows, expected {d1}")
-        rows = []
-        for row in plane:
-            if len(row) != d2:
-                raise ValueError(f"tensor row has {len(row)} entries, expected {d2}")
-            # A row of plain ints is already exact: keep it in one step.
-            if set(map(type, row)) <= _INT_ONLY:
-                rows.append(tuple(row))
-            else:
-                rows.append(tuple(as_rational(x) for x in row))
-        out.append(tuple(rows))
-    return tuple(out)
-
-
-def _sparse_table(tensor: StructureTensor) -> SparseTable:
-    """The nonzero (index, coefficient) pairs of every row; ``any`` skips a zero row at C speed."""
-    return tuple(
-        tuple(tuple((k, c) for k, c in enumerate(row) if c) if any(row) else () for row in plane)
-        for plane in tensor
-    )
 
 
 def _table_from_cells(cells: Mapping[tuple[int, int], Mapping[int, Rat]], d0: int, d1: int) -> SparseTable:
@@ -102,22 +74,8 @@ def _table_from_cells(cells: Mapping[tuple[int, int], Mapping[int, Rat]], d0: in
     )
 
 
-def _dense_tensor(table: SparseTable, width: int) -> StructureTensor:
-    """The dense tensor of ``table``, with rows of ``width`` coefficients."""
-    out = []
-    for plane in table:
-        rows = []
-        for row in plane:
-            values: list[Rat] = [0] * width
-            for k, c in row:
-                values[k] = c
-            rows.append(tuple(values))
-        out.append(tuple(rows))
-    return tuple(out)
-
-
 def _check_table(table: SparseTable, d0: int, d1: int, d2: int) -> None:
-    """``table`` has d0 slices of d1 rows; a row lists ascending k < d2 with nonzero normalised exact values."""
+    """``table`` has d0 slices of d1 rows; a row lists (k, c) pairs, k ascending below d2, c nonzero and exact."""
     if len(table) != d0:
         raise ValueError(f"table has {len(table)} slices, expected {d0}")
     for plane in table:
@@ -125,7 +83,15 @@ def _check_table(table: SparseTable, d0: int, d1: int, d2: int) -> None:
             raise ValueError(f"table slice has {len(plane)} rows, expected {d1}")
         for row in plane:
             last = -1
-            for k, c in row:
+            for term in row:
+                try:
+                    k, c = term
+                except (TypeError, ValueError):
+                    # A dense row of coefficients, passed by habit, lands here.
+                    raise ValueError(
+                        f"table row entry {term!r} is not a (k, c) pair: a row lists the nonzero "
+                        f"coefficients c of e_k as (k, c), k ascending"
+                    ) from None
                 if not last < k < d2:
                     raise ValueError(f"table row index {k} after {last} is out of order or not below {d2}")
                 # as_rational refuses floats and returns an exact scalar unchanged
@@ -144,7 +110,12 @@ def _check_parity(parity: Sequence[int], dim: int) -> tuple[int, ...]:
 
 
 class SuperAlgebra(HashOnceRecord):
-    """Structure constants of a superalgebra: e_i e_j = sum_k c e_k over products[i][j] = ((k, c), ...)."""
+    """Structure constants of a superalgebra: e_i e_j = sum_k c e_k over products[i][j] = ((k, c), ...).
+
+    ``products`` is checked and stored as it is: dim slices of dim rows,
+    each row its nonzero (k, c) with k ascending and c an int or a
+    non-integral ``Fraction``.
+    """
 
     dim: int
     basis_names: tuple[str, ...]
@@ -157,33 +128,8 @@ class SuperAlgebra(HashOnceRecord):
         dim: int,
         basis_names: tuple[str, ...],
         parity: Sequence[int],
-        structure: Sequence[Sequence[Sequence[Rat]]],
-        unit_index: Optional[int] = None,
-    ) -> None:
-        """From a dense tensor: structure[i][j][k] is the coefficient of e_k in e_i e_j."""
-        self._store(dim, basis_names, parity, _sparse_table(_freeze_tensor(structure, dim, dim, dim)), unit_index)
-
-    @classmethod
-    def _from_products(
-        cls,
-        dim: int,
-        basis_names: tuple[str, ...],
-        parity: Sequence[int],
         products: SparseTable,
         unit_index: Optional[int] = None,
-    ) -> "SuperAlgebra":
-        """The sparse constructor: ``products`` is checked and stored as it is."""
-        algebra = object.__new__(cls)
-        algebra._store(dim, basis_names, parity, products, unit_index)
-        return algebra
-
-    def _store(
-        self,
-        dim: int,
-        basis_names: tuple[str, ...],
-        parity: Sequence[int],
-        products: SparseTable,
-        unit_index: Optional[int],
     ) -> None:
         if dim < 1:
             raise ValueError("dim must be at least 1")
@@ -200,11 +146,6 @@ class SuperAlgebra(HashOnceRecord):
         set_field(self, "unit_index", unit_index)
 
     @cached_property
-    def structure(self) -> StructureTensor:
-        """Read-only dense view of ``products``: structure[i][j][k], built on first read."""
-        return _dense_tensor(self.products, self.dim)
-
-    @cached_property
     def pairs_producing(self) -> tuple[tuple[tuple[int, int, Rat], ...], ...]:
         """pairs_producing[k] = all (i, j, c) with e_i e_j having coefficient c on e_k."""
         out: list[list[tuple[int, int, Rat]]] = [[] for _ in range(self.dim)]
@@ -219,7 +160,7 @@ class SuperModule(HashOnceRecord):
     """A supermodule over ``algebra`` given by its left action.
 
     action_sparse[i][k] = ((l, c), ...) lists the nonzero coefficients c of
-    m_l in e_i * m_k.
+    m_l in e_i * m_k, in the row form of ``SuperAlgebra.products``.
     """
 
     algebra: SuperAlgebra
@@ -233,33 +174,8 @@ class SuperModule(HashOnceRecord):
         algebra: SuperAlgebra,
         dim: int,
         parity: Sequence[int],
-        action: Sequence[Sequence[Sequence[Rat]]],
-        basis_names: tuple[str, ...] = (),
-    ) -> None:
-        """From a dense tensor: action[i][k][l] is the coefficient of m_l in e_i * m_k."""
-        self._store(algebra, dim, parity, _sparse_table(_freeze_tensor(action, algebra.dim, dim, dim)), basis_names)
-
-    @classmethod
-    def _from_table(
-        cls,
-        algebra: SuperAlgebra,
-        dim: int,
-        parity: Sequence[int],
         action_sparse: SparseTable,
         basis_names: tuple[str, ...] = (),
-    ) -> "SuperModule":
-        """The sparse constructor: ``action_sparse`` is checked and stored as it is."""
-        module = object.__new__(cls)
-        module._store(algebra, dim, parity, action_sparse, basis_names)
-        return module
-
-    def _store(
-        self,
-        algebra: SuperAlgebra,
-        dim: int,
-        parity: Sequence[int],
-        action_sparse: SparseTable,
-        basis_names: tuple[str, ...],
     ) -> None:
         if dim < 1:
             raise ValueError("dim must be at least 1")
@@ -277,15 +193,10 @@ class SuperModule(HashOnceRecord):
         set_field(self, "action_sparse", action_sparse)
         set_field(self, "basis_names", basis_names)
 
-    @cached_property
-    def action(self) -> StructureTensor:
-        """Read-only dense view of ``action_sparse``: action[i][k][l], built on first read."""
-        return _dense_tensor(self.action_sparse, self.dim)
-
 
 def self_module(algebra: SuperAlgebra) -> SuperModule:
     """The algebra acting on itself by left multiplication; it shares the algebra's table."""
-    return SuperModule._from_table(algebra, algebra.dim, algebra.parity, algebra.products, algebra.basis_names)
+    return SuperModule(algebra, algebra.dim, algebra.parity, algebra.products, algebra.basis_names)
 
 
 def multiply(algebra: SuperAlgebra, x: Sequence[Rat], y: Sequence[Rat]) -> tuple[Rat, ...]:
@@ -622,16 +533,16 @@ def exterior_algebra(k: int) -> SuperAlgebra:
             crossings = sum(1 for s in s_elems for t in t_elems if s > t)
             plane.append(((s_mask | t_mask, -1 if crossings % 2 else 1),))
         products.append(tuple(plane))
-    return SuperAlgebra._from_products(dim, tuple(names), tuple(parity), tuple(products), unit_index=0)
+    return SuperAlgebra(dim, tuple(names), tuple(parity), tuple(products), unit_index=0)
 
 
 def truncated_polynomial(n: int) -> SuperAlgebra:
     """Q[x]/(x^n), all even; basis 1, x, ..., x^(n-1)."""
-    if n < 1:
-        raise ValueError(f"truncation order must be at least 1, got {n}")
+    if not 1 <= n <= MAX_BUILTIN_DIM:
+        raise ValueError(f"truncated polynomial supported for 1 <= n <= {MAX_BUILTIN_DIM}, got {n}")
     names = tuple("1" if i == 0 else ("x" if i == 1 else f"x^{i}") for i in range(n))
     products = tuple(tuple(((i + j, 1),) if i + j < n else () for j in range(n)) for i in range(n))
-    return SuperAlgebra._from_products(n, names, tuple(0 for _ in range(n)), products, unit_index=0)
+    return SuperAlgebra(n, names, tuple(0 for _ in range(n)), products, unit_index=0)
 
 
 def ground_field() -> SuperAlgebra:
@@ -664,4 +575,4 @@ def tensor_product(a: SuperAlgebra, b: SuperAlgebra) -> SuperAlgebra:
     unit = None
     if a.unit_index is not None and b.unit_index is not None:
         unit = a.unit_index * b.dim + b.unit_index
-    return SuperAlgebra._from_products(dim, names, parity, tuple(products), unit_index=unit)
+    return SuperAlgebra(dim, names, parity, tuple(products), unit_index=unit)

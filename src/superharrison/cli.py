@@ -28,6 +28,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebras import (
+    MAX_BUILTIN_DIM,
     SuperAlgebra,
     SuperModule,
     Violation,
@@ -96,11 +97,17 @@ def _parse_builtin(tokens: list[str], pos: int) -> tuple[SuperAlgebra, int]:
         try:
             algebra = exterior_algebra(value) if head == "exterior" else truncated_polynomial(value)
         except ValueError as exc:
-            raise InputFormatError(str(exc)) from exc
+            raise InputFormatError(f"builtin:{head}:{tokens[pos + 1]}: {exc}") from exc
         return algebra, pos + 2
     if head == "tensor":
         left, nxt = _parse_builtin(tokens, pos + 1)
         right, end = _parse_builtin(tokens, nxt)
+        # tensor_product builds all dim^2 product rows; refuse before it runs.
+        if left.dim * right.dim > MAX_BUILTIN_DIM:
+            raise InputFormatError(
+                f"builtin:{':'.join(tokens[pos:end])} has dimension {left.dim * right.dim}, "
+                f"above the builtin bound {MAX_BUILTIN_DIM}"
+            )
         return tensor_product(left, right), end
     raise InputFormatError(f"unknown builtin algebra {head!r}")
 

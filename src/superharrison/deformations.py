@@ -326,7 +326,7 @@ def square_zero_extension(
                 # m * a on homogeneous components
                 add(da + k, i, da + l, -c if a_par[i] and m_par[k] else c)
 
-    ext = SuperAlgebra._from_products(dim, names, parity, _table_from_cells(cells, dim, dim), unit_index=None)
+    ext = SuperAlgebra(dim, names, parity, _table_from_cells(cells, dim, dim), unit_index=None)
     return ExtensionResult(
         algebra=ext,
         algebra_block=tuple(range(da)),

@@ -4,8 +4,10 @@ Scalars are plain ``int`` or ``fractions.Fraction``; nothing in this module
 ever touches floating point.  A vector is stored sparsely, as a dict from
 position to nonzero value.  Every public entry point takes a vector either
 that way or densely, as a sequence of the right length, and normalises it
-once, on the way in (``_sparse``).  Dense views (``RationalMatrix.entries``,
-``SubspaceBasis.vectors``) are built only when asked for.
+once, on the way in (``_sparse``).  Results stay sparse: a basis is read as
+its ``rows``, a solution or a coordinate vector as a dict.  The two dense
+views left, ``RationalMatrix.entries`` and ``SubspaceBasis.coordinates``,
+are kept for the benchmark's tracer, which binds them by name.
 
 All elimination runs through one Gauss-Jordan routine on sparse rows,
 ``_rref``.  Forward elimination keeps rows integral and primitive
@@ -210,16 +212,15 @@ class RationalMatrix(Record):
 
     @property
     def entries(self) -> tuple[tuple[Rat, ...], ...]:
-        """The matrix densely, row by row."""
+        """The matrix densely, row by row.
+
+        Nothing in the package reads it; ``perfbench/traced_cli.py`` counts
+        a matrix's nonzeros through it.
+        """
         return tuple(_dense(row, self.cols) for row in self.data)
 
     def is_zero(self) -> bool:
         return not any(self.data)
-
-    def mul_vector(self, v: Sequence[Rat]) -> tuple[Rat, ...]:
-        if len(v) != self.cols:
-            raise ValueError("vector length does not match column count")
-        return tuple(as_rational(sum(x * v[j] for j, x in row.items())) for row in self.data)
 
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
@@ -238,10 +239,10 @@ class SubspaceBasis(Record):
     """Canonical (reduced row echelon) basis of a subspace of Q^ambient_dim.
 
     ``rows`` are the nonzero RREF rows, sparse, as ``from_vectors`` builds
-    them; ``vectors`` is the same basis densely.  Because the RREF basis of
-    a subspace is unique, two SubspaceBasis values are equal iff they span
-    the same subspace.  The pivot of each row is found once, here, and kept
-    as ``_echelon`` (pivot -> row) and ``_index`` (pivot -> row index).
+    them.  Because the RREF basis of a subspace is unique, two
+    SubspaceBasis values are equal iff they span the same subspace.  The
+    pivot of each row is found once, here, and kept as ``_echelon``
+    (pivot -> row) and ``_index`` (pivot -> row index).
     """
 
     ambient_dim: int
@@ -265,21 +266,6 @@ class SubspaceBasis(Record):
     def dim(self) -> int:
         return len(self.rows)
 
-    @property
-    def vectors(self) -> tuple[tuple[Rat, ...], ...]:
-        """The basis densely, one tuple of length ``ambient_dim`` per vector."""
-        return tuple(_dense(row, self.ambient_dim) for row in self.rows)
-
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(self._index)
-
-    def _remainder(self, vector: Vector) -> dict[int, Rat]:
-        return _clear(_sparse(vector, self.ambient_dim), self._echelon)
-
-    def reduce(self, vector: Vector) -> tuple[Rat, ...]:
-        """Remainder of ``vector`` after eliminating all basis pivots."""
-        return _dense(self._remainder(vector), self.ambient_dim)
-
     def sparse_coordinates(self, vector: Vector) -> Optional[dict[int, Rat]]:
         """Coefficients of ``vector`` as {basis index: nonzero coefficient}, or None if outside the span.
 
@@ -293,7 +279,11 @@ class SubspaceBasis(Record):
         return coords
 
     def coordinates(self, vector: Vector) -> Optional[tuple[Rat, ...]]:
-        """Coefficients of ``vector`` in this basis, or None if outside the span."""
+        """Coefficients of ``vector`` in this basis, densely, or None if outside the span.
+
+        The package reads ``sparse_coordinates``; ``perfbench/traced_cli.py``
+        times calls to this method by name.
+        """
         coords = self.sparse_coordinates(vector)
         return None if coords is None else _dense(coords, self.dim)
 
@@ -306,7 +296,7 @@ class SubspaceBasis(Record):
         return {j: as_rational(x) for j, x in out.items() if x}
 
     def contains(self, vector: Vector) -> bool:
-        return not self._remainder(vector)
+        return not _clear(_sparse(vector, self.ambient_dim), self._echelon)
 
 
 def kernel_basis(matrix: RationalMatrix) -> SubspaceBasis:

@@ -1,7 +1,8 @@
 """JSON formats for algebras and cochains.
 
 All coefficients travel as exact strings ("3", "-2/5"); integers are also
-accepted on input, floats never are.  Output is canonical: keys sorted,
+accepted on input, floats never are.  Indices, dimensions and degrees are
+integers, and a JSON boolean is never read as one.  Output is canonical: keys sorted,
 product entries in index order, so identical inputs serialize to identical
 bytes.
 
@@ -83,12 +84,17 @@ def _expect(condition: bool, message: str) -> None:
         raise InputFormatError(message)
 
 
+def _is_int(value: Any) -> bool:
+    """An integer that is not a JSON boolean: ``isinstance(True, int)`` holds in Python."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def algebra_from_dict(doc: dict) -> SuperAlgebra:
     _expect(isinstance(doc, dict), "algebra document must be a JSON object")
     for key in ("dim", "basis", "parity", "products"):
         _expect(key in doc, f"algebra document missing '{key}'")
     dim = doc["dim"]
-    _expect(isinstance(dim, int) and dim >= 1, "'dim' must be a positive integer")
+    _expect(_is_int(dim) and dim >= 1, "'dim' must be a positive integer")
     basis = doc["basis"]
     _expect(
         isinstance(basis, list) and len(basis) == dim and all(isinstance(x, str) for x in basis),
@@ -96,12 +102,12 @@ def algebra_from_dict(doc: dict) -> SuperAlgebra:
     )
     parity = doc["parity"]
     _expect(
-        isinstance(parity, list) and len(parity) == dim and all(p in (0, 1) for p in parity),
+        isinstance(parity, list) and len(parity) == dim and all(_is_int(p) and p in (0, 1) for p in parity),
         "'parity' must list one 0/1 per basis element",
     )
     unit = doc.get("unit")
     if unit is not None:
-        _expect(isinstance(unit, int) and 0 <= unit < dim, "'unit' must be a valid 0-based index")
+        _expect(_is_int(unit) and 0 <= unit < dim, "'unit' must be a valid 0-based index")
     _expect(isinstance(doc["products"], list), "'products' must be a list")
     # cells[(i, j)][k]: the coefficient of e_k in e_i e_j; terms on the same k add up.
     cells: dict[tuple[int, int], dict[int, Rat]] = {}
@@ -111,7 +117,7 @@ def algebra_from_dict(doc: dict) -> SuperAlgebra:
             _expect(key in entry, f"product entry missing '{key}'")
         i, j = entry["i"], entry["j"]
         _expect(
-            isinstance(i, int) and isinstance(j, int) and 0 <= i < dim and 0 <= j < dim,
+            _is_int(i) and _is_int(j) and 0 <= i < dim and 0 <= j < dim,
             f"product indices ({i}, {j}) out of range",
         )
         _expect((i, j) not in cells, f"duplicate product entry for ({i}, {j})")
@@ -121,13 +127,10 @@ def algebra_from_dict(doc: dict) -> SuperAlgebra:
             _expect(isinstance(term, dict) and "k" in term and "coeff" in term,
                     "each term needs 'k' and 'coeff'")
             k = term["k"]
-            _expect(isinstance(k, int) and 0 <= k < dim, f"term index {k} out of range")
-            k = int(k)  # a JSON ``true`` passes as index 1 and is stored as 1
+            _expect(_is_int(k) and 0 <= k < dim, f"term index {k} out of range")
             cell[k] = cell.get(k, 0) + parse_rational(term["coeff"])
     try:
-        return SuperAlgebra._from_products(
-            dim, tuple(basis), tuple(parity), _table_from_cells(cells, dim, dim), unit_index=unit
-        )
+        return SuperAlgebra(dim, tuple(basis), tuple(parity), _table_from_cells(cells, dim, dim), unit_index=unit)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc
 
@@ -178,7 +181,7 @@ def cochain_from_dict(doc: dict, algebra: SuperAlgebra, module: SuperModule) -> 
     _expect(isinstance(doc, dict), "cochain document must be a JSON object")
     _expect("degree" in doc and "entries" in doc, "cochain document needs 'degree' and 'entries'")
     degree = doc["degree"]
-    _expect(isinstance(degree, int) and degree >= 0, "'degree' must be a nonnegative integer")
+    _expect(_is_int(degree) and degree >= 0, "'degree' must be a nonnegative integer")
     _expect(isinstance(doc["entries"], list), "'entries' must be a list")
     entries: dict[tuple[tuple[int, ...], int], Rat] = {}
     for entry in doc["entries"]:
@@ -187,12 +190,12 @@ def cochain_from_dict(doc: dict, algebra: SuperAlgebra, module: SuperModule) -> 
             _expect(key in entry, f"cochain entry missing '{key}'")
         idx = entry["i"]
         _expect(
-            isinstance(idx, list) and len(idx) == degree and all(isinstance(x, int) for x in idx),
+            isinstance(idx, list) and len(idx) == degree and all(_is_int(x) for x in idx),
             f"'i' must be a list of {degree} integers",
         )
         _expect(all(0 <= x < algebra.dim for x in idx), f"argument indices {idx} out of range")
         l = entry["l"]
-        _expect(isinstance(l, int) and 0 <= l < module.dim, f"value index {l} out of range")
+        _expect(_is_int(l) and 0 <= l < module.dim, f"value index {l} out of range")
         key = (tuple(idx), l)
         _expect(key not in entries, f"duplicate cochain entry for {key}")
         entries[key] = parse_rational(entry["coeff"])
@@ -218,6 +221,6 @@ def load_cochain(
     """
     doc = _read_json(path)
     found = doc.get("degree") if isinstance(doc, dict) else None
-    if degree is not None and isinstance(found, int) and found >= 0 and found != degree:
+    if degree is not None and _is_int(found) and found >= 0 and found != degree:
         raise InputFormatError(f"{name} must have degree {degree}, got {found}")
     return cochain_from_dict(doc, algebra, module)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from itertools import permutations, product
 
+from conftest import dense_tensor
 from superharrison.linalg import (
     RationalMatrix,
     SubspaceBasis,
@@ -115,14 +116,13 @@ def restricted_boundary(structure, degree: int, domain: SubspaceBasis):
     """Coboundary columns for each basis vector of a flat-coordinate
     subspace."""
     full = coboundary_columns(structure, degree)
-    columns = [full.mul_vector(v) for v in domain.vectors]
-    return RationalMatrix.from_columns(columns, full.rows)
+    return full.matmul(RationalMatrix.from_columns(domain.rows, full.cols))
 
 
 def classical_dimensions(algebra, degree: int) -> tuple[int, int, int, int]:
     """(cochains, cocycles, coboundaries, cohomology) of the sign-free
     shuffle-closed complex at the given degree."""
-    structure = algebra.structure
+    structure = dense_tensor(algebra.products, algebra.dim)
     dim = algebra.dim
     space = shuffle_closed_space(dim, degree)
     boundary = restricted_boundary(structure, degree, space)

@@ -6,6 +6,11 @@ load so the library's internal caches are shared across the whole run.
 ``BAD_FILES`` holds broken algebras and deformation directions as JSON
 documents; the ``bad_inputs`` fixture writes them into a temporary
 directory and runs the test from inside it.
+
+``dense`` is the reference reader of the sparse forms, with
+``dense_vectors`` and ``dense_tensor`` built on it: the library keeps
+structure constants and bases sparse only, and tests that compare against
+plain dense loops read them through here.
 """
 
 from __future__ import annotations
@@ -28,6 +33,21 @@ CORPUS_SPECS: dict[str, str] = {
 CORPUS: dict[str, sh.SuperAlgebra] = {name: resolve_algebra(spec) for name, spec in CORPUS_SPECS.items()}
 
 EVEN_CORPUS = ("truncpoly2", "truncpoly3")
+
+
+def dense(row, width: int) -> tuple:
+    """A sparse row, as (k, c) pairs or a {k: c} dict, as a tuple of ``width`` entries."""
+    return tuple(dict(row).get(k, 0) for k in range(width))
+
+
+def dense_vectors(basis) -> tuple:
+    """The canonical rows of a ``SubspaceBasis`` as dense tuples."""
+    return tuple(dense(row, basis.ambient_dim) for row in basis.rows)
+
+
+def dense_tensor(table, width: int) -> tuple:
+    """A sparse table, such as ``products`` or ``action_sparse``, as the dense tensor t[i][j][k]."""
+    return tuple(tuple(dense(row, width) for row in plane) for plane in table)
 
 
 @pytest.fixture(params=sorted(CORPUS))

@@ -13,7 +13,7 @@ import time
 from math import comb
 
 from classical_oracle import classical_dimensions
-from conftest import CORPUS, EVEN_CORPUS
+from conftest import CORPUS, EVEN_CORPUS, dense_vectors
 from superharrison.algebras import self_module
 from superharrison.cochains import (
     cochain_from_entries,
@@ -60,7 +60,7 @@ def random_symmetric_cocycle(algebra, module, rng):
     cocycles = kernel_basis(coboundary_matrix(algebra, module, 2, HARR))
     basis = harrison_basis(algebra, module, 2)
     total = zero_cochain(algebra, module, 2)
-    for vector in cocycles.vectors:
+    for vector in dense_vectors(cocycles):
         weight = rng.randint(-3, 3)
         if not weight:
             continue

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_tensor
 from superharrison.algebras import (
     SuperAlgebra,
     SuperModule,
     Violation,
-    _freeze_tensor,
+    _table_from_cells,
     act,
     exterior_algebra,
     ground_field,
@@ -26,10 +27,19 @@ from superharrison.algebras import (
     validate_superalgebra,
     validate_supermodule,
 )
-from superharrison.linalg import as_rational
 from superharrison.shuffles import Permutation, sigma_o_sign
 
 small_coeffs = st.integers(min_value=-4, max_value=4)
+
+# Two-dimensional tables as {(i, j): {k: c}}: e_0 is the unit and e_1 e_1 is given.
+_CLIFFORD = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: 1}}  # t*t = 1
+_IDEMPOTENT = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {1: 1}}  # t*t = t
+# a*a = a and a*b = b*a = 2b: (aa)b = 2b but a(ab) = 4b.
+_NONASSOCIATIVE = {(0, 0): {0: 1}, (0, 1): {1: 2}, (1, 0): {1: 2}}
+
+
+def table(cells, d0=2, d1=2):
+    return _table_from_cells(cells, d0, d1)
 
 
 def basis_vector(dim, i):
@@ -89,6 +99,9 @@ class TestGenerators:
     def test_truncated_polynomial_guard(self):
         with pytest.raises(ValueError):
             truncated_polynomial(0)
+        with pytest.raises(ValueError, match="1 <= n <= 256, got 257"):
+            truncated_polynomial(257)
+        assert truncated_polynomial(256).dim == 256
 
     def test_ground_field_is_one_dimensional(self):
         k = ground_field()
@@ -117,15 +130,15 @@ class TestTensorProduct:
     def test_square_of_two_exterior_lines_matches_rank_two(self):
         # Lambda(u) x Lambda(v) and Lambda(t1, t2) are isomorphic via
         # u x 1 -> t1, 1 x v -> t2; indices map as 1 <-> 2, rest fixed.
-        t = tensor_product(exterior_algebra(1), exterior_algebra(1))
-        e2 = exterior_algebra(2)
+        t = dense_tensor(tensor_product(exterior_algebra(1), exterior_algebra(1)).products, 4)
+        e2 = dense_tensor(exterior_algebra(2).products, 4)
         relabel = {0: 0, 1: 2, 2: 1, 3: 3}
         for i in range(4):
             for j in range(4):
                 for k in range(4):
                     assert (
-                        t.structure[i][j][k]
-                        == e2.structure[relabel[i]][relabel[j]][relabel[k]]
+                        t[i][j][k]
+                        == e2[relabel[i]][relabel[j]][relabel[k]]
                     )
 
     def test_even_times_even_has_no_signs(self):
@@ -242,15 +255,15 @@ class TestModuleActions:
     def test_self_module_shares_the_algebra_products(self):
         alg = tensor_product(truncated_polynomial(2), exterior_algebra(1))
         assert self_module(alg).action_sparse is alg.products
-        assert self_module(alg) == SuperModule(alg, alg.dim, alg.parity, [list(map(list, p)) for p in alg.structure],
+        assert self_module(alg) == SuperModule(alg, alg.dim, alg.parity, tuple(map(tuple, alg.products)),
                                                basis_names=alg.basis_names)
 
-    def test_wrongly_shaped_action_is_refused_even_when_it_is_the_structure(self):
+    def test_wrongly_shaped_action_is_refused_even_when_it_is_the_products(self):
         alg = exterior_algebra(1)
         with pytest.raises(ValueError):
-            SuperModule(alg, 1, (0,), alg.structure)
+            SuperModule(alg, 1, (0,), alg.products)
         with pytest.raises(ValueError):
-            SuperModule(alg, 2, (0, 1), alg.structure[:1])
+            SuperModule(alg, 2, (0, 1), alg.products[:1])
 
 
 class TestValidators:
@@ -260,7 +273,7 @@ class TestValidators:
             dim=2,
             basis_names=("1", "t"),
             parity=(0, 1),
-            structure=(((1, 0), (0, 1)), ((0, 1), (1, 0))),
+            products=table(_CLIFFORD),
             unit_index=0,
         )
         report = validate_superalgebra(clifford)
@@ -275,7 +288,7 @@ class TestValidators:
             dim=2,
             basis_names=("1", "t"),
             parity=(0, 1),
-            structure=(((1, 0), (0, 1)), ((0, 1), (0, 1))),
+            products=table(_IDEMPOTENT),
             unit_index=0,
         )
         kinds = validate_superalgebra(alg).kinds()
@@ -286,7 +299,7 @@ class TestValidators:
             dim=2,
             basis_names=("a", "b"),
             parity=(0, 0),
-            structure=(((1, 0), (0, 2)), ((0, 2), (0, 0))),
+            products=table(_NONASSOCIATIVE),
             unit_index=None,
         )
         report = validate_superalgebra(alg)
@@ -298,7 +311,7 @@ class TestValidators:
             dim=2,
             basis_names=("1", "x"),
             parity=(0, 0),
-            structure=(((1, 0), (0, 0)), ((0, 0), (0, 0))),
+            products=table({(0, 0): {0: 1}}),
             unit_index=0,
         )
         report = validate_superalgebra(alg)
@@ -306,12 +319,12 @@ class TestValidators:
 
     def test_zero_action_module_without_unit_is_valid(self):
         line = exterior_algebra(1)
-        base = SuperAlgebra(line.dim, line.basis_names, line.parity, line.structure, unit_index=None)
+        base = SuperAlgebra(line.dim, line.basis_names, line.parity, line.products, unit_index=None)
         mod = SuperModule(
             algebra=base,
             dim=2,
             parity=(0, 1),
-            action=(((0, 0), (0, 0)), ((0, 0), (0, 0))),
+            action_sparse=table({}),
         )
         assert validate_supermodule(mod).ok
 
@@ -320,7 +333,7 @@ class TestValidators:
             algebra=exterior_algebra(1),
             dim=2,
             parity=(0, 1),
-            action=(((0, 0), (0, 0)), ((0, 0), (0, 0))),
+            action_sparse=table({}),
         )
         report = validate_supermodule(mod)
         assert not report.ok
@@ -330,7 +343,7 @@ class TestValidators:
         mod = self_module(exterior_algebra(1))
         # Make t1 act as the identity instead of multiplication by t1.
         bad = SuperModule(
-            mod.algebra, mod.dim, mod.parity, action=(((1, 0), (0, 1)), ((0, 1), (1, 0))), basis_names=mod.basis_names
+            mod.algebra, mod.dim, mod.parity, action_sparse=table(_CLIFFORD), basis_names=mod.basis_names
         )
         report = validate_supermodule(bad)
         assert not report.ok
@@ -341,7 +354,7 @@ class TestValidators:
             dim=2,
             basis_names=("a", "b"),
             parity=(0, 0),
-            structure=(((1, 0), (0, 2)), ((0, 2), (0, 0))),
+            products=table(_NONASSOCIATIVE),
             unit_index=None,
         )
         report = validate_superalgebra(alg)
@@ -349,15 +362,15 @@ class TestValidators:
         assert indices == sorted(indices)
 
     @pytest.mark.parametrize(
-        "structure, parity",
+        "cells, parity",
         [
-            ((((1, 0), (0, 1)), ((0, 1), (0, 1))), (0, 1)),  # t^2 = t: parity
-            ((((1, 0), (0, 2)), ((0, 2), (0, 0))), (0, 0)),  # associativity
-            ((((0, 1), (1, 0)), ((1, 0), (0, 1))), (0, 0)),  # neither
+            (_IDEMPOTENT, (0, 1)),  # t^2 = t: parity
+            (_NONASSOCIATIVE, (0, 0)),  # associativity
+            ({(0, 0): {1: 1}, (0, 1): {0: 1}, (1, 0): {0: 1}, (1, 1): {1: 1}}, (0, 0)),  # neither
         ],
     )
-    def test_parity_and_associativity_are_the_self_module_laws(self, structure, parity):
-        alg = SuperAlgebra(dim=2, basis_names=("a", "b"), parity=parity, structure=structure, unit_index=None)
+    def test_parity_and_associativity_are_the_self_module_laws(self, cells, parity):
+        alg = SuperAlgebra(dim=2, basis_names=("a", "b"), parity=parity, products=table(cells), unit_index=None)
         law = {"parity": "parity", "associativity": "module_law"}
         as_algebra = [(law[v.kind], v.indices) for v in validate_superalgebra(alg).violations if v.kind in law]
         as_module = [(v.kind, v.indices) for v in validate_supermodule(self_module(alg)).violations]
@@ -367,7 +380,7 @@ class TestValidators:
         def refuse(module, *args, **kwargs):
             raise AssertionError("validate_superalgebra built a SuperModule")
 
-        monkeypatch.setattr(SuperModule, "_store", refuse)
+        monkeypatch.setattr(SuperModule, "__init__", refuse)
         assert validate_superalgebra(exterior_algebra(2)).ok
 
     def test_structure_shape_is_checked_at_construction(self):
@@ -376,7 +389,7 @@ class TestValidators:
                 dim=2,
                 basis_names=("a", "b"),
                 parity=(0, 0),
-                structure=(((1, 0),),),
+                products=((((0, 1),),),),
                 unit_index=None,
             )
 
@@ -387,7 +400,7 @@ class TestValidators:
 # checker keeps.
 
 
-def _dense_sparse_table(tensor):
+def _sparse_rows(tensor):
     return [[[(l, c) for l, c in enumerate(row) if c] for row in plane] for plane in tensor]
 
 
@@ -432,8 +445,8 @@ def _dense_action_law_violations(products, table, x, kind):
 
 
 def dense_algebra_violations(algebra):
-    dim, par, c = algebra.dim, algebra.parity, algebra.structure
-    products = _dense_sparse_table(c)
+    dim, par, c = algebra.dim, algebra.parity, dense_tensor(algebra.products, algebra.dim)
+    products = _sparse_rows(c)
     violations = _dense_parity_violations(par, c, par, "e")
     for i in range(dim):
         for j in range(dim):
@@ -463,10 +476,10 @@ def dense_algebra_violations(algebra):
 
 
 def dense_module_violations(module):
-    algebra, a = module.algebra, module.action
+    algebra, a = module.algebra, dense_tensor(module.action_sparse, module.dim)
     violations = _dense_parity_violations(algebra.parity, a, module.parity, "m")
     violations += _dense_action_law_violations(
-        _dense_sparse_table(algebra.structure), _dense_sparse_table(a), "m", "module_law"
+        _sparse_rows(dense_tensor(algebra.products, algebra.dim)), _sparse_rows(a), "m", "module_law"
     )
     if algebra.unit_index is not None:
         u = algebra.unit_index
@@ -490,13 +503,13 @@ _constants = st.one_of(
 )
 
 
-def _perturbed(draw, tensor, shape):
-    """``tensor`` as nested lists, with up to three cells set to drawn constants."""
-    cells = [[list(row) for row in plane] for plane in tensor]
+def _perturbed(draw, products, shape):
+    """The table ``products`` with up to three cells set to drawn constants."""
+    cells = {(i, j): dict(row) for i, plane in enumerate(products) for j, row in enumerate(plane)}
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         i, j, k = (draw(st.integers(min_value=0, max_value=n - 1)) for n in shape)
-        cells[i][j][k] = draw(_constants)
-    return cells
+        cells.setdefault((i, j), {})[k] = draw(_constants)
+    return _table_from_cells(cells, shape[0], shape[1])
 
 
 @st.composite
@@ -504,15 +517,15 @@ def perturbed_algebras(draw):
     """A valid corpus algebra or a zero product, with a few cells changed; unital or not."""
     if draw(st.booleans()):
         base = draw(st.sampled_from(_VALID_BASES))
-        dim, parity, structure = base.dim, base.parity, base.structure
+        dim, parity, products = base.dim, base.parity, base.products
         unit = draw(st.sampled_from((base.unit_index, None)))
     else:
         dim = draw(st.integers(min_value=1, max_value=4))
         parity = tuple(draw(st.lists(st.integers(0, 1), min_size=dim, max_size=dim)))
-        structure = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+        products = ()
         unit = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=dim - 1)))
-    structure = _perturbed(draw, structure, (dim,) * 3)
-    return SuperAlgebra(dim, tuple(f"b{i}" for i in range(dim)), parity, structure, unit_index=unit)
+    products = _perturbed(draw, products, (dim,) * 3)
+    return SuperAlgebra(dim, tuple(f"b{i}" for i in range(dim)), parity, products, unit_index=unit)
 
 
 @st.composite
@@ -520,11 +533,11 @@ def perturbed_modules(draw):
     """The self-action or a zero action of any module dimension, with a few cells changed."""
     algebra = draw(perturbed_algebras())
     if draw(st.booleans()):
-        dim, parity, action = algebra.dim, algebra.parity, algebra.structure
+        dim, parity, action = algebra.dim, algebra.parity, algebra.products
     else:
         dim = draw(st.integers(min_value=1, max_value=4))
         parity = tuple(draw(st.lists(st.integers(0, 1), min_size=dim, max_size=dim)))
-        action = [[[0] * dim for _ in range(dim)] for _ in range(algebra.dim)]
+        action = ()
     action = _perturbed(draw, action, (algebra.dim, dim, dim))
     return SuperModule(algebra, dim, parity, action)
 
@@ -545,7 +558,9 @@ class TestSparseValidators:
         # algebra must be reported as the dense loops report it.
         half = Fraction(1, 2)
         # b*b = b breaks parity; (aa)b = b/2 but a(ab) = b/4.
-        alg = SuperAlgebra(2, ("a", "b"), (0, 1), (((1, 0), (0, half)), ((0, half), (0, 1))), unit_index=None)
+        alg = SuperAlgebra(
+            2, ("a", "b"), (0, 1), table({(0, 0): {0: 1}, (0, 1): {1: half}, (1, 0): {1: half}, (1, 1): {1: 1}})
+        )
         mod = self_module(alg)
         assert mod.action_sparse is alg.products
         assert validate_supermodule(mod).violations == dense_module_violations(mod)
@@ -557,26 +572,3 @@ class TestSparseValidators:
         assert mod.action_sparse is alg.products
         assert validate_superalgebra(alg).ok
         assert validate_supermodule(mod).ok
-
-
-class TestFreezeTensor:
-    def test_int_rows_are_kept_as_they_are(self):
-        frozen = _freeze_tensor([[[0, 1], [2, -3]]], 1, 2, 2)
-        assert frozen == (((0, 1), (2, -3)),)
-        assert all(type(x) is int for row in frozen[0] for x in row)
-
-    @pytest.mark.parametrize("row", [[0, 1.0], [1.5, 2.5], [0.0, 0]])
-    def test_floats_are_refused(self, row):
-        with pytest.raises(TypeError):
-            _freeze_tensor([[row]], 1, 1, 2)
-
-    def test_integral_fractions_become_ints(self):
-        frozen = _freeze_tensor([[[Fraction(4, 2), 1], [Fraction(1, 2), Fraction(0)]]], 1, 2, 2)
-        assert frozen == (((2, 1), (Fraction(1, 2), 0)),)
-        assert [type(x) for row in frozen[0] for x in row] == [int, int, Fraction, int]
-
-    def test_bools_are_kept_as_as_rational_keeps_them(self):
-        rows = [[True, 0], [False, True], [True, Fraction(2, 2)]]
-        frozen = _freeze_tensor([rows], 1, 3, 2)
-        for row, frozen_row in zip(rows, frozen[0]):
-            assert [(type(x), x) for x in frozen_row] == [(type(as_rational(x)), as_rational(x)) for x in row]

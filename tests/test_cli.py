@@ -6,8 +6,8 @@ import json
 
 import pytest
 
-from superharrison.algebras import exterior_algebra, self_module, truncated_polynomial
-from superharrison.cli import run
+from superharrison.algebras import exterior_algebra, self_module, tensor_product, truncated_polynomial
+from superharrison.cli import resolve_algebra, run
 from superharrison.cochains import Cochain
 from superharrison.cohomology import ShuffleClosureError
 from superharrison.deformations import is_cocycle
@@ -486,6 +486,34 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "resource ceiling: cochain space of dimension 8388608 exceeds the ceiling 20000\n"
         )
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("builtin:truncpoly:257",
+             "builtin:truncpoly:257: truncated polynomial supported for 1 <= n <= 256, got 257"),
+            ("builtin:truncpoly:100000", "builtin:truncpoly:100000: truncated polynomial supported for 1 <= n <= 256, "
+             "got 100000"),
+            ("builtin:exterior:7", "builtin:exterior:7: exterior algebra supported for 0 <= k <= 6, got 7"),
+            ("builtin:tensor:truncpoly:16:truncpoly:17",
+             "builtin:tensor:truncpoly:16:truncpoly:17 has dimension 272, above the builtin bound 256"),
+            ("builtin:tensor:tensor:exterior:4:exterior:4:exterior:1",
+             "builtin:tensor:tensor:exterior:4:exterior:4:exterior:1 has dimension 512, above the builtin bound 256"),
+        ],
+    )
+    def test_oversized_builtin_is_refused_before_it_is_built(self, capsys, monkeypatch, spec, message):
+        def bounded(a, b):
+            assert a.dim * b.dim <= 256, "tensor_product ran on an oversized builtin"
+            return tensor_product(a, b)
+
+        monkeypatch.setattr("superharrison.cli.tensor_product", bounded)
+        code = run(["cohomology", "--algebra", spec, "--degree", "3", "--kind", "hochschild"])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_builtins_at_the_bound_are_built(self):
+        assert resolve_algebra("builtin:truncpoly:256").dim == 256
+        assert resolve_algebra("builtin:tensor:truncpoly:16:truncpoly:16").dim == 256
 
     @pytest.mark.parametrize("budget", ["-1", "-5"])
     def test_negative_budget_is_an_input_error(self, capsys, budget):

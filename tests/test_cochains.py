@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from superharrison.algebras import (
     SuperAlgebra,
     SuperModule,
+    _table_from_cells,
     act,
     exterior_algebra,
     multiply,
@@ -382,8 +383,8 @@ class TestHarrisonSpace:
                 tuple({offsets[pos]: x for pos, x in row.items()} for row in kernel_basis(stacked).rows),
             )
             assert (
-                kernel.vectors
-                == harrison_space(alg, mod, degree).vectors
+                kernel.rows
+                == harrison_space(alg, mod, degree).rows
             )
 
     @settings(max_examples=25, deadline=None)
@@ -399,8 +400,8 @@ class TestHarrisonSpace:
     def test_pattern_kernels_match_the_literal_stacked_system(self, a_par, m_par, degree):
         # The shuffle conditions read only the parities, so a zero product will do.
         dim = len(a_par)
-        alg = SuperAlgebra(dim, tuple(f"e{i}" for i in range(dim)), a_par, [[[0] * dim] * dim] * dim)
-        mod = SuperModule(alg, len(m_par), m_par, [[[0] * len(m_par)] * len(m_par)] * dim)
+        alg = SuperAlgebra(dim, tuple(f"e{i}" for i in range(dim)), a_par, _table_from_cells({}, dim, dim))
+        mod = SuperModule(alg, len(m_par), m_par, _table_from_cells({}, dim, len(m_par)))
         offsets = parity_offsets(alg, mod, degree)
         position = {off: pos for pos, off in enumerate(offsets)}
         columns = []

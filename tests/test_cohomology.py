@@ -5,7 +5,7 @@ from __future__ import annotations
 import sys
 
 import pytest
-from conftest import BAD_FILES
+from conftest import BAD_FILES, dense_tensor
 from hypothesis import given, settings
 from test_algebras import perturbed_modules
 
@@ -234,8 +234,8 @@ def dense_derivation_space(algebra, module):
     ]
     col = {pair: idx for idx, pair in enumerate(unknowns)}
     rows = []
-    c = algebra.structure
-    action = module.action
+    c = dense_tensor(algebra.products, algebra.dim)
+    action = dense_tensor(module.action_sparse, module.dim)
     for i in range(algebra.dim):
         for j in range(algebra.dim):
             for l2 in range(module.dim):
@@ -276,7 +276,7 @@ class TestDerivations:
     def test_exterior_line_derivations_are_scalings(self):
         alg = exterior_algebra(1)
         der = derivation_space(alg, self_module(alg))
-        assert der.vectors == ((0, 1),)
+        assert der.rows == ({1: 1},)
 
     def test_square_truncation_kills_constant_shifts(self):
         # For x with x^2 = 0 the only derivations scale x; sending x to 1
@@ -321,7 +321,7 @@ class TestRepresentatives:
                     else:
                         rep_coords.append(rep.data)
                 joined = SubspaceBasis.from_vectors(
-                    list(boundaries.vectors) + rep_coords,
+                    list(boundaries.rows) + rep_coords,
                     boundaries.ambient_dim,
                 )
                 assert joined.dim == boundaries.dim + len(rep_coords)
@@ -400,7 +400,7 @@ class TestResourceLimits:
     def test_harrison_cohomology_builds_no_parity_table(self):
         # exterior(2) under basis names of its own: no cache holds it yet.
         ext = exterior_algebra(2)
-        alg = SuperAlgebra(ext.dim, ("u", "a", "b", "ab"), ext.parity, ext.structure, unit_index=0)
+        alg = SuperAlgebra(ext.dim, ("u", "a", "b", "ab"), ext.parity, ext.products, unit_index=0)
         mod = self_module(alg)
         before = parity_offsets.cache_info().misses
         for degree in (1, 2, 3):

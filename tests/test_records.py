@@ -33,7 +33,7 @@ def _examples():
     mod = self_module(alg)
     return {
         "SuperAlgebra": lambda: truncated_polynomial(2),
-        "SuperModule": lambda: SuperModule(alg, 2, (0, 0), alg.structure, basis_names=("u", "v")),
+        "SuperModule": lambda: SuperModule(alg, 2, (0, 0), alg.products, basis_names=("u", "v")),
         "Violation": lambda: Violation("parity", (0, 1, 1), "detail"),
         "ValidationReport": lambda: ValidationReport((Violation("unit", (0,), "detail"),)),
         "DualNumber": lambda: DualNumber(1, 2),
@@ -80,7 +80,8 @@ def test_algebras_and_modules_keep_their_hash():
     mod = self_module(alg)
     for value in (alg, mod):
         assert hash(value) == hash(value._values(value)) == value.__dict__["_hash"]
-    assert hash(mod) == hash(SuperModule(exterior_algebra(2), 4, alg.parity, alg.structure, alg.basis_names))
+    copied = tuple(map(tuple, alg.products))
+    assert hash(mod) == hash(SuperModule(exterior_algebra(2), 4, alg.parity, copied, alg.basis_names))
 
 
 def test_defaults_match_the_signatures():
@@ -88,7 +89,7 @@ def test_defaults_match_the_signatures():
     assert (ResourceLimits.max_degree, ResourceLimits.max_columns) == (4, 20000)
     assert DualNumber(3) == DualNumber(3, 0)
     alg = truncated_polynomial(2)
-    assert SuperModule(alg, 2, (0, 0), alg.structure).basis_names == ("m0", "m1")
+    assert SuperModule(alg, 2, (0, 0), alg.products).basis_names == ("m0", "m1")
 
 
 def test_cached_properties_still_fill_in():

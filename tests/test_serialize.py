@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import dense_tensor
 from superharrison.algebras import (
     exterior_algebra,
     self_module,
@@ -14,6 +15,7 @@ from superharrison.algebras import (
     truncated_polynomial,
     validate_superalgebra,
 )
+from superharrison.cli import run
 from superharrison.cochains import cochain_from_entries
 from superharrison.serialize import (
     InputFormatError,
@@ -84,7 +86,7 @@ class TestAlgebraDocuments:
     def test_unlisted_products_are_zero(self):
         alg = algebra_from_dict(minimal_doc())
         # x * x never appears in the document.
-        assert all(c == 0 for c in alg.structure[1][1])
+        assert all(c == 0 for c in dense_tensor(alg.products, alg.dim)[1][1])
 
     def test_round_trip_through_dict(self, corpus_algebra):
         doc = algebra_to_dict(corpus_algebra)
@@ -137,7 +139,7 @@ class TestAlgebraDocuments:
         doc = minimal_doc()
         doc["products"][0]["terms"][0]["coeff"] = 1
         alg = algebra_from_dict(doc)
-        assert alg.structure[0][0][0] == 1
+        assert dense_tensor(alg.products, alg.dim)[0][0][0] == 1
 
     def test_unit_is_optional(self):
         doc = minimal_doc()
@@ -159,6 +161,63 @@ class TestAlgebraDocuments:
         for product in doc["products"]:
             for term in product["terms"]:
                 assert isinstance(term["coeff"], str)
+
+
+def _set_algebra_field(doc, field, value):
+    if field in ("dim", "unit"):
+        doc[field] = value
+    elif field == "parity":
+        doc["parity"][1] = value
+    elif field == "k":
+        doc["products"][1]["terms"][0]["k"] = value
+    else:
+        doc["products"][1][field] = value
+
+
+class TestBooleansAreNotIntegers:
+    """``isinstance(True, int)`` holds, so a JSON boolean must be refused by name wherever an integer is read."""
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("dim", True, "'dim' must be a positive integer"),
+            ("unit", True, "'unit' must be a valid 0-based index"),
+            ("unit", False, "'unit' must be a valid 0-based index"),
+            ("i", False, r"product indices \(False, 1\) out of range"),
+            ("j", True, r"product indices \(0, True\) out of range"),
+            ("k", True, "term index True out of range"),
+            ("parity", True, "'parity' must list one 0/1 per basis element"),
+        ],
+    )
+    def test_algebra_fields(self, field, value, message, tmp_path, capsys):
+        doc = minimal_doc()
+        # (0, 1) -> 1 is entry 1; with "dim": true the one-name basis fits.
+        if field == "dim":
+            doc["basis"], doc["parity"] = ["1"], [0]
+        _set_algebra_field(doc, field, value)
+        with pytest.raises(InputFormatError, match=f"^{message}$"):
+            algebra_from_dict(doc)
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(doc))
+        assert run(["check", "--algebra", str(path), "--json"]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"degree": True, "entries": [{"i": [1], "l": 1, "coeff": "1"}]}, "'degree' must be a nonnegative integer"),
+            ({"degree": 2, "entries": [{"i": [True, 1], "l": 0, "coeff": "1"}]}, "'i' must be a list of 2 integers"),
+            ({"degree": 2, "entries": [{"i": [1, 1], "l": True, "coeff": "1"}]}, "value index True out of range"),
+        ],
+    )
+    def test_cochain_fields(self, doc, message, tmp_path, capsys):
+        alg = exterior_algebra(1)
+        with pytest.raises(InputFormatError, match=f"^{message}$"):
+            cochain_from_dict(doc, alg, self_module(alg))
+        path = tmp_path / "psi.json"
+        path.write_text(json.dumps(doc))
+        assert run(["deform-check", "--algebra", "builtin:exterior:1", "--psi", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestCochainDocuments:
