@@ -50,7 +50,6 @@ from .cohomology import (
 )
 from .deformations import (
     DeformationReport,
-    ExtensionResult,
     NotACocycleError,
     SweepReport,
     deformation_classes,
@@ -72,7 +71,6 @@ from .linalg import (
 )
 from .shuffles import (
     Permutation,
-    Shuffle,
     compose,
     enumerate_shuffles,
     identity,

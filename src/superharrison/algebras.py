@@ -94,9 +94,9 @@ def _check_table(table: SparseTable, d0: int, d1: int, d2: int) -> None:
                     ) from None
                 if not last < k < d2:
                     raise ValueError(f"table row index {k} after {last} is out of order or not below {d2}")
-                # as_rational refuses floats and returns an exact scalar unchanged
-                # unless it is an integral Fraction, which must be stored as an int.
-                if not c or as_rational(c) is not c:
+                # as_rational refuses floats and booleans and returns an exact scalar
+                # unchanged unless it is an integral Fraction, which must be stored as an int.
+                if not c or isinstance(c, bool) or as_rational(c) is not c:
                     raise ValueError(f"table coefficient {c!r} at index {k} is not a nonzero normalised exact scalar")
                 last = k
 
@@ -104,8 +104,10 @@ def _check_table(table: SparseTable, d0: int, d1: int, d2: int) -> None:
 def _check_parity(parity: Sequence[int], dim: int) -> tuple[int, ...]:
     if len(parity) != dim:
         raise ValueError(f"parity vector length {len(parity)} does not match dim {dim}")
-    if any(p not in (0, 1) for p in parity):
-        raise ValueError("parities must be 0 or 1")
+    for p in parity:
+        # A boolean equals 0 or 1 but is not a parity.
+        if p not in (0, 1) or isinstance(p, bool):
+            raise ValueError(f"parities must be 0 or 1, got {p!r}")
     return tuple(parity)
 
 
@@ -139,11 +141,7 @@ class SuperAlgebra(HashOnceRecord):
         _check_table(products, dim, dim, dim)
         if unit_index is not None and not 0 <= unit_index < dim:
             raise ValueError(f"unit index {unit_index} out of range")
-        set_field(self, "dim", dim)
-        set_field(self, "basis_names", basis_names)
-        set_field(self, "parity", parity)
-        set_field(self, "products", products)
-        set_field(self, "unit_index", unit_index)
+        super().__init__(dim, basis_names, parity, products, unit_index)
 
     @cached_property
     def pairs_producing(self) -> tuple[tuple[tuple[int, int, Rat], ...], ...]:
@@ -187,11 +185,7 @@ class SuperModule(HashOnceRecord):
             basis_names = tuple(f"m{k}" for k in range(dim))
         if len(basis_names) != dim:
             raise ValueError("basis_names length does not match dim")
-        set_field(self, "algebra", algebra)
-        set_field(self, "dim", dim)
-        set_field(self, "parity", parity)
-        set_field(self, "action_sparse", action_sparse)
-        set_field(self, "basis_names", basis_names)
+        super().__init__(algebra, dim, parity, action_sparse, basis_names)
 
 
 def self_module(algebra: SuperAlgebra) -> SuperModule:
@@ -263,17 +257,9 @@ class Violation(Record):
     indices: tuple[int, ...]
     detail: str
 
-    def __init__(self, kind: str, indices: tuple[int, ...], detail: str) -> None:
-        set_field(self, "kind", kind)
-        set_field(self, "indices", indices)
-        set_field(self, "detail", detail)
-
 
 class ValidationReport(Record):
     violations: tuple[Violation, ...]
-
-    def __init__(self, violations: tuple[Violation, ...]) -> None:
-        set_field(self, "violations", violations)
 
     @property
     def ok(self) -> bool:
@@ -446,8 +432,7 @@ class DualNumber(Record):
     c1: Rat
 
     def __init__(self, c0: Rat, c1: Rat = 0) -> None:
-        set_field(self, "c0", as_rational(c0))
-        set_field(self, "c1", as_rational(c1))
+        super().__init__(as_rational(c0), as_rational(c1))
 
     # Spelled out, not ``Record``'s generic pair: the deformation checks
     # compare DualNumbers by the thousand.

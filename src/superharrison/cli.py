@@ -204,8 +204,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_shuffles(args: argparse.Namespace) -> int:
-    for s in enumerate_shuffles(args.n, args.p):
-        print(" ".join(str(v) for v in s.perm.images))
+    for perm in enumerate_shuffles(args.n, args.p):
+        print(" ".join(str(v) for v in perm.images))
     return EXIT_OK
 
 
@@ -366,14 +366,14 @@ def _cmd_extend(args: argparse.Namespace) -> int:
     algebra = resolve_algebra(args.algebra)
     psi = load_cochain(args.psi, algebra, self_module(algebra), degree=2, name="extension cocycle")
     ext = square_zero_extension(algebra, psi.module, psi)
-    report = validate_superalgebra(ext.algebra)
+    report = validate_superalgebra(ext)
     doc = {
         "command": "extend",
         "inputs_digest": _digest(algebra_to_dict(algebra), cochain_to_dict(psi)),
         "valid": report.ok,
-        "extension": algebra_to_dict(ext.algebra),
+        "extension": algebra_to_dict(ext),
     }
-    header = [f"extension dimension: {ext.algebra.dim}", f"valid superalgebra: {'yes' if report.ok else 'no'}"]
+    header = [f"extension dimension: {ext.dim}", f"valid superalgebra: {'yes' if report.ok else 'no'}"]
     _emit_violations(args, doc, header, report.violations)
     return EXIT_OK if report.ok else EXIT_NEGATIVE
 

@@ -53,7 +53,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .algebras import SuperAlgebra, SuperModule
 from .linalg import Rat, SubspaceBasis, as_rational, kernel_basis, RationalMatrix
-from .records import Record, set_field
+from .records import Record
 from .shuffles import enumerate_shuffles, sigma_o_sign
 
 __all__ = [
@@ -112,10 +112,7 @@ class Cochain(Record):
         data = {off: as_rational(v) for off, v in sorted(data.items()) if v}
         if data and not (0 <= min(data) and max(data) < size):
             raise ValueError(f"entry offset out of range for {size} entries")
-        set_field(self, "degree", degree)
-        set_field(self, "algebra", algebra)
-        set_field(self, "module", module)
-        set_field(self, "data", data)
+        super().__init__(degree, algebra, module, data)
 
     def __hash__(self) -> int:
         return hash((self.degree, self.algebra, self.module, tuple(self.data.items())))
@@ -149,9 +146,6 @@ class Cochain(Record):
 
     def is_zero(self) -> bool:
         return not self.data
-
-    def apply(self, args: Sequence[Sequence[Rat]]) -> tuple[Rat, ...]:
-        return cochain_apply(self, args)
 
     def __add__(self, other: "Cochain") -> "Cochain":
         self._check_compatible(other)
@@ -260,9 +254,9 @@ def _signed_shuffles(n: int, p: int, parities: tuple[int, ...]) -> tuple[tuple[t
     """Per shuffle s: the 0-based slot map of s^{-1} and sign(s) * oddsign(s^{-1})."""
     out = []
     for s in enumerate_shuffles(n, p):
-        inv = s.perm.inverse()
+        inv = s.inverse()
         slot_map = tuple(inv(m) - 1 for m in range(1, n + 1))
-        out.append((slot_map, s.perm.sign() * sigma_o_sign(inv, parities)))
+        out.append((slot_map, s.sign() * sigma_o_sign(inv, parities)))
     return tuple(out)
 
 

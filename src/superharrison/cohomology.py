@@ -41,7 +41,7 @@ from .linalg import (
     kernel_basis,
     quotient_representatives,
 )
-from .records import Record, set_field
+from .records import Record
 
 __all__ = [
     "ComplexKind",
@@ -66,10 +66,6 @@ class ResourceLimits(Record):
     # The defaults stay readable on the class itself.
     max_degree: int = 4
     max_columns: int = 20000
-
-    def __init__(self, max_degree: int = max_degree, max_columns: int = max_columns) -> None:
-        set_field(self, "max_degree", max_degree)
-        set_field(self, "max_columns", max_columns)
 
 
 DEFAULT_LIMITS = ResourceLimits()
@@ -166,26 +162,11 @@ class CohomologyResult(Record):
     dim_cochain: int
     dim_cocycles: int
     dim_coboundaries: int
-    dim_cohomology: int
     representatives: tuple[Cochain, ...]
 
-    def __init__(
-        self,
-        kind: ComplexKind,
-        degree: int,
-        dim_cochain: int,
-        dim_cocycles: int,
-        dim_coboundaries: int,
-        dim_cohomology: int,
-        representatives: tuple[Cochain, ...],
-    ) -> None:
-        set_field(self, "kind", kind)
-        set_field(self, "degree", degree)
-        set_field(self, "dim_cochain", dim_cochain)
-        set_field(self, "dim_cocycles", dim_cocycles)
-        set_field(self, "dim_coboundaries", dim_coboundaries)
-        set_field(self, "dim_cohomology", dim_cohomology)
-        set_field(self, "representatives", representatives)
+    @property
+    def dim_cohomology(self) -> int:
+        return self.dim_cocycles - self.dim_coboundaries
 
 
 def cohomology(
@@ -225,7 +206,6 @@ def cohomology(
         dim_cochain=outgoing.cols,
         dim_cocycles=cocycles.dim,
         dim_coboundaries=coboundaries.dim,
-        dim_cohomology=cocycles.dim - coboundaries.dim,
         representatives=representatives,
     )
 

@@ -57,11 +57,10 @@ from .cohomology import (
     cohomology,
 )
 from .linalg import Rat, solve
-from .records import Record, set_field
+from .records import Record
 
 __all__ = [
     "DeformationReport",
-    "ExtensionResult",
     "SweepReport",
     "first_order_deformation_check",
     "deformation_iff_cocycle",
@@ -83,24 +82,16 @@ class DeformationReport(Record):
     """Outcome of checking m_t(a, b) = ab + t psi(a, b) over t^2 = 0."""
 
     parity_ok: bool
-    supercommutative_mod_t2: bool
-    associative_mod_t2: bool
     supercommutativity_witness: Optional[tuple[int, int]]
     associativity_witness: Optional[tuple[int, int, int]]
 
-    def __init__(
-        self,
-        parity_ok: bool,
-        supercommutative_mod_t2: bool,
-        associative_mod_t2: bool,
-        supercommutativity_witness: Optional[tuple[int, int]],
-        associativity_witness: Optional[tuple[int, int, int]],
-    ) -> None:
-        set_field(self, "parity_ok", parity_ok)
-        set_field(self, "supercommutative_mod_t2", supercommutative_mod_t2)
-        set_field(self, "associative_mod_t2", associative_mod_t2)
-        set_field(self, "supercommutativity_witness", supercommutativity_witness)
-        set_field(self, "associativity_witness", associativity_witness)
+    @property
+    def supercommutative_mod_t2(self) -> bool:
+        return self.supercommutativity_witness is None
+
+    @property
+    def associative_mod_t2(self) -> bool:
+        return self.associativity_witness is None
 
     @property
     def valid(self) -> bool:
@@ -192,8 +183,6 @@ def first_order_deformation_check(algebra: SuperAlgebra, psi: Cochain) -> Deform
     )
     return DeformationReport(
         parity_ok=psi.parity_preserving,
-        supercommutative_mod_t2=supercomm_witness is None,
-        associative_mod_t2=assoc_witness is None,
         supercommutativity_witness=supercomm_witness,
         associativity_witness=assoc_witness,
     )
@@ -211,14 +200,12 @@ def is_cocycle(psi: Cochain) -> bool:
 class SweepReport(Record):
     """Result of sweeping an equivalence claim over many cochains."""
 
-    passed: bool
     cases: int
     failures: tuple[str, ...]
 
-    def __init__(self, passed: bool, cases: int, failures: tuple[str, ...]) -> None:
-        set_field(self, "passed", passed)
-        set_field(self, "cases", cases)
-        set_field(self, "failures", failures)
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
 
 def random_parity_cochain(
@@ -248,7 +235,7 @@ def _sweep(
     rng = random.Random(seed)
     cases += [random_parity_cochain(algebra, module, 2, rng) for _ in range(budget)]
     failures = tuple(f"case {idx}: {failure}" for idx, psi in enumerate(cases) for failure in failures_of(psi))
-    return SweepReport(passed=not failures, cases=len(cases), failures=failures)
+    return SweepReport(cases=len(cases), failures=failures)
 
 
 def deformation_iff_cocycle(
@@ -271,31 +258,14 @@ def deformation_iff_cocycle(
     return _sweep(algebra, self_module(algebra), budget, seed, failures_of)
 
 
-class ExtensionResult(Record):
-    """The square-zero extension algebra plus index bookkeeping.
-
-    ``algebra_block`` maps A-basis indices into the extension;
-    ``module_block`` maps M-basis indices into the extension.
-    """
-
-    algebra: SuperAlgebra
-    algebra_block: tuple[int, ...]
-    module_block: tuple[int, ...]
-
-    def __init__(self, algebra: SuperAlgebra, algebra_block: tuple[int, ...], module_block: tuple[int, ...]) -> None:
-        set_field(self, "algebra", algebra)
-        set_field(self, "algebra_block", algebra_block)
-        set_field(self, "module_block", module_block)
-
-
-def square_zero_extension(
-    algebra: SuperAlgebra, module: SuperModule, psi: Cochain
-) -> ExtensionResult:
+def square_zero_extension(algebra: SuperAlgebra, module: SuperModule, psi: Cochain) -> SuperAlgebra:
     """The algebra A (+) M with product (a,m)(b,n) = (ab, a n + m b + psi(a,b)).
 
-    M sits as an ideal squaring to zero.  The m b term uses the Koszul right
-    action.  No validity of psi is assumed: the point is to hand whatever
-    comes out to the validator.
+    Its basis is A's basis followed by M's: e_i is basis element i for
+    i < dim A, and m_l is basis element dim A + l.  M sits as an ideal
+    squaring to zero.  The m b term uses the Koszul right action.  No
+    validity of psi is assumed: the point is to hand whatever comes out to
+    the validator.
     """
     if psi.degree != 2 or psi.algebra != algebra or psi.module != module:
         raise ValueError("psi must be a degree-2 cochain on the given algebra and module")
@@ -326,12 +296,7 @@ def square_zero_extension(
                 # m * a on homogeneous components
                 add(da + k, i, da + l, -c if a_par[i] and m_par[k] else c)
 
-    ext = SuperAlgebra(dim, names, parity, _table_from_cells(cells, dim, dim), unit_index=None)
-    return ExtensionResult(
-        algebra=ext,
-        algebra_block=tuple(range(da)),
-        module_block=tuple(range(da, dim)),
-    )
+    return SuperAlgebra(dim, names, parity, _table_from_cells(cells, dim, dim), unit_index=None)
 
 
 def extension_valid_iff_cocycle(
@@ -345,7 +310,7 @@ def extension_valid_iff_cocycle(
     """
 
     def failures_of(psi: Cochain) -> list[str]:
-        kinds = validate_superalgebra(square_zero_extension(algebra, module, psi).algebra).kinds()
+        kinds = validate_superalgebra(square_zero_extension(algebra, module, psi)).kinds()
         checks = (
             ("associativity", hochschild_coboundary(psi).is_zero()),
             ("supercommutativity", is_graded_symmetric(psi)),

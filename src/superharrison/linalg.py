@@ -51,8 +51,8 @@ class NotASubspaceError(ValueError):
 
 
 def as_rational(value: object) -> Rat:
-    """Coerce ``value`` to an exact scalar, rejecting floats outright."""
-    if isinstance(value, int):
+    """Coerce ``value`` to an exact scalar, rejecting floats and booleans outright."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else value
@@ -186,9 +186,7 @@ class RationalMatrix(Record):
             raise ValueError("matrix dimensions must be nonnegative")
         if len(data) != rows:
             raise ValueError("row count does not match data")
-        set_field(self, "rows", rows)
-        set_field(self, "cols", cols)
-        set_field(self, "data", data)
+        super().__init__(rows, cols, data)
 
     def __hash__(self) -> int:
         return hash((self.rows, self.cols, tuple(tuple(sorted(row.items())) for row in self.data)))
@@ -250,10 +248,9 @@ class SubspaceBasis(Record):
 
     def __init__(self, ambient_dim: int, rows: tuple[dict[int, Rat], ...]) -> None:
         pivots = [min(row) for row in rows]
-        set_field(self, "ambient_dim", ambient_dim)
-        set_field(self, "rows", rows)
         set_field(self, "_echelon", dict(zip(pivots, rows)))
         set_field(self, "_index", {p: i for i, p in enumerate(pivots)})
+        super().__init__(ambient_dim, rows)
 
     def __hash__(self) -> int:
         return hash((self.ambient_dim, tuple(tuple(sorted(row.items())) for row in self.rows)))

@@ -19,7 +19,7 @@ composes previously computed subpermutations.
 Indices are 1-based throughout, matching the usual word notation for
 permutations: ``Permutation((3, 1, 2))`` sends 1 to 3.
 
->>> [s.perm.images for s in enumerate_shuffles(3, 1)]
+>>> [s.images for s in enumerate_shuffles(3, 1)]
 [(1, 2, 3), (2, 1, 3), (3, 1, 2)]
 >>> sigma_o_sign(Permutation((3, 1, 2)), (0, 1, 1))
 -1
@@ -30,14 +30,13 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .records import Record, set_field
+from .records import Record
 
 ParityVector = tuple[int, ...]
 
 __all__ = [
     "ParityVector",
     "Permutation",
-    "Shuffle",
     "identity",
     "compose",
     "permutation_sign",
@@ -57,7 +56,7 @@ class Permutation(Record):
         n = len(images)
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {images}")
-        set_field(self, "images", images)
+        super().__init__(images)
 
     @property
     def n(self) -> int:
@@ -105,19 +104,6 @@ def _inversion_sign(values: tuple[int, ...]) -> int:
     return -1 if inversions % 2 else 1
 
 
-class Shuffle(Record):
-    """A (p, n-p)-shuffle: both runs of ``perm`` strictly increase."""
-
-    perm: Permutation
-    p: int
-
-    def __init__(self, perm: Permutation, p: int) -> None:
-        if not is_shuffle(perm, p):
-            raise ValueError(f"{perm.images} is not a ({p},{perm.n - p})-shuffle")
-        set_field(self, "perm", perm)
-        set_field(self, "p", p)
-
-
 def is_shuffle(perm: Permutation, p: int) -> bool:
     """Whether both runs of ``perm`` increase.  Requires 1 <= p <= n-1."""
     n = perm.n
@@ -129,8 +115,8 @@ def is_shuffle(perm: Permutation, p: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def enumerate_shuffles(n: int, p: int) -> tuple[Shuffle, ...]:
-    """All (p, n-p)-shuffles of {1, ..., n}, lexicographic by the first run.
+def enumerate_shuffles(n: int, p: int) -> tuple[Permutation, ...]:
+    """All (p, n-p)-shuffles of {1, ..., n} as permutations, lexicographic by the first run.
 
     The first run determines the shuffle, so this is exactly one shuffle per
     p-subset of {1, ..., n}, in subset order.
@@ -144,7 +130,7 @@ def enumerate_shuffles(n: int, p: int) -> tuple[Shuffle, ...]:
     for first in combinations(universe, p):
         chosen = set(first)
         second = tuple(v for v in universe if v not in chosen)
-        out.append(Shuffle(Permutation(first + second), p))
+        out.append(Permutation(first + second))
     return tuple(out)
 
 

@@ -78,8 +78,8 @@ def test_shuffle_census():
             assert len(shuffles) == comb(n, p)
             seen = set()
             for s in shuffles:
-                assert is_shuffle(s.perm, p)
-                seen.add(s.perm.images)
+                assert is_shuffle(s, p)
+                seen.add(s.images)
             assert len(seen) == comb(n, p)
     member = Permutation((2, 4, 5, 1, 3))
     assert is_shuffle(member, 3)

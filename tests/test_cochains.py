@@ -86,7 +86,7 @@ def naive_coboundary(f: Cochain) -> Cochain:
     for t in itertools.product(range(dim), repeat=n + 1):
         args = [basis_vector(dim, i) for i in t]
         total = [0] * module.dim
-        first = act(module, args[0], f.apply(args[1:]))
+        first = act(module, args[0], cochain_apply(f, args[1:]))
         total = [x + y for x, y in zip(total, first)]
         for i in range(1, n + 1):
             merged = (
@@ -95,10 +95,10 @@ def naive_coboundary(f: Cochain) -> Cochain:
                 + args[i + 1 :]
             )
             sign = -1 if i % 2 else 1
-            middle = f.apply(merged)
+            middle = cochain_apply(f, merged)
             total = [x + sign * y for x, y in zip(total, middle)]
         last_sign = -1 if (n + 1) % 2 else 1
-        last = right_action(module, f.apply(args[:-1]), args[-1])
+        last = right_action(module, cochain_apply(f, args[:-1]), args[-1])
         total = [x + last_sign * y for x, y in zip(total, last)]
         for l, value in enumerate(total):
             if value:
@@ -170,13 +170,12 @@ class TestCochainBasics:
             y = tuple(rng.randint(-3, 3) for _ in range(2))
             z = tuple(rng.randint(-3, 3) for _ in range(2))
             c = rng.randint(-3, 3)
-            lhs = f.apply([tuple(c * a + b for a, b in zip(x, y)), z])
+            lhs = cochain_apply(f, [tuple(c * a + b for a, b in zip(x, y)), z])
             rhs = tuple(
                 c * a + b
-                for a, b in zip(f.apply([x, z]), f.apply([y, z]))
+                for a, b in zip(cochain_apply(f, [x, z]), cochain_apply(f, [y, z]))
             )
             assert lhs == rhs
-            assert cochain_apply(f, [x, z]) == f.apply([x, z])
 
     def test_parity_flag(self):
         euler = elementary_cochain(self.alg, self.mod, 1, (1,), 1)
@@ -529,9 +528,9 @@ def dense_shuffle_sum(algebra, keys, dense, p):
     for t, l in keys:
         total = 0
         for s in enumerate_shuffles(len(t), p):
-            inv = s.perm.inverse()
+            inv = s.inverse()
             u = tuple(t[inv(m) - 1] for m in range(1, len(t) + 1))
-            total += s.perm.sign() * sigma_o_sign(inv, tuple(algebra.parity[i] for i in t)) * value[(u, l)]
+            total += s.sign() * sigma_o_sign(inv, tuple(algebra.parity[i] for i in t)) * value[(u, l)]
         out.append(total)
     return out
 

@@ -1,9 +1,10 @@
-"""The value classes: immutable, compared and hashed by their fields, and
-importable without ``dataclasses``."""
+"""The value classes: built by one ``Record`` constructor, immutable,
+compared and hashed by their fields, and importable without ``dataclasses``."""
 
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 import superharrison
 from superharrison.algebras import (
     DualNumber,
+    SuperAlgebra,
     SuperModule,
     ValidationReport,
     Violation,
@@ -21,10 +23,11 @@ from superharrison.algebras import (
     truncated_polynomial,
 )
 from superharrison.cochains import Cochain
-from superharrison.cohomology import CohomologyResult, ComplexKind, ResourceLimits
-from superharrison.deformations import DeformationReport, ExtensionResult, SweepReport
-from superharrison.linalg import RationalMatrix, SubspaceBasis
-from superharrison.shuffles import Permutation, Shuffle
+from superharrison.cohomology import CohomologyResult, ComplexKind, ResourceLimits, cohomology
+from superharrison.deformations import DeformationReport, SweepReport
+from superharrison.linalg import RationalMatrix, SubspaceBasis, as_rational
+from superharrison.records import Record
+from superharrison.shuffles import Permutation
 
 
 def _examples():
@@ -39,14 +42,12 @@ def _examples():
         "DualNumber": lambda: DualNumber(1, 2),
         "Cochain": lambda: Cochain(2, alg, mod, {3: 1, 1: 2}),
         "ResourceLimits": lambda: ResourceLimits(max_columns=7),
-        "CohomologyResult": lambda: CohomologyResult(ComplexKind.HOCHSCHILD, 1, 2, 1, 0, 1, ()),
-        "DeformationReport": lambda: DeformationReport(True, True, False, None, (0, 1, 1)),
-        "SweepReport": lambda: SweepReport(False, 3, ("case 0: failure",)),
-        "ExtensionResult": lambda: ExtensionResult(alg, (0, 1), (2, 3)),
+        "CohomologyResult": lambda: CohomologyResult(ComplexKind.HOCHSCHILD, 1, 2, 1, 0, ()),
+        "DeformationReport": lambda: DeformationReport(True, None, (0, 1, 1)),
+        "SweepReport": lambda: SweepReport(3, ("case 0: failure",)),
         "RationalMatrix": lambda: RationalMatrix.from_rows([[1, 0], [0, 2]]),
         "SubspaceBasis": lambda: SubspaceBasis.from_vectors([[1, 2, 0]], 3),
         "Permutation": lambda: Permutation((2, 1, 3)),
-        "Shuffle": lambda: Shuffle(Permutation((2, 1, 3)), 1),
     }
 
 
@@ -73,6 +74,89 @@ def test_values_of_different_fields_or_classes_differ():
     assert Permutation((1, 2)) != Permutation((2, 1))
     assert ResourceLimits() != ResourceLimits(max_degree=5)
     assert Violation("unit", (0,), "x") != ValidationReport(())
+
+
+def _records(cls=Record):
+    """Every class of the package below ``cls`` that declares fields, recursively."""
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("superharrison.") and "_fields" in vars(sub):
+            yield sub
+        yield from _records(sub)
+
+
+def test_every_record_has_an_example():
+    assert {cls.__name__ for cls in _records()} == set(EXAMPLES)
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_keyword_and_positional_construction_agree(name):
+    value = EXAMPLES[name]()
+    cls, fields = type(value), [getattr(value, field) for field in value._fields]
+    assert cls(*fields) == cls(**dict(zip(value._fields, fields))) == value
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        (("parity",), {"indices": (0,)}, "is missing field 'detail'"),
+        (("parity", (0,), "detail"), {"witness": (0,)}, "has no field 'witness'"),
+        (("parity", (0,), "detail"), {"kind": "unit"}, "was given field 'kind' twice"),
+        (("parity", (0,), "detail", "extra"), {}, "takes 3 fields, got 4 positional values"),
+    ],
+)
+def test_constructor_misuse_names_the_class(args, kwargs, message):
+    with pytest.raises(TypeError, match=f"^Violation {re.escape(message)}$"):
+        Violation(*args, **kwargs)
+
+
+def test_derived_values_are_properties_not_fields():
+    result = CohomologyResult(ComplexKind.HOCHSCHILD, 1, 5, 3, 1, ())
+    assert result.dim_cohomology == 2 and "dim_cohomology" not in result._fields
+    report = DeformationReport(True, None, (0, 1, 1))
+    assert report.supercommutative_mod_t2 and not report.associative_mod_t2 and not report.valid
+    assert SweepReport(3, ()).passed and not SweepReport(3, ("case 0: failure",)).passed
+
+
+@pytest.mark.parametrize("degree", range(4))
+@pytest.mark.parametrize("kind", list(ComplexKind))
+def test_dim_cohomology_counts_the_representatives(corpus_algebra, kind, degree):
+    result = cohomology(corpus_algebra, self_module(corpus_algebra), degree, kind)
+    assert result.dim_cohomology == len(result.representatives)
+
+
+class TestBooleansAreNotScalars:
+    """``True == 1`` in Python, but a boolean is neither a coefficient nor a parity."""
+
+    def test_table_coefficient(self):
+        with pytest.raises(ValueError, match="coefficient True"):
+            SuperAlgebra(1, ("1",), (0,), ((((0, True),),),), unit_index=0)
+        with pytest.raises(ValueError, match="coefficient True"):
+            SuperModule(truncated_polynomial(1), 1, (0,), ((((0, True),),),))
+
+    def test_parity(self):
+        with pytest.raises(ValueError, match="got True"):
+            SuperAlgebra(1, ("1",), (True,), ((((0, 1),),),), unit_index=0)
+        with pytest.raises(ValueError, match="got False"):
+            SuperModule(truncated_polynomial(1), 1, (False,), ((((0, 1),),),))
+
+    def test_cochain_value(self):
+        alg = truncated_polynomial(1)
+        with pytest.raises(TypeError, match="got True"):
+            Cochain(0, alg, self_module(alg), {0: True})
+
+    def test_matrix_entry(self):
+        with pytest.raises(TypeError, match="got True"):
+            RationalMatrix.from_rows([{0: True}], cols=1)
+        with pytest.raises(TypeError, match="got True"):
+            as_rational(True)
+
+    def test_dual_number(self):
+        with pytest.raises(TypeError, match="got True"):
+            DualNumber(True)
+        with pytest.raises(TypeError, match="got True"):
+            DualNumber(1, True)
+        with pytest.raises(TypeError, match="got True"):
+            DualNumber(1) + True
 
 
 def test_algebras_and_modules_keep_their_hash():

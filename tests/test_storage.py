@@ -68,7 +68,7 @@ def _product_documents(draw):
 def _extensions(draw):
     base = draw(_BUILTINS)
     psi = random_parity_cochain(base, self_module(base), 2, random.Random(draw(st.integers(0, 99))))
-    return square_zero_extension(base, self_module(base), psi).algebra
+    return square_zero_extension(base, self_module(base), psi)
 
 
 SPARSE_BUILT = st.one_of(
