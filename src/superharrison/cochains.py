@@ -109,7 +109,8 @@ class Cochain(Record):
         if module.algebra != algebra:
             raise ValueError("module is not over the given algebra")
         size = algebra.dim**degree * module.dim
-        data = {off: as_rational(v) for off, v in sorted(data.items()) if v}
+        # Coerced before zeros are dropped: an inexact zero is refused, not dropped.
+        data = {off: x for off, v in sorted(data.items()) if (x := as_rational(v))}
         if data and not (0 <= min(data) and max(data) < size):
             raise ValueError(f"entry offset out of range for {size} entries")
         super().__init__(degree, algebra, module, data)

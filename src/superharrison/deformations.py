@@ -118,17 +118,15 @@ DualVector = tuple[tuple[int, DualNumber], ...]
 
 def _mt_table(algebra: SuperAlgebra, psi: Cochain) -> list[list[DualVector]]:
     """m_t on basis pairs: table[i][j] = c_ij + t psi(e_i, e_j), from the nonzero products and psi entries."""
-    dim = algebra.dim
-    # twists[i * dim + j] = {l: psi(e_i, e_j)_l}; psi takes values in the algebra itself.
-    twists: dict[int, dict[int, Rat]] = {}
-    for off, v in psi.data.items():
-        pair, l = divmod(off, dim)
+    # twists[(i, j)] = {l: psi(e_i, e_j)_l}; psi takes values in the algebra itself.
+    twists: dict[tuple[int, ...], dict[int, Rat]] = {}
+    for pair, l, v in psi.iter_nonzero():
         twists.setdefault(pair, {})[l] = v
     table = []
     for i, plane in enumerate(algebra.products):
         out = []
         for j, prod in enumerate(plane):
-            twist = twists.get(i * dim + j)
+            twist = twists.get((i, j))
             if twist is None:
                 out.append(tuple((k, DualNumber._exact(c, 0)) for k, c in prod))
                 continue
@@ -208,17 +206,15 @@ class SweepReport(Record):
         return not self.failures
 
 
-def random_parity_cochain(
-    algebra: SuperAlgebra,
-    module: SuperModule,
-    degree: int,
-    rng: random.Random,
-    density: float = 0.6,
-) -> Cochain:
+# The chance that a random cochain sets a given parity-consistent entry.
+RANDOM_DENSITY = 0.6
+
+
+def random_parity_cochain(algebra: SuperAlgebra, module: SuperModule, degree: int, rng: random.Random) -> Cochain:
     """A random rational combination of the parity basis."""
     data: dict[int, Rat] = {}
     for off in parity_offsets(algebra, module, degree):
-        if rng.random() < density:
+        if rng.random() < RANDOM_DENSITY:
             data[off] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
     return Cochain(degree, algebra, module, data)
 

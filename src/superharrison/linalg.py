@@ -60,15 +60,19 @@ def as_rational(value: object) -> Rat:
 
 
 def _sparse(vector: Vector, length: int) -> dict[int, Rat]:
-    """The nonzero entries of a dense or sparse vector of ``length``, normalised."""
+    """The nonzero entries of a dense or sparse vector of ``length``, normalised.
+
+    Each value is coerced before zeros are dropped, so a zero that is not an
+    exact scalar, such as ``0.0`` or ``False``, is refused like any other.
+    """
     if isinstance(vector, Mapping):
-        out = {j: as_rational(x) for j, x in vector.items() if x}
+        out = {j: y for j, x in vector.items() if (y := as_rational(x))}
         if any(not 0 <= j < length for j in out):
             raise ValueError(f"vector position out of range for length {length}")
         return out
     if len(vector) != length:
         raise ValueError(f"vector length {len(vector)} does not match {length}")
-    return {j: as_rational(x) for j, x in enumerate(vector) if x}
+    return {j: y for j, x in enumerate(vector) if (y := as_rational(x))}
 
 
 def _dense(row: Mapping[int, Rat], length: int) -> tuple[Rat, ...]:

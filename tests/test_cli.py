@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
 
 from superharrison.algebras import exterior_algebra, self_module, tensor_product, truncated_polynomial
-from superharrison.cli import resolve_algebra, run
+from superharrison.cli import SUITES, build_parser, resolve_algebra, run
 from superharrison.cochains import Cochain
 from superharrison.cohomology import ShuffleClosureError
 from superharrison.deformations import is_cocycle
@@ -314,6 +315,52 @@ class TestVerifyCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["passed"] is True
         assert doc["suites"][0]["name"] == "validators"
+
+    def test_suites_run_in_table_order_whatever_the_flag_order(self, capsys):
+        argv = ["verify", "--algebra", "builtin:truncpoly:2", "--budget", "5"]
+        assert run(argv + ["--suite", "extensions", "--suite", "complex", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [s["name"] for s in doc["suites"]] == ["complex", "extensions"]
+
+    def test_suite_choices_are_all_and_the_table(self):
+        assert list(SUITES) == [
+            "validators", "complex", "closure", "derivations", "deformations", "extensions", "equivalence",
+        ]
+        (verify,) = [p for name, p in _subcommands().items() if name == "verify"]
+        (suite,) = [a for a in verify._actions if a.dest == "suite"]
+        assert suite.choices == ["all", *SUITES]
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    (action,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return dict(action.choices)
+
+
+class TestJsonReports:
+    """Every subcommand with ``--json`` prints one JSON document naming the subcommand."""
+
+    ARGV = {
+        "check": ["--algebra", "builtin:exterior:1"],
+        "cohomology": ["--algebra", "builtin:truncpoly:2", "--degree", "2", "--kind", "harrison"],
+        "derivations": ["--algebra", "builtin:truncpoly:2"],
+        "deform-check": ["--algebra", "builtin:exterior:1", "--psi", None],
+        "deform-classes": ["--algebra", "builtin:truncpoly:2"],
+        "extend": ["--algebra", "builtin:truncpoly:2", "--psi", None],
+        "verify": ["--algebra", "builtin:truncpoly:2", "--budget", "5"],
+    }
+
+    def test_every_json_subcommand_is_covered(self):
+        with_json = {
+            name for name, p in _subcommands().items() if any(a.dest == "json" for a in p._actions)
+        }
+        assert with_json == set(self.ARGV)
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_one_document_named_after_the_subcommand(self, capsys, square_psi_file, command):
+        argv = [square_psi_file if arg is None else arg for arg in self.ARGV[command]]
+        assert run([command, *argv, "--json"]) in (0, 1)
+        doc = json.loads(capsys.readouterr().out)  # refuses trailing output
+        assert doc["command"] == command
 
 
 class TestInvalidAlgebras:

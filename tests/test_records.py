@@ -159,6 +159,25 @@ class TestBooleansAreNotScalars:
             DualNumber(1) + True
 
 
+class TestInexactZerosAreRefused:
+    """A zero is dropped only when it is an exact scalar; ``0.0`` and ``False`` are refused like ``0.5``."""
+
+    @pytest.mark.parametrize("zero", [0.0, False])
+    def test_cochain_value(self, zero):
+        alg = truncated_polynomial(1)
+        with pytest.raises(TypeError, match=f"got {zero}"):
+            Cochain(0, alg, self_module(alg), {0: zero})
+
+    @pytest.mark.parametrize("zero", [0.0, False])
+    def test_dense_and_sparse_vectors(self, zero):
+        with pytest.raises(TypeError, match=f"got {zero}"):
+            RationalMatrix.from_rows([[zero, 1]])
+        with pytest.raises(TypeError, match=f"got {zero}"):
+            RationalMatrix.from_rows([{0: zero, 1: 1}], cols=2)
+        with pytest.raises(TypeError, match=f"got {zero}"):
+            SubspaceBasis.from_vectors([[zero, 1]], 2)
+
+
 def test_algebras_and_modules_keep_their_hash():
     alg = exterior_algebra(2)
     mod = self_module(alg)
