@@ -28,7 +28,6 @@ from .cochains import (
     coboundary_scatter,
     cochain_apply,
     cochain_from_entries,
-    elementary_cochain,
     harrison_basis,
     harrison_space,
     hochschild_coboundary,
@@ -36,7 +35,6 @@ from .cochains import (
     parity_basis,
     parity_offsets,
     super_shuffle_sum,
-    zero_cochain,
 )
 from .cohomology import (
     CohomologyResult,
@@ -71,12 +69,9 @@ from .linalg import (
 )
 from .shuffles import (
     Permutation,
-    compose,
     enumerate_shuffles,
-    identity,
     is_shuffle,
     odd_subpermutation,
-    permutation_sign,
     sigma_o_sign,
 )
 

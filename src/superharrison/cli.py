@@ -73,7 +73,7 @@ from .deformations import (
     random_parity_cochain,
     square_zero_extension,
 )
-from .linalg import NotASubspaceError, Rat, kernel_basis
+from .linalg import NotASubspaceError, Rat, SubspaceBasis, kernel_basis
 from .serialize import (
     InputFormatError,
     algebra_to_dict,
@@ -262,28 +262,17 @@ def _cmd_derivations(args: argparse.Namespace) -> Report:
     algebra = resolve_algebra(args.algebra)
     module = self_module(algebra)
     space = derivation_space(algebra, module)
-    pairs = [
-        (i, l)
-        for i in range(algebra.dim)
-        for l in range(module.dim)
-        if algebra.parity[i] == module.parity[l]
-    ]
+    derivations = [list(Cochain(1, algebra, module, row).iter_nonzero()) for row in space.rows]
     doc = {
         "command": "derivations",
         "inputs_digest": _digest(algebra_to_dict(algebra)),
         "dim": space.dim,
-        "basis": [
-            [{"arg": pairs[c][0], "value": pairs[c][1], "coeff": str(v)} for c, v in row.items()]
-            for row in space.rows
-        ],
+        "basis": [[{"arg": i, "value": l, "coeff": str(v)} for (i,), l, v in terms] for terms in derivations],
     }
     lines = [f"algebra: {args.algebra}", f"dim Der = {space.dim}"]
-    for idx, row in enumerate(space.rows):
-        terms = [
-            f"e_{algebra.basis_names[pairs[c][0]]} -> {_format_terms(module, [(pairs[c][1], v)])}"
-            for c, v in row.items()
-        ]
-        lines.append(f"derivation {idx}: " + "; ".join(terms))
+    for idx, terms in enumerate(derivations):
+        parts = [f"e_{algebra.basis_names[i]} -> {_format_terms(module, [(l, v)])}" for (i,), l, v in terms]
+        lines.append(f"derivation {idx}: " + "; ".join(parts))
     return EXIT_OK, doc, lines
 
 
@@ -381,7 +370,9 @@ def _suite_closure(algebra: SuperAlgebra, module: SuperModule, budget: int, limi
 
 def _suite_derivations(algebra: SuperAlgebra, module: SuperModule, budget: int, limits: ResourceLimits):
     z1 = kernel_basis(coboundary_matrix(algebra, module, 1, ComplexKind.SUPER_HARRISON, limits))
-    return z1 == derivation_space(algebra, module), "degree-1 cocycles match the Leibniz solutions"
+    harrison1 = harrison_space(algebra, module, 1)
+    cocycles = SubspaceBasis.from_vectors((harrison1.combination(row) for row in z1.rows), harrison1.ambient_dim)
+    return cocycles == derivation_space(algebra, module), "degree-1 cocycles match the Leibniz solutions"
 
 
 def _sweep_outcome(report: SweepReport):

@@ -11,10 +11,11 @@ convert between (t, l) and the flat offset, ``parity_offsets`` and
 ``parity_count`` list and count the parity-consistent entries, and
 ``_signed_shuffles`` gives the signed slot permutations of su_{n,p} for one
 vector of argument parities.  Every cochain space, the Harrison subspace
-included, is written over flat offsets: a ``harrison_space`` row is the
-``data`` of a cochain.  ``encode`` and ``decode`` run once per entry, so
-they stay out of ``__all__``, the names that profilers such as
-``perfbench/traced_cli.py`` wrap call by call.
+included, is written over flat offsets: a ``harrison_space`` row, like a
+row of ``cohomology.derivation_space``, is the ``data`` of a cochain.
+``encode`` and ``decode`` run once per entry, so they stay out of
+``__all__``, the names that profilers such as ``perfbench/traced_cli.py``
+wrap call by call.
 
 Three layers live here:
 
@@ -48,7 +49,7 @@ what its support costs; ``hochschild_coboundary`` wraps it in a ``Cochain``.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import permutations, product as iter_product
+from itertools import product as iter_product
 from typing import Iterator, Mapping, Sequence
 
 from .algebras import SuperAlgebra, SuperModule
@@ -58,9 +59,7 @@ from .shuffles import enumerate_shuffles, sigma_o_sign
 
 __all__ = [
     "Cochain",
-    "zero_cochain",
     "cochain_from_entries",
-    "elementary_cochain",
     "cochain_apply",
     "parity_offsets",
     "parity_count",
@@ -125,20 +124,6 @@ class Cochain(Record):
         m_par = self.module.parity
         return all(sum(a_par[i] for i in t) % 2 == m_par[l] for t, l, _ in self.iter_nonzero())
 
-    def offset(self, t: Sequence[int], l: int) -> int:
-        return encode(t, l, self.algebra.dim, self.module.dim)
-
-    def entry(self, t: Sequence[int], l: int) -> Rat:
-        if len(t) != self.degree:
-            raise ValueError("tuple length does not match degree")
-        return self.data.get(self.offset(t, l), 0)
-
-    def value_on_tuple(self, t: Sequence[int]) -> tuple[Rat, ...]:
-        """The module vector f(e_{t_1}, ..., e_{t_n})."""
-        base = self.offset(t, 0)
-        get = self.data.get
-        return tuple([get(off, 0) for off in range(base, base + self.module.dim)])
-
     def iter_nonzero(self) -> Iterator[tuple[tuple[int, ...], int, Rat]]:
         n, dim_a, dim_m = self.degree, self.algebra.dim, self.module.dim
         for flat, v in self.data.items():
@@ -173,10 +158,6 @@ class Cochain(Record):
             raise ValueError("cochains live on different spaces")
 
 
-def zero_cochain(algebra: SuperAlgebra, module: SuperModule, degree: int) -> Cochain:
-    return Cochain(degree, algebra, module, {})
-
-
 def cochain_from_entries(
     algebra: SuperAlgebra,
     module: SuperModule,
@@ -192,12 +173,6 @@ def cochain_from_entries(
             raise ValueError(f"entry ({t}, {l}) out of range")
         data[encode(t, l, algebra.dim, module.dim)] = v
     return Cochain(degree, algebra, module, data)
-
-
-def elementary_cochain(
-    algebra: SuperAlgebra, module: SuperModule, degree: int, t: tuple[int, ...], l: int
-) -> Cochain:
-    return cochain_from_entries(algebra, module, degree, {(t, l): 1})
 
 
 def cochain_apply(f: Cochain, args: Sequence[Sequence[Rat]]) -> tuple[Rat, ...]:
@@ -299,22 +274,23 @@ def harrison_space(algebra: SuperAlgebra, module: SuperModule, degree: int) -> S
     parity-consistent (argument multiset, module index) orbit, because a
     shuffle only permutes argument slots.  A block's system depends only on
     its orbit pattern: the rank tuple of the sorted arguments and the
-    parity of each rank.  So one kernel is solved per pattern, on the rank
-    tuples themselves, and its rows are copied to every block of that
+    parity of each rank.  So one kernel is solved per pattern, on the
+    members of the first block of that pattern, decoded from their offsets
+    and relabelled by rank, and its rows are copied to every block of that
     pattern by member offset.  An order-preserving relabelling keeps the
-    members in lexicographic order, so the copied rows are canonical too.
-    The result equals the kernel of the literally stacked system since the
-    reduced echelon basis of a subspace is unique.  For degree <= 1 a block
-    has one member and no conditions, so the space is everything
-    parity-preserving.
+    members in lexicographic order, so the copied rows are canonical too,
+    and a pattern costs what its block costs, not n!.  The result equals the
+    kernel of the literally stacked system since the reduced echelon basis
+    of a subspace is unique.  For degree <= 1 a block has one member and no
+    conditions, so the space is everything parity-preserving.
     """
-    dim_m = module.dim
+    dim_a, dim_m = algebra.dim, module.dim
     a_par = algebra.parity
     values = tuple(tuple(l for l in range(dim_m) if module.parity[l] == q) for q in (0, 1))
     # Sorted arguments -> offset of each member's entry (t, 0), members in
     # lexicographic order.
     blocks: dict[tuple[int, ...], list[int]] = {}
-    for idx, t in enumerate(iter_product(range(algebra.dim), repeat=degree)):
+    for idx, t in enumerate(iter_product(range(dim_a), repeat=degree)):
         blocks.setdefault(tuple(sorted(t)), []).append(idx * dim_m)
 
     kernels: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[dict[int, Rat], ...]] = {}
@@ -330,21 +306,22 @@ def harrison_space(algebra: SuperAlgebra, module: SuperModule, degree: int) -> S
         rank = {x: r for r, x in enumerate(distinct)}
         key = (tuple(rank[x] for x in args), tuple(a_par[x] for x in distinct))
         if key not in kernels:
-            kernels[key] = _pattern_kernel(*key)
+            ranked = [tuple(rank[x] for x in decode(off, degree, dim_a, dim_m)[0]) for off in members]
+            kernels[key] = _pattern_kernel(ranked, key[1])
         for l in ls:
             rows.extend({members[c] + l: x for c, x in row.items()} for row in kernels[key])
     rows.sort(key=min)
-    return SubspaceBasis(algebra.dim**degree * dim_m, tuple(rows))
+    return SubspaceBasis(dim_a**degree * dim_m, tuple(rows))
 
 
-def _pattern_kernel(ranks: tuple[int, ...], parities: tuple[int, ...]) -> tuple[dict[int, Rat], ...]:
-    """Kernel of the stacked su_{n,p} system on the rearrangements of ``ranks``.
+def _pattern_kernel(members: Sequence[tuple[int, ...]], parities: tuple[int, ...]) -> tuple[dict[int, Rat], ...]:
+    """Kernel of the stacked su_{n,p} system on one block's rank tuples.
 
-    Coordinates index the distinct rearrangements in lexicographic order;
+    ``members`` are all the rearrangements of one rank tuple, in
+    lexicographic order, and coordinate c indexes ``members[c]``;
     ``parities[r]`` is the parity of rank r.
     """
-    n = len(ranks)
-    members = sorted(set(permutations(ranks)))
+    n = len(members[0])
     index = {u: c for c, u in enumerate(members)}
     conditions: list[dict[int, Rat]] = []
     for u in members:
@@ -422,8 +399,9 @@ def is_graded_symmetric(f: Cochain) -> bool:
     if f.degree != 2:
         raise ValueError("graded symmetry is a degree-2 test")
     a_par = f.algebra.parity
+    dim_a, dim_m = f.algebra.dim, f.module.dim
     # A pair with one side zero fails at its nonzero side, so the support suffices.
     return all(
-        f.data.get(f.offset((j, i), l), 0) == (-v if a_par[i] and a_par[j] else v)
+        f.data.get(encode((j, i), l, dim_a, dim_m), 0) == (-v if a_par[i] and a_par[j] else v)
         for (i, j), l, v in f.iter_nonzero()
     )

@@ -29,8 +29,10 @@ from .cochains import (
     Cochain,
     coboundary_scatter,
     decode,
+    encode,
     harrison_space,
     parity_count,
+    parity_offsets,
     super_shuffle_sum,
 )
 from .linalg import (
@@ -214,35 +216,30 @@ def derivation_space(algebra: SuperAlgebra, module: SuperModule) -> SubspaceBasi
     """Parity-preserving maps f: A -> M obeying the Leibniz rule f(ab) = a f(b) + f(a) b.
 
     The trailing term uses the Koszul right action.  The system is assembled
-    directly from the structure constants, with no cochain machinery
-    involved, so this is an independent check target for degree-1 cocycles.
-    Coordinates index the parity-consistent pairs (i, l), lexicographically.
+    directly from the structure constants, with no coboundary or shuffle
+    machinery involved, so this is an independent check target for degree-1
+    cocycles.  Each row is the ``data`` of a degree-1 cochain, over the same
+    flat offsets as ``harrison_space(algebra, module, 1)``; the entries that
+    are not parity-consistent are pinned to zero.
     """
-    unknowns = [
-        (i, l)
-        for i in range(algebra.dim)
-        for l in range(module.dim)
-        if algebra.parity[i] == module.parity[l]
-    ]
-    col = {pair: idx for idx, pair in enumerate(unknowns)}
+    dim_a, dim_m = algebra.dim, module.dim
+    consistent = set(parity_offsets(algebra, module, 1))
+    rows: list[dict[int, Rat]] = [{off: 1} for off in range(dim_a * dim_m) if off not in consistent]
     products = algebra.products
     action = module.action_sparse
     a_par = algebra.parity
     m_par = module.parity
-    rows: list[dict[int, Rat]] = []
-    for i in range(algebra.dim):
-        for j in range(algebra.dim):
-            # (l2, unknown, coefficient) of f(e_i e_j) - e_i f(e_j) - f(e_i) e_j
-            # on m_{l2}; the last term takes the Koszul right action.
-            terms = [(l2, (k, l2), c) for k, c in products[i][j] for l2 in range(module.dim)]
-            for l in range(module.dim):
-                terms.extend((l2, (j, l), -c) for l2, c in action[i][l])
+    for i in range(dim_a):
+        for j in range(dim_a):
+            # (l2, offset of the unknown, coefficient) of f(e_i e_j) - e_i f(e_j)
+            # - f(e_i) e_j on m_{l2}; the last term takes the Koszul right action.
+            terms = [(l2, encode((k,), l2, dim_a, dim_m), c) for k, c in products[i][j] for l2 in range(dim_m)]
+            for l in range(dim_m):
+                terms.extend((l2, encode((j,), l, dim_a, dim_m), -c) for l2, c in action[i][l])
                 sign = -1 if a_par[j] and m_par[l] else 1
-                terms.extend((l2, (i, l), -sign * c) for l2, c in action[j][l])
-            equations: list[dict[int, Rat]] = [{} for _ in range(module.dim)]
-            for l2, pair, c in terms:
-                if pair in col:
-                    row = equations[l2]
-                    row[col[pair]] = row.get(col[pair], 0) + c
+                terms.extend((l2, encode((i,), l, dim_a, dim_m), -sign * c) for l2, c in action[j][l])
+            equations: list[dict[int, Rat]] = [{} for _ in range(dim_m)]
+            for l2, off, c in terms:
+                equations[l2][off] = equations[l2].get(off, 0) + c
             rows.extend(row for row in equations if any(row.values()))
-    return kernel_basis(RationalMatrix.from_rows(rows, cols=len(unknowns)))
+    return kernel_basis(RationalMatrix.from_rows(rows, cols=dim_a * dim_m))

@@ -313,7 +313,8 @@ def kernel_basis(matrix: RationalMatrix) -> SubspaceBasis:
     reduced = _rref({last - j: x for j, x in row.items()} for row in matrix.data)
     pivots = {last - min(row) for row in reduced}
     vectors: dict[int, dict[int, Rat]] = {c: {c: 1} for c in range(matrix.cols) if c not in pivots}
-    for row in reduced:
+    # Pivots in increasing column order, so each vector is built in column order.
+    for row in reversed(reduced):
         p = last - min(row)
         for j, x in row.items():
             if last - j != p:

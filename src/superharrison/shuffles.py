@@ -37,9 +37,6 @@ ParityVector = tuple[int, ...]
 __all__ = [
     "ParityVector",
     "Permutation",
-    "identity",
-    "compose",
-    "permutation_sign",
     "is_shuffle",
     "enumerate_shuffles",
     "odd_subpermutation",
@@ -74,24 +71,7 @@ class Permutation(Record):
         return Permutation(tuple(inv))
 
     def sign(self) -> int:
-        return permutation_sign(self)
-
-
-def identity(n: int) -> Permutation:
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return Permutation(tuple(range(1, n + 1)))
-
-
-def compose(outer: Permutation, inner: Permutation) -> Permutation:
-    """(outer * inner)(i) = outer(inner(i))."""
-    if outer.n != inner.n:
-        raise ValueError("cannot compose permutations of different sizes")
-    return Permutation(tuple(outer.images[v - 1] for v in inner.images))
-
-
-def permutation_sign(perm: Permutation) -> int:
-    return _inversion_sign(perm.images)
+        return _inversion_sign(self.images)
 
 
 def _inversion_sign(values: tuple[int, ...]) -> int:

@@ -10,7 +10,9 @@ directory and runs the test from inside it.
 ``dense`` is the reference reader of the sparse forms, with
 ``dense_vectors`` and ``dense_tensor`` built on it: the library keeps
 structure constants and bases sparse only, and tests that compare against
-plain dense loops read them through here.
+plain dense loops read them through here.  ``entry`` and ``vector_at``
+read one value, or one module vector, of a cochain through
+``cochains.encode``, the one flat-index codec.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import pytest
 
 import superharrison as sh
 from superharrison.cli import resolve_algebra
+from superharrison.cochains import encode
 
 CORPUS_SPECS: dict[str, str] = {
     "exterior1": "builtin:exterior:1",
@@ -48,6 +51,16 @@ def dense_vectors(basis) -> tuple:
 def dense_tensor(table, width: int) -> tuple:
     """A sparse table, such as ``products`` or ``action_sparse``, as the dense tensor t[i][j][k]."""
     return tuple(tuple(dense(row, width) for row in plane) for plane in table)
+
+
+def entry(f: sh.Cochain, t: tuple, l: int):
+    """The value of cochain f at entry (t, l)."""
+    return f.data.get(encode(t, l, f.algebra.dim, f.module.dim), 0)
+
+
+def vector_at(f: sh.Cochain, t: tuple) -> tuple:
+    """The module vector f(e_{t_1}, ..., e_{t_n})."""
+    return tuple(entry(f, t, l) for l in range(f.module.dim))
 
 
 @pytest.fixture(params=sorted(CORPUS))

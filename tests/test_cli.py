@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import superharrison
 from superharrison.algebras import exterior_algebra, self_module, tensor_product, truncated_polynomial
 from superharrison.cli import SUITES, build_parser, resolve_algebra, run
 from superharrison.cochains import Cochain
@@ -186,12 +191,39 @@ class TestCohomologyCommand:
         assert code == 0
         assert "dim H = 4" in capsys.readouterr().out
 
+    def test_a_one_element_algebra_at_degree_eleven_finishes_quickly(self):
+        # truncpoly:1 has one basis element, so each Harrison block has one
+        # member; solving each pattern over all n! rearrangements of its
+        # ranks instead took over a minute.
+        src = str(Path(superharrison.__file__).resolve().parent.parent)
+        argv = ["--algebra", "builtin:truncpoly:1", "--degree", "11", "--kind", "harrison", "--max-degree", "20"]
+        out = subprocess.run(
+            [sys.executable, "-m", "superharrison.cli", "cohomology", *argv],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert out.returncode == 0, out.stderr
+        assert "dim C = 0" in out.stdout.splitlines()
+
 
 class TestDerivationsCommand:
     def test_lists_a_basis(self, capsys):
         assert run(["derivations", "--algebra", "builtin:truncpoly:3"]) == 0
         out = capsys.readouterr().out
         assert "dim Der = 2" in out
+
+    def test_terms_come_in_basis_order(self, capsys):
+        assert run(["derivations", "--algebra", "builtin:truncpoly:6", "--json"]) == 0
+        basis = json.loads(capsys.readouterr().out)["basis"]
+        assert len(basis) == 5
+        for terms in basis:
+            keys = [(term["arg"], term["value"]) for term in terms]
+            assert keys == sorted(keys)
+        assert run(["derivations", "--algebra", "builtin:truncpoly:6"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2] == "derivation 0: e_x -> x; e_x^2 -> 2*x^2; e_x^3 -> 3*x^3; e_x^4 -> 4*x^4; e_x^5 -> 5*x^5"
 
 
 class TestDeformCommands:

@@ -17,8 +17,9 @@ from superharrison.algebras import (
 )
 from superharrison.cochains import (
     Cochain,
+    coboundary_scatter,
     cochain_from_entries,
-    elementary_cochain,
+    encode,
     harrison_basis,
     harrison_space,
     hochschild_coboundary,
@@ -109,7 +110,7 @@ class TestCoboundaryMatrices:
         alg = exterior_algebra(1)
         mod = self_module(alg)
         matrix = coboundary_matrix(alg, mod, 1, HOCH)
-        basis = [elementary_cochain(alg, mod, 1, (i,), l) for i in range(alg.dim) for l in range(mod.dim)]
+        basis = [cochain_from_entries(alg, mod, 1, {((i,), l): 1}) for i in range(alg.dim) for l in range(mod.dim)]
         for col, f in enumerate(basis):
             df = hochschild_coboundary(f)
             column = tuple(matrix.entries[r][col] for r in range(matrix.rows))
@@ -225,34 +226,51 @@ class TestDimensions:
 
 
 def dense_derivation_space(algebra, module):
-    """The Leibniz system with one dense row per (i, j, l2), as ``derivation_space`` built it before."""
-    unknowns = [
-        (i, l)
+    """The Leibniz system with one dense row per (i, j, l2), over flat degree-1 offsets.
+
+    Unknown (i, l) is the value of f(e_i) on m_l, at offset ``encode((i,), l)``;
+    the unknowns that are not parity-consistent get a row pinning them to zero.
+    """
+    width = algebra.dim * module.dim
+
+    def col(i, l):
+        return encode((i,), l, algebra.dim, module.dim)
+
+    rows = [
+        [1 if c == col(i, l) else 0 for c in range(width)]
         for i in range(algebra.dim)
         for l in range(module.dim)
-        if algebra.parity[i] == module.parity[l]
+        if algebra.parity[i] != module.parity[l]
     ]
-    col = {pair: idx for idx, pair in enumerate(unknowns)}
-    rows = []
     c = dense_tensor(algebra.products, algebra.dim)
     action = dense_tensor(module.action_sparse, module.dim)
     for i in range(algebra.dim):
         for j in range(algebra.dim):
             for l2 in range(module.dim):
-                row = [0] * len(unknowns)
+                row = [0] * width
                 for k in range(algebra.dim):
-                    if c[i][j][k] and (k, l2) in col:
-                        row[col[(k, l2)]] += c[i][j][k]
+                    row[col(k, l2)] += c[i][j][k]
                 for l in range(module.dim):
-                    if (j, l) in col and action[i][l][l2]:
-                        row[col[(j, l)]] -= action[i][l][l2]
-                for l in range(module.dim):
-                    if (i, l) in col and action[j][l][l2]:
-                        sign = -1 if algebra.parity[j] and module.parity[l] else 1
-                        row[col[(i, l)]] -= sign * action[j][l][l2]
+                    row[col(j, l)] -= action[i][l][l2]
+                    sign = -1 if algebra.parity[j] and module.parity[l] else 1
+                    row[col(i, l)] -= sign * action[j][l][l2]
                 if any(row):
                     rows.append(row)
-    return kernel_basis(RationalMatrix.from_rows(rows, cols=len(unknowns)))
+    return kernel_basis(RationalMatrix.from_rows(rows, cols=width))
+
+
+def harrison_cocycles_over_offsets(algebra, module):
+    """Harrison Z^1 over flat offsets: the degree-1 Harrison rows killed by the coboundary.
+
+    The kernel is taken in Harrison coordinates and expanded by
+    ``harrison_space(algebra, module, 1).combination``.  The coboundary is
+    read in the full degree-2 space, so no closure check gets in the way
+    when a perturbed module breaks a law.
+    """
+    space = harrison_space(algebra, module, 1)
+    images = [coboundary_scatter(algebra, module, 1, row) for row in space.rows]
+    z1 = kernel_basis(RationalMatrix.from_columns(images, rows=algebra.dim**2 * module.dim))
+    return SubspaceBasis.from_vectors((space.combination(row) for row in z1.rows), space.ambient_dim)
 
 
 class TestDerivations:
@@ -270,13 +288,26 @@ class TestDerivations:
         self, corpus_algebra
     ):
         mod = self_module(corpus_algebra)
-        cocycles = kernel_basis(coboundary_matrix(corpus_algebra, mod, 1, HARR))
-        assert cocycles == derivation_space(corpus_algebra, mod)
+        z1 = kernel_basis(coboundary_matrix(corpus_algebra, mod, 1, HARR))
+        space = harrison_space(corpus_algebra, mod, 1)
+        cocycles = SubspaceBasis.from_vectors((space.combination(row) for row in z1.rows), space.ambient_dim)
+        derivations = derivation_space(corpus_algebra, mod)
+        assert derivations.ambient_dim == space.ambient_dim
+        assert cocycles == derivations
+        assert cocycles == harrison_cocycles_over_offsets(corpus_algebra, mod)
+
+    @given(perturbed_modules())
+    @settings(max_examples=100, deadline=None)
+    def test_perturbed_modules_derivations_are_the_harrison_cocycles(self, module):
+        derivations = derivation_space(module.algebra, module)
+        assert derivations.ambient_dim == harrison_space(module.algebra, module, 1).ambient_dim
+        assert derivations == harrison_cocycles_over_offsets(module.algebra, module)
 
     def test_exterior_line_derivations_are_scalings(self):
+        # Offset 3 is the entry (t, l) = ((1,), 1): x -> x.
         alg = exterior_algebra(1)
         der = derivation_space(alg, self_module(alg))
-        assert der.rows == ({1: 1},)
+        assert der.rows == ({3: 1},)
 
     def test_square_truncation_kills_constant_shifts(self):
         # For x with x^2 = 0 the only derivations scale x; sending x to 1

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import dense, dense_vectors
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superharrison.linalg import (
@@ -391,6 +391,18 @@ class TestAgainstDenseReference:
         assert dense_vectors(kernel) == reference_kernel(entries, ncols)
         assert dense_vectors(image) == reference_rref([[row[j] for row in entries] for j in range(ncols)], len(entries))
         assert is_normalised(dense_vectors(kernel)) and is_normalised(dense_vectors(image))
+
+    @given(matrices())
+    @example(([[1, 0, 0, -1], [0, 1, 0, -2], [0, 0, 1, -3]], 4))
+    @settings(max_examples=150)
+    def test_rows_list_their_entries_in_column_order(self, case):
+        # Reports print a row's entries in the order the row lists them.
+        entries, ncols = case
+        m = RationalMatrix.from_rows(entries, cols=ncols)
+        space = SubspaceBasis.from_vectors(entries, ncols)
+        sub = SubspaceBasis.from_vectors(space.rows[::2], ncols)
+        for basis in (kernel_basis(m), image_basis(m), space, quotient_representatives(space, sub)):
+            assert all(list(row) == sorted(row) for row in basis.rows)
 
     @given(matrices(), st.data())
     @settings(max_examples=150)

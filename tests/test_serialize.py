@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import dense_tensor
+from conftest import dense_tensor, entry
 from superharrison.algebras import (
     exterior_algebra,
     self_module,
@@ -275,7 +275,7 @@ class TestCochainDocuments:
             )
         )
         f = load_cochain(str(path), self.alg, self.mod)
-        assert f.entry((1, 1), 0) == Fraction(-1, 2)
+        assert entry(f, (1, 1), 0) == Fraction(-1, 2)
         assert load_cochain(str(path), self.alg, self.mod, degree=2) == f
 
     def test_load_cochain_refuses_another_degree_by_name(self, tmp_path):
