@@ -33,7 +33,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from .linalg import Rat, as_rational
+from .linalg import Rat, _denominator, _ratio, as_rational
 from .records import HashOnceRecord, Record, set_field
 
 __all__ = [
@@ -72,6 +72,15 @@ def _table_from_cells(cells: Mapping[tuple[int, int], Mapping[int, Rat]], d0: in
         )
         for i in range(d0)
     )
+
+
+def _integral_tables(*tables: SparseTable) -> tuple:
+    """(D, each table times D), D the common denominator of all their constants; an all-integer table is itself."""
+    d = _denominator(c for table in tables for plane in table for row in plane for _, c in row)
+    if d == 1:
+        return (d, *tables)
+    scaled = (tuple(tuple(tuple((k, int(c * d)) for k, c in row) for row in plane) for plane in t) for t in tables)
+    return (d, *scaled)
 
 
 def _check_table(table: SparseTable, d0: int, d1: int, d2: int) -> None:
@@ -143,16 +152,6 @@ class SuperAlgebra(HashOnceRecord):
             raise ValueError(f"unit index {unit_index} out of range")
         super().__init__(dim, basis_names, parity, products, unit_index)
 
-    @cached_property
-    def pairs_producing(self) -> tuple[tuple[tuple[int, int, Rat], ...], ...]:
-        """pairs_producing[k] = all (i, j, c) with e_i e_j having coefficient c on e_k."""
-        out: list[list[tuple[int, int, Rat]]] = [[] for _ in range(self.dim)]
-        for i, plane in enumerate(self.products):
-            for j, row in enumerate(plane):
-                for k, c in row:
-                    out[k].append((i, j, c))
-        return tuple(tuple(entries) for entries in out)
-
 
 class SuperModule(HashOnceRecord):
     """A supermodule over ``algebra`` given by its left action.
@@ -186,6 +185,21 @@ class SuperModule(HashOnceRecord):
         if len(basis_names) != dim:
             raise ValueError("basis_names length does not match dim")
         super().__init__(algebra, dim, parity, action_sparse, basis_names)
+
+    @cached_property
+    def integral_tables(self) -> tuple[int, tuple[tuple[tuple[int, int, int], ...], ...], SparseTable]:
+        """(D, pairs, action), from ``_integral_tables`` of the algebra's products and ``action_sparse``.
+
+        pairs[k] lists every (i, j, C) with C / D the coefficient of e_k in
+        e_i e_j, and action is ``action_sparse`` times D.
+        """
+        d, products, action = _integral_tables(self.algebra.products, self.action_sparse)
+        pairs: list[list[tuple[int, int, int]]] = [[] for _ in range(self.algebra.dim)]
+        for i, plane in enumerate(products):
+            for j, row in enumerate(plane):
+                for k, c in row:
+                    pairs[k].append((i, j, c))
+        return d, tuple(map(tuple, pairs)), action
 
 
 def self_module(algebra: SuperAlgebra) -> SuperModule:
@@ -293,7 +307,7 @@ def _parity_violations(a_par: Sequence[int], table: SparseTable, x_par: Sequence
     return out
 
 
-def _action_law_violations(products: SparseTable, table: SparseTable, x: str, kind: str) -> list[Violation]:
+def _action_law_violations(d: int, products: SparseTable, table: SparseTable, x: str, kind: str) -> list[Violation]:
     """(e_i e_j)x_k = e_i(e_j x_k), first differing x_l reported per triple.
 
     With ``table`` the algebra's own products this is associativity; with a
@@ -301,12 +315,14 @@ def _action_law_violations(products: SparseTable, table: SparseTable, x: str, ki
     nonzero entries only, one i at a time: the left from each e_i e_j =
     sum c e_mid times the rows of ``table[mid]``, the right from each
     e_i x_mid != 0 times every e_j x_k with a term on x_mid.  A triple with
-    both sides zero is never visited.
+    both sides zero is never visited.  Both tables come times d, from
+    ``_integral_tables``, so the sums run on integers, scaled by d^2; a
+    reported value is divided back by d^2.
     """
     # rows[mid]: the nonzero e_mid x_k as (k, row); producing[mid]: every
     # (j, k, c) with c the coefficient of x_mid in e_j x_k.
-    rows: list[list[tuple[int, tuple[tuple[int, Rat], ...]]]] = []
-    producing: list[list[tuple[int, int, Rat]]] = [[] for _ in range(len(table[0]))]
+    rows: list[list[tuple[int, tuple[tuple[int, int], ...]]]] = []
+    producing: list[list[tuple[int, int, int]]] = [[] for _ in range(len(table[0]))]
     for j, plane in enumerate(table):
         rows.append([(k, row) for k, row in enumerate(plane) if row])
         for k, row in enumerate(plane):
@@ -314,14 +330,14 @@ def _action_law_violations(products: SparseTable, table: SparseTable, x: str, ki
                 producing[mid].append((j, k, coeff))
     out = []
     for i, plane in enumerate(products):
-        lhs: dict[tuple[int, int], dict[int, Rat]] = {}
+        lhs: dict[tuple[int, int], dict[int, int]] = {}
         for j, prod in enumerate(plane):
             for mid, coeff in prod:
                 for k, row in rows[mid]:
                     acc = lhs.setdefault((j, k), {})
                     for l, c2 in row:
                         acc[l] = acc.get(l, 0) + coeff * c2
-        rhs: dict[tuple[int, int], dict[int, Rat]] = {}
+        rhs: dict[tuple[int, int], dict[int, int]] = {}
         for mid, row in rows[i]:
             for j, k, coeff in producing[mid]:
                 acc = rhs.setdefault((j, k), {})
@@ -339,7 +355,7 @@ def _action_law_violations(products: SparseTable, table: SparseTable, x: str, ki
                             kind,
                             (i, j, k),
                             f"(e{i}e{j}){x}{k} and e{i}(e{j}{x}{k}) differ at {x}{l}: "
-                            f"{left.get(l, 0)} vs {right.get(l, 0)}",
+                            f"{_ratio(left.get(l, 0), d * d)} vs {_ratio(right.get(l, 0), d * d)}",
                         )
                     )
                     break
@@ -379,7 +395,8 @@ def validate_superalgebra(algebra: SuperAlgebra) -> ValidationReport:
                         )
                     )
 
-    violations += _action_law_violations(products, products, "e", "associativity")
+    d, scaled = _integral_tables(products)
+    violations += _action_law_violations(d, scaled, scaled, "e", "associativity")
 
     if algebra.unit_index is not None:
         u = algebra.unit_index
@@ -408,7 +425,7 @@ def validate_supermodule(module: SuperModule) -> ValidationReport:
     algebra = module.algebra
     table = module.action_sparse
     violations = _parity_violations(algebra.parity, table, module.parity, "m")
-    violations += _action_law_violations(algebra.products, table, "m", "module_law")
+    violations += _action_law_violations(*_integral_tables(algebra.products, table), "m", "module_law")
     if algebra.unit_index is not None:
         u = algebra.unit_index
         for k in range(module.dim):

@@ -53,7 +53,7 @@ from itertools import product as iter_product
 from typing import Iterator, Mapping, Sequence
 
 from .algebras import SuperAlgebra, SuperModule
-from .linalg import Rat, SubspaceBasis, as_rational, kernel_basis, RationalMatrix
+from .linalg import Rat, SubspaceBasis, _denominator, _ratio, as_rational, kernel_basis, RationalMatrix
 from .records import Record
 from .shuffles import enumerate_shuffles, sigma_o_sign
 
@@ -347,22 +347,24 @@ def coboundary_scatter(
 
     Each entry (t, l) of the degree-n cochain f is scattered into the
     entries of df it feeds, so the cost follows the support of f.  Offsets
-    of df are computed arithmetically from the flat index of t.  Entries
-    that cancel are dropped; values are exact but not normalised, so an
-    integral ``Fraction`` may remain.
+    of df are computed arithmetically from the flat index of t.  The sums
+    run on integers, over the tables times D of ``SuperModule.integral_tables``
+    and f's values times L, their common denominator; each value of df is
+    divided once, by D * L, so values are normalised, and zeros are dropped.
     """
     dim_a, dim_m = algebra.dim, module.dim
-    action = module.action_sparse
-    pairs = algebra.pairs_producing
+    d, pairs, action = module.integral_tables
+    scale = _denominator(entries.values())
     a_par = algebra.parity
     m_par = module.parity
     last_sign = -1 if degree % 2 == 0 else 1
     tuples = dim_a**degree
     # Weight of slot s in the flat index of t, for s = 0..n-1.
     weights = [dim_a ** (degree - 1 - s) for s in range(degree)]
-    out: dict[int, Rat] = {}
+    out: dict[int, int] = {}
 
     for flat, v in entries.items():
+        v = int(v * scale)
         idx, l = divmod(flat, dim_m)
         for j in range(dim_a):
             # a_1 * f(a_2, ..., a_{n+1}), and (-1)^{n+1} f(a_1, ..., a_n) * a_{n+1}
@@ -386,7 +388,8 @@ def coboundary_scatter(
                 off = ((base + a * dim_a + b) * w + low) * dim_m + l
                 out[off] = out.get(off, 0) + c * coeff
 
-    return {off: x for off, x in out.items() if x}
+    total = d * scale
+    return {off: _ratio(x, total) if total != 1 else x for off, x in out.items() if x}
 
 
 def hochschild_coboundary(f: Cochain) -> Cochain:

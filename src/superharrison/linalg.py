@@ -132,13 +132,20 @@ def _clear(row: dict[int, Rat], echelon: Mapping[int, Mapping[int, Rat]], after:
     return row
 
 
+def _denominator(values: Iterable[Rat]) -> int:
+    """The least common multiple of the denominators of ``values``: 1 when every value is an int."""
+    return lcm(*{x.denominator for x in values if isinstance(x, Fraction)})
+
+
+def _ratio(x: int, d: int) -> Rat:
+    """x / d, normalised: an int when d divides x."""
+    return x // d if x % d == 0 else Fraction(x, d)
+
+
 def _integral(row: Mapping[int, Rat]) -> dict[int, int]:
     """``row`` times the least common multiple of its denominators."""
-    denominators = [x.denominator for x in row.values() if isinstance(x, Fraction)]
-    if not denominators:
-        return dict(row)
-    scale = lcm(*denominators)
-    return {j: int(x * scale) for j, x in row.items()}
+    scale = _denominator(row.values())
+    return dict(row) if scale == 1 else {j: int(x * scale) for j, x in row.items()}
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:

@@ -11,7 +11,8 @@ since it writes to ``__dict__`` directly.  Two records are equal when they
 have the same class and equal fields, and the hash is that of the fields.
 The package avoids ``dataclasses`` because every CLI call is a fresh
 process: importing it pulls in ``inspect``, ``ast`` and ``dis``, and each
-decorated class compiles generated code at import.
+decorated class compiles generated code at import.  For the same reason it
+avoids ``hashlib``, which loads OpenSSL (see ``cli._digest``).
 
 ``HashOnceRecord`` keeps its hash after the first call, for records whose
 fields are large tuples that an ``lru_cache`` key would rehash per lookup.

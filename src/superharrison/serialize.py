@@ -68,7 +68,11 @@ def parse_rational(value: Any) -> Rat:
     if isinstance(value, str):
         if not _RATIONAL_RE.match(value.strip()):
             raise InputFormatError(f"not an exact rational string: {value!r}")
-        return as_rational(Fraction(value.strip()))
+        try:
+            return as_rational(Fraction(value.strip()))
+        except ValueError as exc:  # over sys.get_int_max_str_digits(), where the interpreter has it
+            digits = sum(map(str.isdigit, value))
+            raise InputFormatError(f"coefficient {value.strip()[:20]}... of {digits} digits is too long") from exc
     raise InputFormatError(f"cannot read a rational from {value!r}")
 
 

@@ -13,15 +13,24 @@ structure constants and bases sparse only, and tests that compare against
 plain dense loops read them through here.  ``entry`` and ``vector_at``
 read one value, or one module vector, of a cochain through
 ``cochains.encode``, the one flat-index codec.
+
+``reference_coboundary_scatter`` and ``reference_action_law_violations``
+are the coboundary and the associativity/module-law checker as they were
+written before the library moved them to integer arithmetic: the same
+loops, summing ``Fraction`` values.  ``rebased`` gives an algebra in a
+rational change of basis, so that its structure constants are not
+integers.
 """
 
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
 import superharrison as sh
+from superharrison.algebras import Violation, _table_from_cells
 from superharrison.cli import resolve_algebra
 from superharrison.cochains import encode
 
@@ -61,6 +70,112 @@ def entry(f: sh.Cochain, t: tuple, l: int):
 def vector_at(f: sh.Cochain, t: tuple) -> tuple:
     """The module vector f(e_{t_1}, ..., e_{t_n})."""
     return tuple(entry(f, t, l) for l in range(f.module.dim))
+
+
+def reference_coboundary_scatter(algebra, module, degree, entries) -> dict:
+    """``cochains.coboundary_scatter`` in plain rational arithmetic; values are not normalised."""
+    dim_a, dim_m = algebra.dim, module.dim
+    action = module.action_sparse
+    pairs = [[] for _ in range(dim_a)]
+    for i, plane in enumerate(algebra.products):
+        for j, row in enumerate(plane):
+            for k, c in row:
+                pairs[k].append((i, j, c))
+    a_par = algebra.parity
+    m_par = module.parity
+    last_sign = -1 if degree % 2 == 0 else 1
+    tuples = dim_a**degree
+    weights = [dim_a ** (degree - 1 - s) for s in range(degree)]
+    out = {}
+
+    for flat, v in entries.items():
+        idx, l = divmod(flat, dim_m)
+        for j in range(dim_a):
+            last_coeff = -last_sign * v if a_par[j] and m_par[l] else last_sign * v
+            first = (j * tuples + idx) * dim_m
+            last = (idx * dim_a + j) * dim_m
+            for l2, c in action[j][l]:
+                out[first + l2] = out.get(first + l2, 0) + c * v
+                out[last + l2] = out.get(last + l2, 0) + c * last_coeff
+        for s, w in enumerate(weights):
+            coeff = v if s % 2 else -v
+            high, rest = divmod(idx, w * dim_a)
+            k, low = divmod(rest, w)
+            base = high * dim_a * dim_a
+            for a, b, c in pairs[k]:
+                off = ((base + a * dim_a + b) * w + low) * dim_m + l
+                out[off] = out.get(off, 0) + c * coeff
+
+    return {off: x for off, x in out.items() if x}
+
+
+def reference_action_law_violations(products, table, x: str, kind: str) -> list:
+    """``algebras._action_law_violations`` in plain rational arithmetic, on the unscaled tables."""
+    rows = []
+    producing = [[] for _ in range(len(table[0]))]
+    for j, plane in enumerate(table):
+        rows.append([(k, row) for k, row in enumerate(plane) if row])
+        for k, row in enumerate(plane):
+            for mid, coeff in row:
+                producing[mid].append((j, k, coeff))
+    out = []
+    for i, plane in enumerate(products):
+        lhs = {}
+        for j, prod in enumerate(plane):
+            for mid, coeff in prod:
+                for k, row in rows[mid]:
+                    acc = lhs.setdefault((j, k), {})
+                    for l, c2 in row:
+                        acc[l] = acc.get(l, 0) + coeff * c2
+        rhs = {}
+        for mid, row in rows[i]:
+            for j, k, coeff in producing[mid]:
+                acc = rhs.setdefault((j, k), {})
+                for l, c2 in row:
+                    acc[l] = acc.get(l, 0) + coeff * c2
+        for j, k in sorted(lhs.keys() | rhs.keys()):
+            left = lhs.get((j, k), {})
+            right = rhs.get((j, k), {})
+            if left == right:
+                continue
+            for l in sorted(left.keys() | right.keys()):
+                if left.get(l, 0) != right.get(l, 0):
+                    out.append(
+                        Violation(
+                            kind,
+                            (i, j, k),
+                            f"(e{i}e{j}){x}{k} and e{i}(e{j}{x}{k}) differ at {x}{l}: "
+                            f"{left.get(l, 0)} vs {right.get(l, 0)}",
+                        )
+                    )
+                    break
+    return out
+
+
+def rebased(algebra: sh.SuperAlgebra, p) -> sh.SuperAlgebra:
+    """``algebra`` in the basis f_i = sum_j p[i][j] e_j, with no unit declared.
+
+    ``p`` is upper triangular with a nonzero diagonal, and p[i][j] is zero
+    unless e_i and e_j have the same parity, so each f_i is homogeneous.
+    """
+    dim = algebra.dim
+    # q = p^-1 by back substitution: e_i = (f_i - sum_{j > i} p[i][j] e_j) / p[i][i].
+    q = [[Fraction(0)] * dim for _ in range(dim)]
+    for i in reversed(range(dim)):
+        q[i][i] = 1 / Fraction(p[i][i])
+        for j in range(i + 1, dim):
+            for k in range(j, dim):
+                q[i][k] -= p[i][j] * q[j][k] / p[i][i]
+    cells = {}
+    for i in range(dim):
+        for j in range(dim):
+            cell = cells.setdefault((i, j), {})
+            for a in range(dim):
+                for b in range(dim):
+                    for k, c in algebra.products[a][b] if p[i][a] and p[j][b] else ():
+                        for l in range(dim):
+                            cell[l] = cell.get(l, 0) + p[i][a] * p[j][b] * c * q[k][l]
+    return sh.SuperAlgebra(dim, algebra.basis_names, algebra.parity, _table_from_cells(cells, dim, dim))
 
 
 @pytest.fixture(params=sorted(CORPUS))

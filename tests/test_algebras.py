@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_tensor
+from conftest import dense_tensor, rebased, reference_action_law_violations
 from superharrison.algebras import (
     SuperAlgebra,
     SuperModule,
@@ -27,6 +27,8 @@ from superharrison.algebras import (
     validate_superalgebra,
     validate_supermodule,
 )
+from superharrison.cochains import Cochain, hochschild_coboundary
+from superharrison.deformations import square_zero_extension
 from superharrison.shuffles import Permutation, sigma_o_sign
 
 small_coeffs = st.integers(min_value=-4, max_value=4)
@@ -542,6 +544,25 @@ def perturbed_modules(draw):
     return SuperModule(algebra, dim, parity, action)
 
 
+@st.composite
+def rebased_algebras(draw):
+    """A valid corpus algebra in a random rational change of basis (``conftest.rebased``).
+
+    Each f_i mixes e_i with later basis elements of its parity.  The unit
+    e_0 becomes f_0 = e_0 / m + ..., and f_0 f_0 = f_0 / m + ... then has a
+    non-integral constant.
+    """
+    base = draw(st.sampled_from(_VALID_BASES))
+    n = base.dim
+    p = [[0] * n for _ in range(n)]
+    for i in range(n):
+        p[i][i] = Fraction(1, draw(st.integers(2, 3))) if i == 0 else draw(_constants.filter(bool))
+        for j in range(i + 1, n):
+            if base.parity[i] == base.parity[j]:
+                p[i][j] = draw(_constants)
+    return rebased(base, p)
+
+
 class TestSparseValidators:
     @given(perturbed_algebras())
     @settings(max_examples=300, deadline=None)
@@ -565,6 +586,22 @@ class TestSparseValidators:
         assert mod.action_sparse is alg.products
         assert validate_supermodule(mod).violations == dense_module_violations(mod)
         assert {v.kind for v in dense_module_violations(mod)} == {"parity", "module_law"}
+
+    @given(st.one_of(st.sampled_from(_VALID_BASES), rebased_algebras()), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_extension_law_violations_match_the_fraction_reference(self, algebra, data):
+        # Integer sums, divided back only to report: the same witnesses and
+        # detail strings as the Fraction loops, cocycles and non-cocycles alike.
+        module = self_module(algebra)
+
+        def cochain(degree):
+            offsets = st.integers(0, algebra.dim**degree * module.dim - 1)
+            return Cochain(degree, algebra, module, data.draw(st.dictionaries(offsets, _constants, max_size=6)))
+
+        psi = hochschild_coboundary(cochain(1)) if data.draw(st.booleans()) else cochain(2)
+        ext = square_zero_extension(algebra, module, psi)
+        got = tuple(v for v in validate_superalgebra(ext).violations if v.kind == "associativity")
+        assert got == tuple(reference_action_law_violations(ext.products, ext.products, "e", "associativity"))
 
     def test_exterior_six_and_its_self_module_validate_clean(self):
         alg = exterior_algebra(6)

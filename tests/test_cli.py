@@ -3,21 +3,24 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import superharrison
 from superharrison.algebras import exterior_algebra, self_module, tensor_product, truncated_polynomial
-from superharrison.cli import SUITES, build_parser, resolve_algebra, run
+from superharrison.cli import SUITES, _digest, build_parser, resolve_algebra, run
 from superharrison.cochains import Cochain
 from superharrison.cohomology import ShuffleClosureError
 from superharrison.deformations import is_cocycle
-from superharrison.serialize import cochain_from_dict, dump_algebra
+from superharrison.serialize import algebra_to_dict, cochain_from_dict, cochain_to_dict, dump_algebra
 
 
 @pytest.fixture
@@ -440,7 +443,77 @@ class TestInvalidAlgebras:
             run(["cohomology", "--algebra", "builtin:truncpoly:2", "--degree", "1", "--kind", "harrison"])
 
 
+# 5001 digits: over the 4300 that interpreters with sys.get_int_max_str_digits()
+# convert by default (3.11 on, and 3.10 from 3.10.7).
+LONG_COEFF = "1" + "0" * 5000
+LONG_COEFF_FILES = {
+    "check": {
+        "dim": 1, "basis": ["1"], "parity": [0], "unit": 0,
+        "products": [{"i": 0, "j": 0, "terms": [{"k": 0, "coeff": LONG_COEFF}]}],
+    },
+    "deform-check": {"degree": 2, "entries": [{"i": [1, 1], "l": 0, "coeff": LONG_COEFF}]},
+}
+
+
+class TestDigests:
+    def test_digest_is_hashlibs_sha256(self, corpus_algebra):
+        psi = Cochain(2, corpus_algebra, self_module(corpus_algebra), {1: Fraction(-1, 2), 5: 3})
+        docs = [algebra_to_dict(corpus_algebra), cochain_to_dict(psi)]
+        for n in (1, 2):
+            blob = "\x1e".join(json.dumps(doc, sort_keys=True, separators=(",", ":")) for doc in docs[:n])
+            assert _digest(*docs[:n]) == hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+    @pytest.mark.skipif(
+        not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+        reason="this interpreter has no builtin SHA-256 module, so the digest falls back to hashlib",
+    )
+    def test_cli_runs_leave_openssl_unloaded(self, tmp_path):
+        psi = tmp_path / "psi.json"
+        psi.write_text(json.dumps({"degree": 2, "entries": [{"i": [1, 1], "l": 0, "coeff": "1"}]}))
+        algebra = ["--algebra", "builtin:truncpoly:3"]
+        commands = [
+            ["check", *algebra],
+            ["cohomology", *algebra, "--degree", "2", "--kind", "harrison"],
+            ["deform-check", *algebra, "--psi", str(psi)],
+            ["extend", *algebra, "--psi", str(psi)],
+            ["verify", *algebra, "--budget", "1"],
+        ]
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from superharrison.cli import run\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [run(argv + ['--json']) for argv in json.loads(sys.argv[1])]\n"
+            "print(codes, '_hashlib' in sys.modules)\n"
+        )
+        src = str(Path(superharrison.__file__).resolve().parent.parent)
+        # -S: leave out site, whose imports vary between installations.
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", code, json.dumps(commands)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout == "[0, 0, 1, 1, 0] False\n"
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("command", sorted(LONG_COEFF_FILES))
+    def test_an_overlong_coefficient_is_named(self, capsys, tmp_path, command):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(LONG_COEFF_FILES[command]))
+        argv = [command, "--algebra", str(path)]
+        if command == "deform-check":
+            argv = [command, "--algebra", "builtin:truncpoly:2", "--psi", str(path)]
+        code = run(argv)
+        out = capsys.readouterr()
+        if hasattr(sys, "get_int_max_str_digits"):
+            assert code == 2
+            assert out == ("", "error: coefficient 10000000000000000000... of 5001 digits is too long\n")
+        else:
+            # No digit limit: the coefficient is read.
+            assert code in (0, 1) and out.err == ""
+
     def test_no_arguments_is_a_usage_error(self, capsys):
         assert run([]) == 2
 

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import CORPUS, entry, vector_at
+from conftest import CORPUS, entry, reference_coboundary_scatter, vector_at
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +26,7 @@ from superharrison.algebras import (
 from superharrison.cochains import (
     Cochain,
     _signed_shuffles,
+    coboundary_scatter,
     cochain_apply,
     cochain_from_entries,
     decode,
@@ -42,6 +43,7 @@ from superharrison.cochains import (
 from superharrison.linalg import SubspaceBasis, kernel_basis, RationalMatrix
 from superharrison.serialize import cochain_to_dict
 from superharrison.shuffles import enumerate_shuffles, sigma_o_sign
+from test_algebras import perturbed_modules, rebased_algebras
 
 
 def shuffle_action(algebra, module, t, l, p):
@@ -492,6 +494,41 @@ class TestCoboundary:
 
 # Values with explicit zeros and integral Fractions, which a cochain must drop and normalise.
 values = st.one_of(st.just(0), st.fractions(min_value=-4, max_value=4, max_denominator=3))
+
+
+@st.composite
+def scatter_inputs(draw, module):
+    """A degree from 0 to 3 and sparse rational entries of a cochain of that degree into ``module``."""
+    degree = draw(st.integers(0, 3))
+    offsets = st.integers(0, module.algebra.dim**degree * module.dim - 1)
+    return degree, draw(st.dictionaries(offsets, values, max_size=8))
+
+
+class TestIntegerScatter:
+    """``coboundary_scatter`` sums integers; the Fraction loops it replaced are the reference."""
+
+    @staticmethod
+    def check(module, data):
+        degree, entries = data.draw(scatter_inputs(module))
+        got = coboundary_scatter(module.algebra, module, degree, entries)
+        # Same keys and equal values, and an int wherever the value is integral.
+        assert got == reference_coboundary_scatter(module.algebra, module, degree, entries)
+        assert all(type(x) is int or x.denominator > 1 for x in got.values())
+
+    @given(st.sampled_from(sorted(CORPUS)), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_corpus_algebras(self, name, data):
+        self.check(self_module(CORPUS[name]), data)
+
+    @given(rebased_algebras(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_rebased_algebras(self, algebra, data):
+        self.check(self_module(algebra), data)
+
+    @given(perturbed_modules(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_perturbed_modules(self, module, data):
+        self.check(module, data)
 
 
 @st.composite
