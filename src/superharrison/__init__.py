@@ -38,6 +38,7 @@ from .cochains import (
 )
 from .cohomology import (
     CohomologyResult,
+    Complex,
     ComplexKind,
     ResourceCeilingError,
     ResourceLimits,

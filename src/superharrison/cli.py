@@ -53,14 +53,9 @@ from .algebras import (
     validate_superalgebra,
     validate_supermodule,
 )
-from .cochains import (
-    Cochain,
-    harrison_basis,
-    harrison_space,
-    hochschild_coboundary,
-    super_shuffle_sum,
-)
+from .cochains import Cochain, hochschild_coboundary, super_shuffle_sum
 from .cohomology import (
+    Complex,
     ComplexKind,
     ResourceCeilingError,
     ResourceLimits,
@@ -242,7 +237,7 @@ def _cmd_cohomology(args: argparse.Namespace) -> Report:
     _require_self_module(args)
     algebra = resolve_algebra(args.algebra)
     kind = ComplexKind(args.kind)
-    result = cohomology(algebra, self_module(algebra), args.degree, kind, _limits_from(args))
+    result = cohomology(Complex(algebra, self_module(algebra), kind, _limits_from(args)), args.degree)
     doc = {
         "command": "cohomology",
         "inputs_digest": _digest(algebra_to_dict(algebra)),
@@ -343,67 +338,68 @@ def _cmd_extend(args: argparse.Namespace) -> Report:
     return _violations_report(report.ok, doc, header, report.violations)
 
 
-# The verify suites, in run order.  Each takes (algebra, its self-module,
-# budget, limits) and returns (passed, detail).
+# The verify suites, in run order.  Each takes the Harrison complex of the
+# algebra on its self-module, which they share, and the budget, and returns
+# (passed, detail).
 
 
-def _suite_validators(algebra: SuperAlgebra, module: SuperModule, budget: int, limits: ResourceLimits):
-    return validate_superalgebra(algebra).ok and validate_supermodule(module).ok, "algebra and self-module laws"
+def _suite_validators(harrison: Complex, budget: int):
+    ok = validate_superalgebra(harrison.algebra).ok and validate_supermodule(harrison.module).ok
+    return ok, "algebra and self-module laws"
 
 
-def _suite_complex(algebra: SuperAlgebra, module: SuperModule, budget: int, limits: ResourceLimits):
+def _suite_complex(harrison: Complex, budget: int):
     detail = []
-    for n in range(0, min(2, limits.max_degree - 1) + 1):
-        lhs = coboundary_matrix(algebra, module, n + 1, ComplexKind.SUPER_HARRISON, limits)
-        rhs = coboundary_matrix(algebra, module, n, ComplexKind.SUPER_HARRISON, limits)
-        if not lhs.matmul(rhs).is_zero():
+    for n in range(0, min(2, harrison.limits.max_degree - 2) + 1):  # d_{n+1} reaches degree n + 2
+        if not coboundary_matrix(harrison, n + 1).matmul(coboundary_matrix(harrison, n)).is_zero():
             detail.append(f"d(d(.)) != 0 at degree {n}")
     rng = random.Random(7)
     for _ in range(max(budget // 10, 5)):
-        f = random_parity_cochain(algebra, module, 2, rng)
+        f = random_parity_cochain(harrison.algebra, harrison.module, 2, rng)
         if not hochschild_coboundary(hochschild_coboundary(f)).is_zero():
             detail.append("d(d(f)) != 0 for a random cochain")
             break
     return not detail, "; ".join(detail) if detail else "d composed with d is zero"
 
 
-def _suite_closure(algebra: SuperAlgebra, module: SuperModule, budget: int, limits: ResourceLimits):
+def _suite_closure(harrison: Complex, budget: int):
     ok = all(
-        super_shuffle_sum(hochschild_coboundary(f), p).is_zero()
-        for f in harrison_basis(algebra, module, 2)
+        super_shuffle_sum(hochschild_coboundary(Cochain(2, harrison.algebra, harrison.module, row)), p).is_zero()
+        for row in harrison.space(2).rows
         for p in range(1, 3)
     )
     return ok, "coboundaries of Harrison elements stay Harrison"
 
 
-def _suite_derivations(algebra: SuperAlgebra, module: SuperModule, budget: int, limits: ResourceLimits):
-    z1 = kernel_basis(coboundary_matrix(algebra, module, 1, ComplexKind.SUPER_HARRISON, limits))
-    harrison1 = harrison_space(algebra, module, 1)
+def _suite_derivations(harrison: Complex, budget: int):
+    z1 = kernel_basis(coboundary_matrix(harrison, 1))
+    harrison1 = harrison.space(1)
     cocycles = SubspaceBasis.from_vectors((harrison1.combination(row) for row in z1.rows), harrison1.ambient_dim)
-    return cocycles == derivation_space(algebra, module), "degree-1 cocycles match the Leibniz solutions"
+    ok = cocycles == derivation_space(harrison.algebra, harrison.module)
+    return ok, "degree-1 cocycles match the Leibniz solutions"
 
 
 def _sweep_outcome(report: SweepReport):
     return report.passed, f"{report.cases} cases" if report.passed else "; ".join(report.failures[:3])
 
 
-def _suite_deformations(algebra: SuperAlgebra, module: SuperModule, budget: int, limits: ResourceLimits):
-    return _sweep_outcome(deformation_iff_cocycle(algebra, budget=budget))
+def _suite_deformations(harrison: Complex, budget: int):
+    return _sweep_outcome(deformation_iff_cocycle(harrison.algebra, budget=budget))
 
 
-def _suite_extensions(algebra: SuperAlgebra, module: SuperModule, budget: int, limits: ResourceLimits):
-    return _sweep_outcome(extension_valid_iff_cocycle(algebra, module, budget=budget))
+def _suite_extensions(harrison: Complex, budget: int):
+    return _sweep_outcome(extension_valid_iff_cocycle(harrison.algebra, harrison.module, budget=budget))
 
 
-def _suite_equivalence(algebra: SuperAlgebra, module: SuperModule, budget: int, limits: ResourceLimits):
+def _suite_equivalence(harrison: Complex, budget: int):
+    algebra, module = harrison.algebra, harrison.module
     rng = random.Random(11)
-    z2 = kernel_basis(coboundary_matrix(algebra, module, 2, ComplexKind.SUPER_HARRISON, limits))
-    harrison2 = harrison_space(algebra, module, 2)
+    z2 = kernel_basis(coboundary_matrix(harrison, 2))
     ok = True
     runs = max(budget // 10, 5)
     for _ in range(runs):
         weights = {i: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for i in range(z2.dim)}
-        psi = Cochain(2, algebra, module, harrison2.combination(z2.combination(weights)))
+        psi = Cochain(2, algebra, module, harrison.space(2).combination(z2.combination(weights)))
         shifted = psi - hochschild_coboundary(random_parity_cochain(algebra, module, 1, rng))
         g = extension_equivalence(algebra, module, psi, shifted)
         if g is None or hochschild_coboundary(g) != psi - shifted:
@@ -427,13 +423,12 @@ def _cmd_verify(args: argparse.Namespace) -> Report:
     if args.budget < 0:
         raise InputFormatError(f"--budget must be nonnegative, got {args.budget}")
     algebra = resolve_algebra(args.algebra)
-    module = self_module(algebra)
-    limits = _limits_from(args)
+    harrison = Complex(algebra, self_module(algebra), ComplexKind.SUPER_HARRISON, _limits_from(args))
     wanted = args.suite or ["all"]
     suites = []
     for name, suite in SUITES.items():
         if "all" in wanted or name in wanted:
-            ok, detail = suite(algebra, module, args.budget, limits)
+            ok, detail = suite(harrison, args.budget)
             suites.append({"name": name, "passed": ok, "detail": detail})
             if name == "validators" and not ok:
                 break  # Every later suite assumes a valid algebra.

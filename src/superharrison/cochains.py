@@ -38,8 +38,8 @@ Three layers live here:
 
   for p = 1, ..., n-1, where oddsign is the odd-subpermutation signature of
   s^{-1} against the argument parities.  The coboundary preserves this
-  subspace; ``coboundary_matrix`` in the cohomology module checks that fact
-  on every basis element it processes rather than assuming it.
+  subspace; ``cohomology.coboundary_matrix`` checks that fact on each
+  Harrison basis row it expands, rather than assuming it.
 
 The coboundary has one implementation, ``coboundary_scatter``, which maps
 the nonzero entries {offset: value} of f to those of df, so a cochain costs
@@ -265,7 +265,6 @@ def super_shuffle_sum(f: Cochain, p: int) -> Cochain:
     return Cochain(n, algebra, module, out)
 
 
-@lru_cache(maxsize=None)
 def harrison_space(algebra: SuperAlgebra, module: SuperModule, degree: int) -> SubspaceBasis:
     """Canonical basis of the graded Harrison subspace, over flat cochain offsets.
 
@@ -282,7 +281,8 @@ def harrison_space(algebra: SuperAlgebra, module: SuperModule, degree: int) -> S
     and a pattern costs what its block costs, not n!.  The result equals the
     kernel of the literally stacked system since the reduced echelon basis
     of a subspace is unique.  For degree <= 1 a block has one member and no
-    conditions, so the space is everything parity-preserving.
+    conditions, so the space is everything parity-preserving.  Nothing is
+    cached here: a ``cohomology.Complex`` keeps the spaces it builds.
     """
     dim_a, dim_m = algebra.dim, module.dim
     a_par = algebra.parity

@@ -1,18 +1,19 @@
 """Cohomology of the full Hochschild complex and of its graded Harrison subcomplex.
 
-Both complexes live in one cochain space, written over flat offsets.
-Matrices are taken with respect to deterministic bases: the full complex
-uses the elementary cochains in flat enumeration order, and the Harrison
-subcomplex uses the canonical echelon basis from ``harrison_space``, whose
-rows are cochains' ``data``.  Each column is the sparse coboundary
-(``coboundary_scatter``) of one basis element; no dense cochain is built.
-A Harrison column is expanded in the degree-(n+1) Harrison basis by
-``SubspaceBasis.sparse_coordinates``, which also checks that it lies in
-that space; a failure would mean the shuffle conditions are not closed
-under the coboundary and is raised as ``ShuffleClosureError``, naming the
-basis row, the first offending entry and, for a shuffle failure, the p of
-the first su_{n+1,p} that does not vanish, instead of being silently
-projected away.
+A ``Complex`` is one of the two, for one algebra, module and set of
+ceilings.  Both are written over flat cochain offsets and differ only in
+their space S_n in each degree (``Complex.space``): all of C^n (``None``),
+with the elementary cochains in flat order as basis, or the Harrison
+subspace with the canonical echelon basis from ``harrison_space``, whose
+rows are cochains' ``data``.  A complex builds each S_n and each coboundary
+matrix d_n at most once and frees them with itself.  A column of d_n is the
+sparse coboundary (``coboundary_scatter``) of one basis row of S_n,
+expanded in S_{n+1} by ``SubspaceBasis.sparse_coordinates`` (in C^{n+1} it
+is its own expansion), which also checks that it lies in S_{n+1}; a failure
+would mean the shuffle conditions are not closed under the coboundary and
+is raised as ``ShuffleClosureError``, naming the basis row, the first
+offending entry and, for a shuffle failure, the p of the first su_{n+1,p}
+that does not vanish.  A ceiling is checked degree first, before any count.
 
 Cocycle representatives returned by ``cohomology`` are reduced against the
 coboundary subspace, so they are canonical for the given bases and the same
@@ -22,7 +23,8 @@ on every run.
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property
+from typing import Optional
 
 from .algebras import SuperAlgebra, SuperModule
 from .cochains import (
@@ -47,6 +49,7 @@ from .records import Record
 
 __all__ = [
     "ComplexKind",
+    "Complex",
     "ResourceLimits",
     "ResourceCeilingError",
     "ShuffleClosureError",
@@ -81,43 +84,43 @@ class ShuffleClosureError(RuntimeError):
     """A coboundary of a Harrison basis element left the Harrison space."""
 
 
-def _guard(degree: int, columns: int, limits: ResourceLimits) -> None:
-    if degree > limits.max_degree:
-        raise ResourceCeilingError(
-            f"degree {degree} exceeds the ceiling {limits.max_degree}"
-        )
-    if columns > limits.max_columns:
-        raise ResourceCeilingError(
-            f"cochain space of dimension {columns} exceeds the ceiling {limits.max_columns}"
-        )
+class Complex(Record):
+    """The Hochschild or graded Harrison complex of ``algebra`` with coefficients in ``module``.
 
+    ``space(n)`` and ``coboundary_matrix(cx, n)`` are built on first use and
+    kept here, so they live exactly as long as the complex does.
+    """
 
-def _dimension(algebra: SuperAlgebra, module: SuperModule, degree: int, kind: ComplexKind) -> int:
-    if kind is ComplexKind.HOCHSCHILD:
-        return algebra.dim**degree * module.dim
-    return parity_count(algebra, module, degree)
+    algebra: SuperAlgebra
+    module: SuperModule
+    kind: ComplexKind
+    limits: ResourceLimits = DEFAULT_LIMITS
 
+    @cached_property
+    def _spaces(self) -> dict[int, SubspaceBasis]:
+        return {}
 
-@lru_cache(maxsize=None)
-def _coboundary_matrix_cached(
-    algebra: SuperAlgebra, module: SuperModule, degree: int, kind: ComplexKind
-) -> RationalMatrix:
-    if kind is ComplexKind.HOCHSCHILD:
-        columns = [
-            coboundary_scatter(algebra, module, degree, {i: 1})
-            for i in range(_dimension(algebra, module, degree, kind))
-        ]
-        return RationalMatrix.from_columns(columns, rows=_dimension(algebra, module, degree + 1, kind))
+    @cached_property
+    def _matrices(self) -> dict[int, RationalMatrix]:
+        return {}
 
-    codomain = harrison_space(algebra, module, degree + 1)
-    columns = []
-    for index, row in enumerate(harrison_space(algebra, module, degree).rows):
-        image = coboundary_scatter(algebra, module, degree, row)
-        expansion = codomain.sparse_coordinates(image)
-        if expansion is None:
-            raise _closure_error(Cochain(degree + 1, algebra, module, image), index)
-        columns.append(expansion)
-    return RationalMatrix.from_columns(columns, rows=codomain.dim)
+    def space(self, degree: int) -> Optional[SubspaceBasis]:
+        """S_n: ``None`` for all of C^n, else the canonical basis of the Harrison subspace."""
+        if self.kind is ComplexKind.HOCHSCHILD:
+            return None
+        if degree not in self._spaces:
+            self._spaces[degree] = harrison_space(self.algebra, self.module, degree)
+        return self._spaces[degree]
+
+    def _guard(self, degree: int) -> None:
+        """Refuse degree n over the ceilings: the degree first, then a column count bounding dim S_n."""
+        limits = self.limits
+        if degree > limits.max_degree:
+            raise ResourceCeilingError(f"degree {degree} exceeds the ceiling {limits.max_degree}")
+        a, m = self.algebra, self.module
+        columns = a.dim**degree * m.dim if self.kind is ComplexKind.HOCHSCHILD else parity_count(a, m, degree)
+        if columns > limits.max_columns:
+            raise ResourceCeilingError(f"cochain space of dimension {columns} exceeds the ceiling {limits.max_columns}")
 
 
 def _entry_name(f: Cochain, t: tuple[int, ...], l: int) -> str:
@@ -141,19 +144,27 @@ def _closure_error(df: Cochain, index: int) -> ShuffleClosureError:
     return ShuffleClosureError(f"{prefix} fails a shuffle condition")
 
 
-def coboundary_matrix(
-    algebra: SuperAlgebra,
-    module: SuperModule,
-    degree: int,
-    kind: ComplexKind,
-    limits: ResourceLimits = DEFAULT_LIMITS,
-) -> RationalMatrix:
-    """Matrix of the coboundary from degree n to degree n+1 in the chosen bases."""
+def coboundary_matrix(cx: Complex, degree: int) -> RationalMatrix:
+    """Matrix of the coboundary d_n: S_n -> S_{n+1} in the complex's bases, built once per complex."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    _guard(degree, _dimension(algebra, module, degree, kind), limits)
-    _guard(degree + 1, _dimension(algebra, module, degree + 1, kind), limits)
-    return _coboundary_matrix_cached(algebra, module, degree, kind)
+    if degree in cx._matrices:
+        return cx._matrices[degree]
+    cx._guard(degree)
+    cx._guard(degree + 1)
+    algebra, module = cx.algebra, cx.module
+    domain, codomain = cx.space(degree), cx.space(degree + 1)
+    rows = ({i: 1} for i in range(algebra.dim**degree * module.dim)) if domain is None else domain.rows
+    columns = []
+    for index, row in enumerate(rows):
+        image = coboundary_scatter(algebra, module, degree, row)
+        column = image if codomain is None else codomain.sparse_coordinates(image)
+        if column is None:
+            raise _closure_error(Cochain(degree + 1, algebra, module, image), index)
+        columns.append(column)
+    height = algebra.dim ** (degree + 1) * module.dim if codomain is None else codomain.dim
+    cx._matrices[degree] = RationalMatrix.from_columns(columns, rows=height)
+    return cx._matrices[degree]
 
 
 class CohomologyResult(Record):
@@ -171,26 +182,17 @@ class CohomologyResult(Record):
         return self.dim_cocycles - self.dim_coboundaries
 
 
-def cohomology(
-    algebra: SuperAlgebra,
-    module: SuperModule,
-    degree: int,
-    kind: ComplexKind,
-    limits: ResourceLimits = DEFAULT_LIMITS,
-) -> CohomologyResult:
-    """Cocycles modulo coboundaries at the given degree."""
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    outgoing = coboundary_matrix(algebra, module, degree, kind, limits)
+def cohomology(cx: Complex, degree: int) -> CohomologyResult:
+    """Cocycles modulo coboundaries at the given degree of the complex."""
+    outgoing = coboundary_matrix(cx, degree)
     cocycles = kernel_basis(outgoing)
     if degree == 0:
         coboundaries = SubspaceBasis(outgoing.cols, ())
     else:
-        incoming = coboundary_matrix(algebra, module, degree - 1, kind, limits)
-        coboundaries = image_basis(incoming)
+        coboundaries = image_basis(coboundary_matrix(cx, degree - 1))
     reps = quotient_representatives(cocycles, coboundaries)
 
-    space = None if kind is ComplexKind.HOCHSCHILD else harrison_space(algebra, module, degree)
+    algebra, module, space = cx.algebra, cx.module, cx.space(degree)
     representatives = tuple(
         Cochain(degree, algebra, module, row if space is None else space.combination(row)) for row in reps.rows
     )
@@ -199,11 +201,11 @@ def cohomology(
         if image:
             t, l = decode(min(image), degree + 1, algebra.dim, module.dim)
             raise AssertionError(
-                f"{kind.value} representative {index} in degree {degree} is not a cocycle: "
+                f"{cx.kind.value} representative {index} in degree {degree} is not a cocycle: "
                 f"its coboundary is nonzero at {_entry_name(rep, t, l)}"
             )
     return CohomologyResult(
-        kind=kind,
+        kind=cx.kind,
         degree=degree,
         dim_cochain=outgoing.cols,
         dim_cocycles=cocycles.dim,

@@ -42,7 +42,6 @@ from .algebras import (
 )
 from .cochains import (
     Cochain,
-    harrison_space,
     hochschild_coboundary,
     is_graded_symmetric,
     parity_basis,
@@ -51,6 +50,7 @@ from .cochains import (
 from .cohomology import (
     DEFAULT_LIMITS,
     CohomologyResult,
+    Complex,
     ComplexKind,
     ResourceLimits,
     coboundary_matrix,
@@ -336,15 +336,16 @@ def extension_equivalence(
         if not is_cocycle(psi):
             raise NotACocycleError("extension equivalence is defined for cocycles only")
 
-    matrix = coboundary_matrix(algebra, module, 1, ComplexKind.SUPER_HARRISON)
+    harrison = Complex(algebra, module, ComplexKind.SUPER_HARRISON)
+    matrix = coboundary_matrix(harrison, 1)
     diff = psi1 - psi2
-    rhs = harrison_space(algebra, module, 2).sparse_coordinates(diff.data)
+    rhs = harrison.space(2).sparse_coordinates(diff.data)
     if rhs is None:
         raise AssertionError("difference of cocycles escaped the Harrison space")
     solution = solve(matrix, rhs)
     if solution is None:
         return None
-    g = Cochain(1, algebra, module, harrison_space(algebra, module, 1).combination(solution))
+    g = Cochain(1, algebra, module, harrison.space(1).combination(solution))
     if hochschild_coboundary(g) != diff:
         raise AssertionError("solver returned g with dg != psi1 - psi2")
     return g
@@ -356,7 +357,7 @@ def deformation_classes(algebra: SuperAlgebra, limits: ResourceLimits = DEFAULT_
     Every representative is run back through the DualNumber deformation
     check, which must come out valid.
     """
-    result = cohomology(algebra, self_module(algebra), 2, ComplexKind.SUPER_HARRISON, limits)
+    result = cohomology(Complex(algebra, self_module(algebra), ComplexKind.SUPER_HARRISON, limits), 2)
     for rep in result.representatives:
         if not first_order_deformation_check(algebra, rep).valid:
             raise AssertionError("cohomology representative rejected by the deformation check")

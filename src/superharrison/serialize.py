@@ -167,7 +167,7 @@ def _read_json(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, bad UTF-8, or an integer over the interpreter's digit limit
         raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -2,7 +2,10 @@
 
 The corpus is defined here once, by CLI spec, and every test module that
 needs it imports it from here.  The algebras are built once at module
-load so the library's internal caches are shared across the whole run.
+load, so the library's module-level caches (parity offsets and signed
+shuffles) are shared across the whole run.  A ``cohomology.Complex`` keeps
+its spaces and coboundary matrices only while it lives, so tests that
+build their own complexes share none of them.
 ``BAD_FILES`` holds broken algebras and deformation directions as JSON
 documents; the ``bad_inputs`` fixture writes them into a temporary
 directory and runs the test from inside it.

@@ -25,6 +25,7 @@ from superharrison.cochains import (
     super_shuffle_sum,
 )
 from superharrison.cohomology import (
+    Complex,
     ComplexKind,
     coboundary_matrix,
     cohomology,
@@ -56,7 +57,7 @@ def report(label: str, started: float) -> None:
 
 def random_symmetric_cocycle(algebra, module, rng):
     """Random element of the degree-2 cocycle space."""
-    cocycles = kernel_basis(coboundary_matrix(algebra, module, 2, HARR))
+    cocycles = kernel_basis(coboundary_matrix(Complex(algebra, module, HARR), 2))
     basis = harrison_basis(algebra, module, 2)
     total = Cochain(2, algebra, module, {})
     for vector in dense_vectors(cocycles):
@@ -134,7 +135,7 @@ def test_shuffle_closure_of_coboundary():
                     assert super_shuffle_sum(boundary, p).is_zero()
         # The restricted matrices assemble without leaving the subspace.
         for degree in (1, 2, 3):
-            coboundary_matrix(algebra, module, degree, HARR)
+            coboundary_matrix(Complex(algebra, module, HARR), degree)
     report("coboundaries of shuffle-closed cochains stay shuffle closed", started)
 
 
@@ -149,17 +150,15 @@ def test_first_cohomology_matches_derivations():
     }
     for name, algebra in CORPUS.items():
         module = self_module(algebra)
-        z1 = kernel_basis(coboundary_matrix(algebra, module, 1, HARR))
+        z1 = kernel_basis(coboundary_matrix(Complex(algebra, module, HARR), 1))
         harrison1 = harrison_space(algebra, module, 1)
         cocycles = SubspaceBasis.from_vectors((harrison1.combination(row) for row in z1.rows), harrison1.ambient_dim)
         derivations = derivation_space(algebra, module)
         assert cocycles == derivations, name
-        res = cohomology(algebra, module, 1, HARR)
+        res = cohomology(Complex(algebra, module, HARR), 1)
         assert res.dim_cocycles == derivations.dim, name
         assert res.dim_cohomology == expected_dims[name], name
-    euler = cohomology(
-        CORPUS["exterior1"], self_module(CORPUS["exterior1"]), 1, HARR
-    )
+    euler = cohomology(Complex(CORPUS["exterior1"], self_module(CORPUS["exterior1"]), HARR), 1)
     assert sorted(euler.representatives[0].iter_nonzero()) == [((1,), 1, 1)]
     report("degree-1 cocycles are exactly the derivations", started)
 
@@ -172,7 +171,7 @@ def test_second_cohomology_matches_deformation_oracles():
         module = self_module(algebra)
         sweep = extension_valid_iff_cocycle(algebra, module, budget=200, seed=37)
         assert sweep.passed, (name, sweep.failures)
-        classes = cohomology(algebra, module, 2, HARR)
+        classes = cohomology(Complex(algebra, module, HARR), 2)
         for rep in classes.representatives:
             assert is_cocycle(rep)
             assert first_order_deformation_check(algebra, rep).valid
@@ -181,19 +180,19 @@ def test_second_cohomology_matches_deformation_oracles():
     # complex still sees the square-zero class.
     line = CORPUS["exterior1"]
     module = self_module(line)
-    assert cohomology(line, module, 2, HARR).dim_cohomology == 0
-    full = cohomology(line, module, 2, HOCH)
+    assert cohomology(Complex(line, module, HARR), 2).dim_cohomology == 0
+    full = cohomology(Complex(line, module, HOCH), 2)
     assert full.dim_cohomology == 1
     clifford = cochain_from_entries(line, module, 2, {((1, 1), 0): 1})
     assert hochschild_coboundary(clifford).is_zero()
-    assert not image_basis(coboundary_matrix(line, module, 1, HOCH)).contains(
+    assert not image_basis(coboundary_matrix(Complex(line, module, HOCH), 1)).contains(
         clifford.data
     )
 
     # The nilpotent even line deforms: its square class is honest.
     nil = CORPUS["truncpoly2"]
     nil_module = self_module(nil)
-    assert cohomology(nil, nil_module, 2, HARR).dim_cohomology == 1
+    assert cohomology(Complex(nil, nil_module, HARR), 2).dim_cohomology == 1
     square = cochain_from_entries(nil, nil_module, 2, {((1, 1), 0): 1})
     assert is_cocycle(square)
     assert first_order_deformation_check(nil, square).valid
@@ -202,7 +201,7 @@ def test_second_cohomology_matches_deformation_oracles():
     space = harrison_space(nil, nil_module, 2)
     square_coords = space.coordinates(square.data)
     assert square_coords is not None
-    boundaries = image_basis(coboundary_matrix(nil, nil_module, 1, HARR))
+    boundaries = image_basis(coboundary_matrix(Complex(nil, nil_module, HARR), 1))
     assert not boundaries.contains(square_coords)
     report("deformation and extension verdicts track degree-2 classes", started)
 
@@ -219,7 +218,7 @@ def test_extension_equivalence_roundtrip():
             g = extension_equivalence(algebra, module, psi1, psi2)
             assert g is not None, name
             assert hochschild_coboundary(g) == psi1 - psi2, name
-        classes = cohomology(algebra, module, 2, HARR)
+        classes = cohomology(Complex(algebra, module, HARR), 2)
         zero = Cochain(2, algebra, module, {})
         if classes.dim_cohomology:
             # A representative of a nonzero class never collapses to the
@@ -239,7 +238,7 @@ def test_even_reduction_matches_classical_pipeline():
         algebra = CORPUS[name]
         module = self_module(algebra)
         for degree in range(4):
-            res = cohomology(algebra, module, degree, HARR)
+            res = cohomology(Complex(algebra, module, HARR), degree)
             engine = (
                 res.dim_cochain,
                 res.dim_cocycles,

@@ -210,6 +210,21 @@ class TestCohomologyCommand:
         assert out.returncode == 0, out.stderr
         assert "dim C = 0" in out.stdout.splitlines()
 
+    @pytest.mark.parametrize("kind", ["hochschild", "harrison"])
+    def test_a_huge_degree_is_refused_before_any_count(self, kind):
+        # 3**(10**9) columns would take far longer than the timeout to count.
+        src = str(Path(superharrison.__file__).resolve().parent.parent)
+        argv = ["--algebra", "builtin:truncpoly:3", "--degree", "1000000000", "--kind", kind]
+        out = subprocess.run(
+            [sys.executable, "-m", "superharrison.cli", "cohomology", *argv],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert (out.returncode, out.stdout) == (3, "")
+        assert out.stderr == "resource ceiling: degree 1000000000 exceeds the ceiling 4\n"
+
 
 class TestDerivationsCommand:
     def test_lists_a_basis(self, capsys):
@@ -356,6 +371,18 @@ class TestVerifyCommand:
         assert run(argv + ["--suite", "extensions", "--suite", "complex", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert [s["name"] for s in doc["suites"]] == ["complex", "extensions"]
+
+    @pytest.mark.parametrize("suites", [[], ["--suite", "complex"]])
+    def test_a_degree_ceiling_of_three_suffices(self, capsys, suites):
+        # d_2 reaches degree 3, and no suite needs a higher degree.
+        argv = ["verify", "--algebra", "builtin:truncpoly:2", "--max-degree", "3", "--budget", "5", "--json"]
+        assert run(argv + suites) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["passed"] is True and len(doc["suites"]) == (1 if suites else 7)
+
+    def test_a_degree_ceiling_of_two_refuses_the_equivalence_suite(self, capsys):
+        assert run(["verify", "--algebra", "builtin:truncpoly:2", "--max-degree", "2", "--budget", "5"]) == 3
+        assert capsys.readouterr().err == "resource ceiling: degree 3 exceeds the ceiling 2\n"
 
     def test_suite_choices_are_all_and_the_table(self):
         assert list(SUITES) == [

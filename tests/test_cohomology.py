@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import sys
+import weakref
 
 import pytest
 from conftest import BAD_FILES, dense_tensor
@@ -28,6 +30,7 @@ from superharrison.cochains import (
     parity_offsets,
 )
 from superharrison.cohomology import (
+    Complex,
     ComplexKind,
     ResourceCeilingError,
     ResourceLimits,
@@ -87,12 +90,12 @@ SYMMETRIC_TABLE = {
 class TestCoboundaryMatrices:
     def test_ground_field_degree_one_is_the_identity_scalar(self):
         k = ground_field()
-        m = coboundary_matrix(k, self_module(k), 1, HOCH)
+        m = coboundary_matrix(Complex(k, self_module(k), HOCH), 1)
         assert m.entries == ((1,),)
 
     def test_degree_zero_of_an_exterior_line_is_zero(self):
         alg = exterior_algebra(1)
-        m = coboundary_matrix(alg, self_module(alg), 0, HARR)
+        m = coboundary_matrix(Complex(alg, self_module(alg), HARR), 0)
         assert (m.rows, m.cols) == (2, 1)
         assert m.is_zero()
 
@@ -100,16 +103,14 @@ class TestCoboundaryMatrices:
         mod = self_module(corpus_algebra)
         for kind in (HOCH, HARR):
             for degree in (0, 1, 2):
-                outer = coboundary_matrix(
-                    corpus_algebra, mod, degree + 1, kind
-                )
-                inner = coboundary_matrix(corpus_algebra, mod, degree, kind)
+                outer = coboundary_matrix(Complex(corpus_algebra, mod, kind), degree + 1)
+                inner = coboundary_matrix(Complex(corpus_algebra, mod, kind), degree)
                 assert outer.matmul(inner).is_zero(), (kind, degree)
 
     def test_matrix_columns_are_boundaries_of_basis_cochains(self):
         alg = exterior_algebra(1)
         mod = self_module(alg)
-        matrix = coboundary_matrix(alg, mod, 1, HOCH)
+        matrix = coboundary_matrix(Complex(alg, mod, HOCH), 1)
         basis = [cochain_from_entries(alg, mod, 1, {((i,), l): 1}) for i in range(alg.dim) for l in range(mod.dim)]
         for col, f in enumerate(basis):
             df = hochschild_coboundary(f)
@@ -121,7 +122,7 @@ class TestCoboundaryMatrices:
         # degree-3 basis; expanding them must recover the full operator.
         alg = exterior_algebra(2)
         mod = self_module(alg)
-        matrix = coboundary_matrix(alg, mod, 2, HARR)
+        matrix = coboundary_matrix(Complex(alg, mod, HARR), 2)
         domain = harrison_space(alg, mod, 2)
         codomain = harrison_space(alg, mod, 3)
         assert matrix.rows == codomain.dim
@@ -148,13 +149,13 @@ class TestCoboundaryMatrices:
         }[name]
         alg = algebra_from_dict(BAD_FILES[name])
         with pytest.raises(ShuffleClosureError, match=failure) as info:
-            coboundary_matrix(alg, self_module(alg), 1, HARR)
+            coboundary_matrix(Complex(alg, self_module(alg), HARR), 1)
         assert cause in str(info.value)
 
     def test_cochain_basis_counts(self):
         alg = exterior_algebra(2)
         mod = self_module(alg)
-        assert coboundary_matrix(alg, mod, 2, HOCH).cols == 64
+        assert coboundary_matrix(Complex(alg, mod, HOCH), 2).cols == 64
         assert parity_count(alg, mod, 2) == 32
         assert len(harrison_basis(alg, mod, 2)) == 16
 
@@ -164,7 +165,7 @@ class TestDimensions:
         name, alg = corpus_named
         mod = self_module(alg)
         for degree, expected in SYMMETRIC_TABLE[name].items():
-            res = cohomology(alg, mod, degree, HARR)
+            res = cohomology(Complex(alg, mod, HARR), degree)
             got = (
                 res.dim_cochain,
                 res.dim_cocycles,
@@ -177,8 +178,8 @@ class TestDimensions:
         mod = self_module(corpus_algebra)
         for kind in (HOCH, HARR):
             for degree in (0, 1, 2):
-                res = cohomology(corpus_algebra, mod, degree, kind)
-                out = coboundary_matrix(corpus_algebra, mod, degree, kind)
+                res = cohomology(Complex(corpus_algebra, mod, kind), degree)
+                out = coboundary_matrix(Complex(corpus_algebra, mod, kind), degree)
                 assert res.dim_cocycles + image_basis(out).dim == res.dim_cochain
                 assert (
                     res.dim_cohomology
@@ -193,7 +194,7 @@ class TestDimensions:
         # exterior(3) is free supercommutative, so Harr^3 = 0 (ROADMAP item 4b);
         # both rows agree with the dense elimination this layer replaced.
         alg = exterior_algebra(3)
-        res = cohomology(alg, self_module(alg), 3, kind, ResourceLimits(max_degree=5, max_columns=40000))
+        res = cohomology(Complex(alg, self_module(alg), kind, ResourceLimits(max_degree=5, max_columns=40000)), 3)
         got = (res.dim_cochain, res.dim_cocycles, res.dim_coboundaries, res.dim_cohomology)
         assert got == expected
         assert len(res.representatives) == expected[3]
@@ -202,7 +203,7 @@ class TestDimensions:
         # Even elements commute with everything in a supercommutative
         # algebra, so the degree-0 symmetric cohomology is the even part.
         mod = self_module(corpus_algebra)
-        res = cohomology(corpus_algebra, mod, 0, HARR)
+        res = cohomology(Complex(corpus_algebra, mod, HARR), 0)
         even = sum(1 for p in corpus_algebra.parity if p == 0)
         assert res.dim_cohomology == even
 
@@ -212,10 +213,10 @@ class TestDimensions:
         # Degree 1 imposes no shuffle condition beyond parity, so the two
         # complexes share cocycles there once parity is accounted for.
         mod = self_module(corpus_algebra)
-        sym = cohomology(corpus_algebra, mod, 1, HARR)
-        full = kernel_basis(coboundary_matrix(corpus_algebra, mod, 1, HOCH))
+        sym = cohomology(Complex(corpus_algebra, mod, HARR), 1)
+        full = kernel_basis(coboundary_matrix(Complex(corpus_algebra, mod, HOCH), 1))
         sym_cocycles = kernel_basis(
-            coboundary_matrix(corpus_algebra, mod, 1, HARR)
+            coboundary_matrix(Complex(corpus_algebra, mod, HARR), 1)
         )
         # Kernel coordinates index the degree-1 Harrison basis.
         space = harrison_space(corpus_algebra, mod, 1)
@@ -288,7 +289,7 @@ class TestDerivations:
         self, corpus_algebra
     ):
         mod = self_module(corpus_algebra)
-        z1 = kernel_basis(coboundary_matrix(corpus_algebra, mod, 1, HARR))
+        z1 = kernel_basis(coboundary_matrix(Complex(corpus_algebra, mod, HARR), 1))
         space = harrison_space(corpus_algebra, mod, 1)
         cocycles = SubspaceBasis.from_vectors((space.combination(row) for row in z1.rows), space.ambient_dim)
         derivations = derivation_space(corpus_algebra, mod)
@@ -327,10 +328,10 @@ class TestRepresentatives:
             for degree in (1, 2):
                 if kind is HOCH and corpus_algebra.dim > 2 and degree == 2:
                     continue  # keep the full-complex cases small
-                res = cohomology(corpus_algebra, mod, degree, kind)
+                res = cohomology(Complex(corpus_algebra, mod, kind), degree)
                 assert len(res.representatives) == res.dim_cohomology
                 boundaries = image_basis(
-                    coboundary_matrix(corpus_algebra, mod, degree - 1, kind)
+                    coboundary_matrix(Complex(corpus_algebra, mod, kind), degree - 1)
                 )
                 for rep in res.representatives:
                     assert hochschild_coboundary(rep).is_zero()
@@ -367,7 +368,7 @@ class TestRepresentatives:
         monkeypatch.setattr(sys.modules["superharrison.cohomology"], "quotient_representatives", every_basis_cochain)
         alg = exterior_algebra(1)
         with pytest.raises(AssertionError) as info:
-            cohomology(alg, self_module(alg), 1, kind)
+            cohomology(Complex(alg, self_module(alg), kind), 1)
         assert str(info.value) == (
             f"{kind.value} representative 0 in degree 1 is not a cocycle: "
             "its coboundary is nonzero at entry (t, l) = ((0, 0), 0), that is (1, 1) -> 1"
@@ -375,7 +376,7 @@ class TestRepresentatives:
 
     def test_euler_class_generates_first_cohomology_of_the_line(self):
         alg = exterior_algebra(1)
-        res = cohomology(alg, self_module(alg), 1, HARR)
+        res = cohomology(Complex(alg, self_module(alg), HARR), 1)
         assert res.dim_cohomology == 1
         assert sorted(res.representatives[0].iter_nonzero()) == [((1,), 1, 1)]
 
@@ -385,20 +386,20 @@ class TestRepresentatives:
         # nonzero square only through a graded-antisymmetric cochain.
         alg = exterior_algebra(1)
         mod = self_module(alg)
-        sym = cohomology(alg, mod, 2, HARR)
-        full = cohomology(alg, mod, 2, HOCH)
+        sym = cohomology(Complex(alg, mod, HARR), 2)
+        full = cohomology(Complex(alg, mod, HOCH), 2)
         assert sym.dim_cohomology == 0
         assert full.dim_cohomology == 1
         clifford = cochain_from_entries(alg, mod, 2, {((1, 1), 0): 1})
         assert hochschild_coboundary(clifford).is_zero()
-        boundaries = image_basis(coboundary_matrix(alg, mod, 1, HOCH))
+        boundaries = image_basis(coboundary_matrix(Complex(alg, mod, HOCH), 1))
         assert not boundaries.contains(clifford.data)
 
     def test_results_are_deterministic(self):
         alg = exterior_algebra(2)
         mod = self_module(alg)
-        first = cohomology(alg, mod, 2, HARR)
-        second = cohomology(alg, mod, 2, HARR)
+        first = cohomology(Complex(alg, mod, HARR), 2)
+        second = cohomology(Complex(alg, mod, HARR), 2)
         assert first == second
         assert [list(r.iter_nonzero()) for r in first.representatives] == [
             list(r.iter_nonzero()) for r in second.representatives
@@ -409,24 +410,24 @@ class TestResourceLimits:
     def test_degree_ceiling(self):
         alg = exterior_algebra(1)
         with pytest.raises(ResourceCeilingError):
-            cohomology(alg, self_module(alg), 9, HARR)
+            cohomology(Complex(alg, self_module(alg), HARR), 9)
 
     def test_column_ceiling(self):
         alg = exterior_algebra(2)
         limits = ResourceLimits(max_degree=4, max_columns=5)
         with pytest.raises(ResourceCeilingError):
-            cohomology(alg, self_module(alg), 2, HOCH, limits)
+            cohomology(Complex(alg, self_module(alg), HOCH, limits), 2)
 
     def test_relaxed_limits_allow_the_same_computation(self):
         alg = exterior_algebra(1)
         limits = ResourceLimits(max_degree=4, max_columns=100)
-        res = cohomology(alg, self_module(alg), 2, HARR, limits)
+        res = cohomology(Complex(alg, self_module(alg), HARR, limits), 2)
         assert res.dim_cohomology == 0
 
     def test_error_message_names_the_ceiling(self):
         alg = exterior_algebra(1)
         with pytest.raises(ResourceCeilingError, match="ceiling"):
-            cohomology(alg, self_module(alg), 8, HARR)
+            cohomology(Complex(alg, self_module(alg), HARR), 8)
 
     def test_harrison_cohomology_builds_no_parity_table(self):
         # exterior(2) under basis names of its own: no cache holds it yet.
@@ -435,7 +436,7 @@ class TestResourceLimits:
         mod = self_module(alg)
         before = parity_offsets.cache_info().misses
         for degree in (1, 2, 3):
-            cohomology(alg, mod, degree, HARR)
+            cohomology(Complex(alg, mod, HARR), degree)
         assert parity_offsets.cache_info().misses == before
 
     def test_oversized_harrison_request_builds_no_parity_table(self):
@@ -443,8 +444,43 @@ class TestResourceLimits:
         mod = self_module(alg)
         before = parity_offsets.cache_info().misses
         with pytest.raises(ResourceCeilingError, match="dimension 8388608 exceeds the ceiling 20000"):
-            cohomology(alg, mod, 3, HARR)
+            cohomology(Complex(alg, mod, HARR), 3)
         assert parity_offsets.cache_info().misses == before
+
+
+    @pytest.mark.parametrize("kind", [HOCH, HARR])
+    @pytest.mark.parametrize("degree, limits", [(3, ResourceLimits(max_degree=3)), (2, ResourceLimits(max_columns=5))])
+    def test_a_refused_degree_builds_nothing(self, monkeypatch, kind, degree, limits):
+        def built(*args):
+            raise AssertionError("built before the ceilings were checked")
+
+        for name in ("harrison_space", "coboundary_scatter"):
+            monkeypatch.setattr(sys.modules["superharrison.cohomology"], name, built)
+        alg = exterior_algebra(2)
+        with pytest.raises(ResourceCeilingError):
+            cohomology(Complex(alg, self_module(alg), kind, limits), degree)
+
+
+class TestComplex:
+    """A complex builds each space and matrix once and frees them with itself."""
+
+    @pytest.mark.parametrize("kind", [HOCH, HARR])
+    def test_each_matrix_and_space_is_built_once(self, kind):
+        alg = exterior_algebra(2)
+        cx = Complex(alg, self_module(alg), kind)
+        for n in (0, 1, 2):
+            assert coboundary_matrix(cx, n) is coboundary_matrix(cx, n)
+            assert cx.space(n) is cx.space(n)
+        assert (cx.space(2) is None) == (kind is HOCH)
+
+    def test_spaces_and_matrices_die_with_the_complex(self):
+        alg = exterior_algebra(2)
+        cx = Complex(alg, self_module(alg), HARR)
+        cohomology(cx, 2)
+        refs = [weakref.ref(coboundary_matrix(cx, 1)), weakref.ref(cx.space(2))]
+        del cx
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
 
 class TestSignConvention:
@@ -457,9 +493,9 @@ class TestSignConvention:
 
     def test_odd_line_matches_the_ungraded_dual_numbers(self):
         alg = exterior_algebra(1)
-        dims = [cohomology(alg, self_module(alg), n, HOCH).dim_cohomology for n in range(4)]
+        dims = [cohomology(Complex(alg, self_module(alg), HOCH), n).dim_cohomology for n in range(4)]
         assert dims == [2, 1, 1, 1]
 
     def test_exterior_three_degree_zero_exceeds_the_even_part(self):
         alg = exterior_algebra(3)
-        assert cohomology(alg, self_module(alg), 0, HOCH).dim_cohomology == 5
+        assert cohomology(Complex(alg, self_module(alg), HOCH), 0).dim_cohomology == 5

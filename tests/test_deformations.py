@@ -31,6 +31,7 @@ from superharrison.cochains import (
     parity_basis,
 )
 from superharrison.cohomology import (
+    Complex,
     ComplexKind,
     ResourceCeilingError,
     ResourceLimits,
@@ -300,7 +301,7 @@ class TestEquivalence:
         rng = random.Random(13)
         mod = self_module(corpus_algebra)
         cocycles = kernel_basis(
-            coboundary_matrix(corpus_algebra, mod, 2, ComplexKind.SUPER_HARRISON)
+            coboundary_matrix(Complex(corpus_algebra, mod, ComplexKind.SUPER_HARRISON), 2)
         )
         basis = harrison_basis(corpus_algebra, mod, 2)
         psi1 = Cochain(2, corpus_algebra, mod, {})
@@ -331,11 +332,11 @@ class TestEquivalence:
     def test_trivial_second_cohomology_makes_everything_equivalent(self):
         alg = exterior_algebra(1)
         mod = self_module(alg)
-        assert cohomology(alg, mod, 2, ComplexKind.SUPER_HARRISON).dim_cohomology == 0
+        assert cohomology(Complex(alg, mod, ComplexKind.SUPER_HARRISON), 2).dim_cohomology == 0
         rng = random.Random(17)
         basis = harrison_basis(alg, mod, 2)
         cocycles = kernel_basis(
-            coboundary_matrix(alg, mod, 2, ComplexKind.SUPER_HARRISON)
+            coboundary_matrix(Complex(alg, mod, ComplexKind.SUPER_HARRISON), 2)
         )
         for _ in range(5):
             combos = []

@@ -23,7 +23,7 @@ from superharrison.algebras import (
     truncated_polynomial,
 )
 from superharrison.cochains import Cochain
-from superharrison.cohomology import CohomologyResult, ComplexKind, ResourceLimits, cohomology
+from superharrison.cohomology import CohomologyResult, Complex, ComplexKind, ResourceLimits, cohomology
 from superharrison.deformations import DeformationReport, SweepReport
 from superharrison.linalg import RationalMatrix, SubspaceBasis, as_rational
 from superharrison.records import Record
@@ -42,6 +42,7 @@ def _examples():
         "DualNumber": lambda: DualNumber(1, 2),
         "Cochain": lambda: Cochain(2, alg, mod, {3: 1, 1: 2}),
         "ResourceLimits": lambda: ResourceLimits(max_columns=7),
+        "Complex": lambda: Complex(alg, mod, ComplexKind.SUPER_HARRISON),
         "CohomologyResult": lambda: CohomologyResult(ComplexKind.HOCHSCHILD, 1, 2, 1, 0, ()),
         "DeformationReport": lambda: DeformationReport(True, None, (0, 1, 1)),
         "SweepReport": lambda: SweepReport(3, ("case 0: failure",)),
@@ -120,7 +121,7 @@ def test_derived_values_are_properties_not_fields():
 @pytest.mark.parametrize("degree", range(4))
 @pytest.mark.parametrize("kind", list(ComplexKind))
 def test_dim_cohomology_counts_the_representatives(corpus_algebra, kind, degree):
-    result = cohomology(corpus_algebra, self_module(corpus_algebra), degree, kind)
+    result = cohomology(Complex(corpus_algebra, self_module(corpus_algebra), kind), degree)
     assert result.dim_cohomology == len(result.representatives)
 
 

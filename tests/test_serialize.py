@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -155,6 +156,28 @@ class TestAlgebraDocuments:
         path.write_text("{not json")
         with pytest.raises(InputFormatError):
             load_algebra(str(path))
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param(
+                ('{"dim": 1, "basis": ["1"], "parity": [0], "products": '
+                 '[{"i": 0, "j": 0, "terms": [{"k": 0, "coeff": 1' + "0" * 5000 + '}]}]}').encode(),
+                id="integer-literal-over-the-digit-limit",
+                marks=pytest.mark.skipif(
+                    not hasattr(sys, "get_int_max_str_digits"), reason="this interpreter has no digit limit"
+                ),
+            ),
+            pytest.param(b'{"dim": \xff}', id="not-utf-8"),
+            pytest.param(b"{not json", id="malformed"),
+        ],
+    )
+    def test_an_unreadable_document_is_an_input_error_naming_the_file(self, content, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_bytes(content)
+        assert run(["check", "--algebra", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith(f"error: {path} is not valid JSON: ")
 
     def test_emitted_coefficients_are_strings(self, corpus_algebra):
         doc = algebra_to_dict(corpus_algebra)

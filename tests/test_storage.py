@@ -28,7 +28,7 @@ from superharrison.algebras import (
     tensor_product,
     truncated_polynomial,
 )
-from superharrison.cohomology import ComplexKind, ResourceCeilingError, cohomology
+from superharrison.cohomology import Complex, ComplexKind, ResourceCeilingError, cohomology
 from superharrison.deformations import random_parity_cochain, square_zero_extension
 from superharrison.serialize import algebra_from_dict, algebra_to_dict
 
@@ -168,7 +168,7 @@ class TestMemoryFollowsNonzeros:
             alg = exterior_algebra(6)
             built.append(alg)
             with pytest.raises(ResourceCeilingError):
-                cohomology(alg, self_module(alg), 3, kind)
+                cohomology(Complex(alg, self_module(alg), kind), 3)
 
         assert _peak_bytes(build) < 2_000_000
         assert not hasattr(built[0], "structure")
