@@ -13,7 +13,10 @@ is its own expansion), which also checks that it lies in S_{n+1}; a failure
 would mean the shuffle conditions are not closed under the coboundary and
 is raised as ``ShuffleClosureError``, naming the basis row, the first
 offending entry and, for a shuffle failure, the p of the first su_{n+1,p}
-that does not vanish.  A ceiling is checked degree first, before any count.
+that does not vanish.  ``Complex.space`` admits each degree against the
+ceilings, degree first and then a closed-form column count, before S_n is
+built; every degree-n computation goes through it, and d_n admits degree n
+before degree n + 1, so that a refused d_n builds nothing.
 
 Cocycle representatives returned by ``cohomology`` are reduced against the
 coboundary subspace, so they are canonical for the given bases and the same
@@ -73,9 +76,6 @@ class ResourceLimits(Record):
     max_columns: int = 20000
 
 
-DEFAULT_LIMITS = ResourceLimits()
-
-
 class ResourceCeilingError(RuntimeError):
     """A requested computation exceeds the configured size ceilings."""
 
@@ -94,10 +94,10 @@ class Complex(Record):
     algebra: SuperAlgebra
     module: SuperModule
     kind: ComplexKind
-    limits: ResourceLimits = DEFAULT_LIMITS
+    limits: ResourceLimits = ResourceLimits()
 
     @cached_property
-    def _spaces(self) -> dict[int, SubspaceBasis]:
+    def _spaces(self) -> dict[int, Optional[SubspaceBasis]]:
         return {}
 
     @cached_property
@@ -105,14 +105,17 @@ class Complex(Record):
         return {}
 
     def space(self, degree: int) -> Optional[SubspaceBasis]:
-        """S_n: ``None`` for all of C^n, else the canonical basis of the Harrison subspace."""
-        if self.kind is ComplexKind.HOCHSCHILD:
-            return None
+        """S_n: ``None`` for all of C^n, else the canonical basis of the Harrison subspace.
+
+        Degree n is admitted (``_admit``) before S_n is built or returned.
+        """
         if degree not in self._spaces:
-            self._spaces[degree] = harrison_space(self.algebra, self.module, degree)
+            self._admit(degree)
+            a, m = self.algebra, self.module
+            self._spaces[degree] = None if self.kind is ComplexKind.HOCHSCHILD else harrison_space(a, m, degree)
         return self._spaces[degree]
 
-    def _guard(self, degree: int) -> None:
+    def _admit(self, degree: int) -> None:
         """Refuse degree n over the ceilings: the degree first, then a column count bounding dim S_n."""
         limits = self.limits
         if degree > limits.max_degree:
@@ -150,10 +153,10 @@ def coboundary_matrix(cx: Complex, degree: int) -> RationalMatrix:
         raise ValueError("degree must be nonnegative")
     if degree in cx._matrices:
         return cx._matrices[degree]
-    cx._guard(degree)
-    cx._guard(degree + 1)
+    # Degree n is refused first, and both degrees are admitted before either space is built.
+    cx._admit(degree)
+    codomain, domain = cx.space(degree + 1), cx.space(degree)
     algebra, module = cx.algebra, cx.module
-    domain, codomain = cx.space(degree), cx.space(degree + 1)
     rows = ({i: 1} for i in range(algebra.dim**degree * module.dim)) if domain is None else domain.rows
     columns = []
     for index, row in enumerate(rows):
@@ -231,15 +234,17 @@ def derivation_space(algebra: SuperAlgebra, module: SuperModule) -> SubspaceBasi
     action = module.action_sparse
     a_par = algebra.parity
     m_par = module.parity
+    # offset[i][l]: the flat offset of the unknown f(e_i)_l, one shared int per unknown.
+    offset = [[encode((i,), l, dim_a, dim_m) for l in range(dim_m)] for i in range(dim_a)]
     for i in range(dim_a):
         for j in range(dim_a):
             # (l2, offset of the unknown, coefficient) of f(e_i e_j) - e_i f(e_j)
             # - f(e_i) e_j on m_{l2}; the last term takes the Koszul right action.
-            terms = [(l2, encode((k,), l2, dim_a, dim_m), c) for k, c in products[i][j] for l2 in range(dim_m)]
+            terms = [(l2, offset[k][l2], c) for k, c in products[i][j] for l2 in range(dim_m)]
             for l in range(dim_m):
-                terms.extend((l2, encode((j,), l, dim_a, dim_m), -c) for l2, c in action[i][l])
+                terms.extend((l2, offset[j][l], -c) for l2, c in action[i][l])
                 sign = -1 if a_par[j] and m_par[l] else 1
-                terms.extend((l2, encode((i,), l, dim_a, dim_m), -sign * c) for l2, c in action[j][l])
+                terms.extend((l2, offset[i][l], -sign * c) for l2, c in action[j][l])
             equations: list[dict[int, Rat]] = [{} for _ in range(dim_m)]
             for l2, off, c in terms:
                 equations[l2][off] = equations[l2].get(off, 0) + c

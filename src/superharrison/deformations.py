@@ -24,6 +24,10 @@ direct sum and handed to the generic algebra validator.  Finally, two
 cocycles differing by a coboundary give isomorphic extensions via
 (a, m) |-> (a, m + g(a)); ``extension_equivalence`` looks for such a g by
 exact linear solving and returns it when it exists.
+
+``deformation_classes``, ``extension_equivalence`` and both sweeps take the
+caller's Harrison ``Complex``, read its spaces and matrices, and run under
+its ceilings.
 """
 
 from __future__ import annotations
@@ -32,14 +36,7 @@ import random
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .algebras import (
-    DualNumber,
-    SuperAlgebra,
-    SuperModule,
-    _table_from_cells,
-    self_module,
-    validate_superalgebra,
-)
+from .algebras import DualNumber, SuperAlgebra, SuperModule, _table_from_cells, validate_superalgebra
 from .cochains import (
     Cochain,
     hochschild_coboundary,
@@ -47,15 +44,7 @@ from .cochains import (
     parity_basis,
     parity_offsets,
 )
-from .cohomology import (
-    DEFAULT_LIMITS,
-    CohomologyResult,
-    Complex,
-    ComplexKind,
-    ResourceLimits,
-    coboundary_matrix,
-    cohomology,
-)
+from .cohomology import CohomologyResult, Complex, ComplexKind, coboundary_matrix, cohomology
 from .linalg import Rat, solve
 from .records import Record
 
@@ -98,18 +87,18 @@ class DeformationReport(Record):
         return self.parity_ok and self.supercommutative_mod_t2 and self.associative_mod_t2
 
 
-def _check_psi(algebra: SuperAlgebra, psi: Cochain) -> None:
-    if psi.degree != 2:
-        raise ValueError("a deformation direction must be a degree-2 cochain")
-    # The fields of self_module(algebra), compared without building it.
-    m = psi.module
-    if psi.algebra != algebra or (m.algebra, m.parity, m.action_sparse, m.basis_names) != (
-        algebra,
-        algebra.parity,
-        algebra.products,
-        algebra.basis_names,
-    ):
-        raise ValueError("psi must take values in the algebra acting on itself")
+def _is_self_module(algebra: SuperAlgebra, m: SuperModule) -> bool:
+    """Whether m is ``self_module(algebra)``, compared field by field without building it."""
+    fields = (m.algebra, m.parity, m.action_sparse, m.basis_names)
+    return fields == (algebra, algebra.parity, algebra.products, algebra.basis_names)
+
+
+def _check_complex(cx: Complex, self_acting: bool = False) -> None:
+    """Refuse a Hochschild complex and, when ``self_acting``, a module other than the self-module."""
+    if cx.kind is not ComplexKind.SUPER_HARRISON:
+        raise ValueError("degree-2 deformation theory needs the graded Harrison complex")
+    if self_acting and not _is_self_module(cx.algebra, cx.module):
+        raise ValueError("the complex must take values in the algebra acting on itself")
 
 
 # A DualNumber vector, sparse: (basis index, nonzero coefficient) in index order.
@@ -154,7 +143,10 @@ def _m_t(table: list[list[DualVector]], x: DualVector, y: DualVector) -> DualVec
 
 def first_order_deformation_check(algebra: SuperAlgebra, psi: Cochain) -> DeformationReport:
     """Check the deformed product on every basis pair and triple, first witness wins."""
-    _check_psi(algebra, psi)
+    if psi.degree != 2:
+        raise ValueError("a deformation direction must be a degree-2 cochain")
+    if psi.algebra != algebra or not _is_self_module(algebra, psi.module):
+        raise ValueError("psi must take values in the algebra acting on itself")
     dim = algebra.dim
     par = algebra.parity
     table = _mt_table(algebra, psi)
@@ -208,6 +200,8 @@ class SweepReport(Record):
 
 # The chance that a random cochain sets a given parity-consistent entry.
 RANDOM_DENSITY = 0.6
+# The sweeps' random cases are drawn from this seed, so every report is reproducible.
+SWEEP_SEED = 0
 
 
 def random_parity_cochain(algebra: SuperAlgebra, module: SuperModule, degree: int, rng: random.Random) -> Cochain:
@@ -219,39 +213,35 @@ def random_parity_cochain(algebra: SuperAlgebra, module: SuperModule, degree: in
     return Cochain(degree, algebra, module, data)
 
 
-def _sweep(
-    algebra: SuperAlgebra,
-    module: SuperModule,
-    budget: int,
-    seed: int,
-    failures_of: Callable[[Cochain], list[str]],
-) -> SweepReport:
-    """Run ``failures_of`` on the degree-2 parity basis, then on ``budget`` seeded random cochains."""
+def _sweep(cx: Complex, budget: int, failures_of: Callable[[Cochain], list[str]]) -> SweepReport:
+    """Admit degree 2, then run ``failures_of`` on the degree-2 parity basis and ``budget`` random cochains."""
+    cx.space(2)
+    algebra, module = cx.algebra, cx.module
     cases = parity_basis(algebra, module, 2)
-    rng = random.Random(seed)
+    rng = random.Random(SWEEP_SEED)
     cases += [random_parity_cochain(algebra, module, 2, rng) for _ in range(budget)]
     failures = tuple(f"case {idx}: {failure}" for idx, psi in enumerate(cases) for failure in failures_of(psi))
     return SweepReport(cases=len(cases), failures=failures)
 
 
-def deformation_iff_cocycle(
-    algebra: SuperAlgebra, budget: int = 50, seed: int = 0
-) -> SweepReport:
+def deformation_iff_cocycle(cx: Complex, budget: int = 50) -> SweepReport:
     """Sweep: deformed product valid <=> psi is a Harrison 2-cocycle.
 
-    Runs every element of the degree-2 parity basis plus ``budget`` random
-    rational combinations, comparing the DualNumber verdict against the
-    cochain-side verdict on each.
+    ``cx`` is the Harrison complex of an algebra on itself.  Runs every
+    element of the degree-2 parity basis plus ``budget`` random rational
+    combinations, comparing the DualNumber verdict against the cochain-side
+    verdict on each.
     """
+    _check_complex(cx, self_acting=True)
 
     def failures_of(psi: Cochain) -> list[str]:
-        deformation_side = first_order_deformation_check(algebra, psi).valid
+        deformation_side = first_order_deformation_check(cx.algebra, psi).valid
         cochain_side = is_cocycle(psi)
         if deformation_side == cochain_side:
             return []
         return [f"deformation check says {deformation_side}, cocycle test says {cochain_side}"]
 
-    return _sweep(algebra, self_module(algebra), budget, seed, failures_of)
+    return _sweep(cx, budget, failures_of)
 
 
 def square_zero_extension(algebra: SuperAlgebra, module: SuperModule, psi: Cochain) -> SuperAlgebra:
@@ -295,18 +285,17 @@ def square_zero_extension(algebra: SuperAlgebra, module: SuperModule, psi: Cocha
     return SuperAlgebra(dim, names, parity, _table_from_cells(cells, dim, dim), unit_index=None)
 
 
-def extension_valid_iff_cocycle(
-    algebra: SuperAlgebra, module: SuperModule, budget: int = 50, seed: int = 0
-) -> SweepReport:
-    """Sweep: the extension validates <=> psi is a Harrison 2-cocycle.
+def extension_valid_iff_cocycle(cx: Complex, budget: int = 50) -> SweepReport:
+    """Sweep: the extension by the complex's module validates <=> psi is a Harrison 2-cocycle.
 
     The comparison is law-by-law: associativity of the extension against
     the cocycle condition, supercommutativity against graded symmetry, and
     parity compatibility against parity preservation.
     """
+    _check_complex(cx)
 
     def failures_of(psi: Cochain) -> list[str]:
-        kinds = validate_superalgebra(square_zero_extension(algebra, module, psi)).kinds()
+        kinds = validate_superalgebra(square_zero_extension(cx.algebra, cx.module, psi)).kinds()
         checks = (
             ("associativity", hochschild_coboundary(psi).is_zero()),
             ("supercommutativity", is_graded_symmetric(psi)),
@@ -318,47 +307,48 @@ def extension_valid_iff_cocycle(
             if (kind not in kinds) != cochain_ok
         ]
 
-    return _sweep(algebra, module, budget, seed, failures_of)
+    return _sweep(cx, budget, failures_of)
 
 
-def extension_equivalence(
-    algebra: SuperAlgebra, module: SuperModule, psi1: Cochain, psi2: Cochain
-) -> Optional[Cochain]:
+def extension_equivalence(cx: Complex, psi1: Cochain, psi2: Cochain) -> Optional[Cochain]:
     """A degree-1 cochain g with dg = psi1 - psi2, or None when no such g exists.
 
     When g exists, (a, m) |-> (a, m + g(a)) is an isomorphism between the two
     square-zero extensions, so the answer decides extension equivalence.
-    Both inputs must be Harrison 2-cocycles.
+    Both inputs must be Harrison 2-cocycles on the complex's algebra and
+    module; g is solved for in its degree-1 space against its d_1.
     """
+    _check_complex(cx)
+    algebra, module = cx.algebra, cx.module
     for psi in (psi1, psi2):
         if psi.degree != 2 or psi.algebra != algebra or psi.module != module:
-            raise ValueError("inputs must be degree-2 cochains on the given algebra and module")
+            raise ValueError("inputs must be degree-2 cochains on the complex's algebra and module")
         if not is_cocycle(psi):
             raise NotACocycleError("extension equivalence is defined for cocycles only")
 
-    harrison = Complex(algebra, module, ComplexKind.SUPER_HARRISON)
-    matrix = coboundary_matrix(harrison, 1)
+    matrix = coboundary_matrix(cx, 1)
     diff = psi1 - psi2
-    rhs = harrison.space(2).sparse_coordinates(diff.data)
+    rhs = cx.space(2).sparse_coordinates(diff.data)
     if rhs is None:
         raise AssertionError("difference of cocycles escaped the Harrison space")
     solution = solve(matrix, rhs)
     if solution is None:
         return None
-    g = Cochain(1, algebra, module, harrison.space(1).combination(solution))
+    g = Cochain(1, algebra, module, cx.space(1).combination(solution))
     if hochschild_coboundary(g) != diff:
         raise AssertionError("solver returned g with dg != psi1 - psi2")
     return g
 
 
-def deformation_classes(algebra: SuperAlgebra, limits: ResourceLimits = DEFAULT_LIMITS) -> CohomologyResult:
-    """Degree-2 Harrison cohomology of A on itself; representatives re-checked.
+def deformation_classes(cx: Complex) -> CohomologyResult:
+    """Degree-2 cohomology of ``cx``, the Harrison complex of A on itself; representatives re-checked.
 
     Every representative is run back through the DualNumber deformation
     check, which must come out valid.
     """
-    result = cohomology(Complex(algebra, self_module(algebra), ComplexKind.SUPER_HARRISON, limits), 2)
+    _check_complex(cx, self_acting=True)
+    result = cohomology(cx, 2)
     for rep in result.representatives:
-        if not first_order_deformation_check(algebra, rep).valid:
+        if not first_order_deformation_check(cx.algebra, rep).valid:
             raise AssertionError("cohomology representative rejected by the deformation check")
     return result

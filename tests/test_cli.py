@@ -384,6 +384,21 @@ class TestVerifyCommand:
         assert run(["verify", "--algebra", "builtin:truncpoly:2", "--max-degree", "2", "--budget", "5"]) == 3
         assert capsys.readouterr().err == "resource ceiling: degree 3 exceeds the ceiling 2\n"
 
+    @pytest.mark.parametrize("suite", [name for name in SUITES if name != "validators"])
+    def test_every_suite_but_validators_is_admitted_by_the_ceilings(self, capsys, suite):
+        # Degree 2 of exterior(6) on itself has 131072 parity-consistent
+        # entries, over the default ceiling of 20000 columns.
+        assert run(["verify", "--algebra", "builtin:exterior:6", "--suite", suite]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "resource ceiling: cochain space of dimension 131072 exceeds the ceiling 20000\n"
+
+    @pytest.mark.parametrize("suite", ["complex", "closure"])
+    def test_a_degree_ceiling_of_one_refuses(self, capsys, suite):
+        # The complex suite checks d_1 d_0, which reaches degree 2, whatever the ceiling.
+        assert run(["verify", "--algebra", "builtin:truncpoly:2", "--max-degree", "1", "--suite", suite]) == 3
+        assert capsys.readouterr().err == "resource ceiling: degree 2 exceeds the ceiling 1\n"
+
     def test_suite_choices_are_all_and_the_table(self):
         assert list(SUITES) == [
             "validators", "complex", "closure", "derivations", "deformations", "extensions", "equivalence",

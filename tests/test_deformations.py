@@ -51,6 +51,12 @@ from superharrison.deformations import (
 from superharrison.linalg import kernel_basis
 
 ints = st.integers(min_value=-8, max_value=8)
+HARR = ComplexKind.SUPER_HARRISON
+
+
+def harrison_on_itself(algebra, limits=ResourceLimits()):
+    """The Harrison complex of ``algebra`` on its self-module."""
+    return Complex(algebra, self_module(algebra), HARR, limits)
 
 
 def first_bad_triple(psi):
@@ -219,19 +225,16 @@ class TestFirstOrderCheck:
 
 class TestIffSweeps:
     def test_deformation_verdict_tracks_cocycles(self, corpus_algebra):
-        report = deformation_iff_cocycle(corpus_algebra, budget=40, seed=7)
+        mod = self_module(corpus_algebra)
+        report = deformation_iff_cocycle(Complex(corpus_algebra, mod, HARR), budget=40)
         assert report.passed, report.failures
-        basis_size = len(
-            parity_basis(corpus_algebra, self_module(corpus_algebra), 2)
-        )
+        basis_size = len(parity_basis(corpus_algebra, mod, 2))
         assert report.cases == basis_size + 40
         assert report.failures == ()
 
     def test_extension_verdict_tracks_cocycles(self, corpus_algebra):
         mod = self_module(corpus_algebra)
-        report = extension_valid_iff_cocycle(
-            corpus_algebra, mod, budget=40, seed=11
-        )
+        report = extension_valid_iff_cocycle(Complex(corpus_algebra, mod, HARR), budget=60)
         assert report.passed, report.failures
 
 
@@ -300,9 +303,8 @@ class TestEquivalence:
     def test_shifting_by_a_coboundary_is_detected(self, corpus_algebra):
         rng = random.Random(13)
         mod = self_module(corpus_algebra)
-        cocycles = kernel_basis(
-            coboundary_matrix(Complex(corpus_algebra, mod, ComplexKind.SUPER_HARRISON), 2)
-        )
+        harrison = Complex(corpus_algebra, mod, HARR)
+        cocycles = kernel_basis(coboundary_matrix(harrison, 2))
         basis = harrison_basis(corpus_algebra, mod, 2)
         psi1 = Cochain(2, corpus_algebra, mod, {})
         # A random symmetric cocycle, assembled from kernel coordinates.
@@ -317,7 +319,7 @@ class TestEquivalence:
         assert is_cocycle(psi1)
         g0 = random_parity_cochain(corpus_algebra, mod, 1, rng)
         psi2 = psi1 - hochschild_coboundary(g0)
-        g = extension_equivalence(corpus_algebra, mod, psi1, psi2)
+        g = extension_equivalence(harrison, psi1, psi2)
         assert g is not None
         assert hochschild_coboundary(g) == psi1 - psi2
 
@@ -326,18 +328,18 @@ class TestEquivalence:
         mod = self_module(alg)
         psi = cochain_from_entries(alg, mod, 2, {((1, 1), 0): 1})
         zero = Cochain(2, alg, mod, {})
-        assert extension_equivalence(alg, mod, psi, zero) is None
-        assert extension_equivalence(alg, mod, zero, psi) is None
+        harrison = Complex(alg, mod, HARR)
+        assert extension_equivalence(harrison, psi, zero) is None
+        assert extension_equivalence(harrison, zero, psi) is None
 
     def test_trivial_second_cohomology_makes_everything_equivalent(self):
         alg = exterior_algebra(1)
         mod = self_module(alg)
-        assert cohomology(Complex(alg, mod, ComplexKind.SUPER_HARRISON), 2).dim_cohomology == 0
+        harrison = Complex(alg, mod, HARR)
+        assert cohomology(harrison, 2).dim_cohomology == 0
         rng = random.Random(17)
         basis = harrison_basis(alg, mod, 2)
-        cocycles = kernel_basis(
-            coboundary_matrix(Complex(alg, mod, ComplexKind.SUPER_HARRISON), 2)
-        )
+        cocycles = kernel_basis(coboundary_matrix(harrison, 2))
         for _ in range(5):
             combos = []
             for _ in range(2):
@@ -348,7 +350,7 @@ class TestEquivalence:
                         if w and coeff:
                             total = total + f.scale(w * coeff)
                 combos.append(total)
-            g = extension_equivalence(alg, mod, combos[0], combos[1])
+            g = extension_equivalence(harrison, combos[0], combos[1])
             assert g is not None
 
     def test_non_cocycles_are_rejected(self):
@@ -356,10 +358,11 @@ class TestEquivalence:
         mod = self_module(alg)
         bad = cochain_from_entries(alg, mod, 2, {((1, 1), 0): 1})
         good = Cochain(2, alg, mod, {})
+        harrison = Complex(alg, mod, HARR)
         with pytest.raises(ValueError):
-            extension_equivalence(alg, mod, bad, good)
+            extension_equivalence(harrison, bad, good)
         with pytest.raises(ValueError):
-            extension_equivalence(alg, mod, good, bad)
+            extension_equivalence(harrison, good, bad)
 
     def test_recovered_shift_gives_an_algebra_isomorphism(self):
         # h(a, m) = (a, m + g(a)) must turn one extension's product into
@@ -369,7 +372,7 @@ class TestEquivalence:
         psi1 = cochain_from_entries(alg, mod, 2, {((1, 1), 0): 1})
         g0 = cochain_from_entries(alg, mod, 1, {((1,), 0): 2})
         psi2 = psi1 - hochschild_coboundary(g0)
-        g = extension_equivalence(alg, mod, psi1, psi2)
+        g = extension_equivalence(Complex(alg, mod, HARR), psi1, psi2)
         assert g is not None
         ext1 = square_zero_extension(alg, mod, psi1)
         ext2 = square_zero_extension(alg, mod, psi2)
@@ -394,11 +397,11 @@ class TestEquivalence:
 
 class TestDeformationClasses:
     def test_rigid_algebras_have_no_classes(self):
-        assert deformation_classes(ground_field()).dim_cohomology == 0
-        assert deformation_classes(exterior_algebra(1)).dim_cohomology == 0
+        assert deformation_classes(harrison_on_itself(ground_field())).dim_cohomology == 0
+        assert deformation_classes(harrison_on_itself(exterior_algebra(1))).dim_cohomology == 0
 
     def test_nilpotent_line_has_one_class(self):
-        res = deformation_classes(truncated_polynomial(2))
+        res = deformation_classes(harrison_on_itself(truncated_polynomial(2)))
         assert res.dim_cohomology == 1
         rep = res.representatives[0]
         assert first_order_deformation_check(
@@ -407,15 +410,83 @@ class TestDeformationClasses:
 
     def test_limits_are_honoured(self):
         with pytest.raises(ResourceCeilingError):
-            deformation_classes(exterior_algebra(2), ResourceLimits(max_columns=10))
+            deformation_classes(harrison_on_itself(exterior_algebra(2), ResourceLimits(max_columns=10)))
         with pytest.raises(ResourceCeilingError):
-            deformation_classes(exterior_algebra(2), ResourceLimits(max_degree=2))
+            deformation_classes(harrison_on_itself(exterior_algebra(2), ResourceLimits(max_degree=2)))
 
     def test_class_representatives_deform(self, corpus_algebra):
-        res = deformation_classes(corpus_algebra)
+        res = deformation_classes(harrison_on_itself(corpus_algebra))
         for rep in res.representatives:
             assert is_cocycle(rep)
             assert first_order_deformation_check(corpus_algebra, rep).valid
+
+
+class TestCallersComplex:
+    """The degree-2 functions run on the caller's complex and under its ceilings."""
+
+    # Degree 2 of exterior(2) on itself has 32 parity-consistent entries.
+    LOW = (ResourceLimits(max_columns=10), ResourceLimits(max_degree=1))
+
+    @pytest.mark.parametrize("limits", LOW, ids=["columns", "degree"])
+    def test_lowered_limits_refuse_every_degree_two_function(self, limits):
+        alg = exterior_algebra(2)
+        zero = Cochain(2, alg, self_module(alg), {})
+        calls = (
+            lambda cx: deformation_classes(cx),
+            lambda cx: deformation_iff_cocycle(cx, budget=0),
+            lambda cx: extension_valid_iff_cocycle(cx, budget=0),
+            lambda cx: extension_equivalence(cx, zero, zero),
+        )
+        for call in calls:
+            cx = harrison_on_itself(alg, limits)
+            with pytest.raises(ResourceCeilingError):
+                call(cx)
+            # Refused before degree 2 was built.
+            assert 2 not in cx._spaces
+
+    def test_the_sweeps_admit_degree_two_before_any_case(self):
+        cx = harrison_on_itself(exterior_algebra(2), ResourceLimits(max_columns=10))
+        with pytest.raises(ResourceCeilingError, match="dimension 32 exceeds the ceiling 10"):
+            deformation_iff_cocycle(cx, budget=0)
+
+    def test_equivalence_reuses_the_complex(self):
+        alg = truncated_polynomial(2)
+        cx = harrison_on_itself(alg)
+        psi = cochain_from_entries(alg, cx.module, 2, {((1, 1), 0): 1})
+        d1, s1, s2 = coboundary_matrix(cx, 1), cx.space(1), cx.space(2)
+        assert extension_equivalence(cx, psi, psi) == Cochain(1, alg, cx.module, {})
+        assert coboundary_matrix(cx, 1) is d1 and cx.space(1) is s1 and cx.space(2) is s2
+
+    def test_a_hochschild_complex_is_refused(self):
+        alg = truncated_polynomial(2)
+        hochschild = Complex(alg, self_module(alg), ComplexKind.HOCHSCHILD)
+        zero = Cochain(2, alg, hochschild.module, {})
+        with pytest.raises(ValueError, match="Harrison"):
+            deformation_classes(hochschild)
+        with pytest.raises(ValueError, match="Harrison"):
+            deformation_iff_cocycle(hochschild, budget=0)
+        with pytest.raises(ValueError, match="Harrison"):
+            extension_valid_iff_cocycle(hochschild, budget=0)
+        with pytest.raises(ValueError, match="Harrison"):
+            extension_equivalence(hochschild, zero, zero)
+
+    def test_a_module_other_than_the_self_module_is_refused_where_needed(self):
+        alg = truncated_polynomial(2)
+        mod = SuperModule(alg, 1, (0,), ((((0, 1),),), ((),)), basis_names=("v",))
+        cx = Complex(alg, mod, HARR)
+        with pytest.raises(ValueError, match="acting on itself"):
+            deformation_classes(cx)
+        with pytest.raises(ValueError, match="acting on itself"):
+            deformation_iff_cocycle(cx, budget=0)
+        # The extension sweep takes any module.
+        assert extension_valid_iff_cocycle(cx, budget=3).passed
+
+    def test_equivalence_takes_cochains_of_the_complex(self):
+        alg = truncated_polynomial(2)
+        other = Cochain(2, exterior_algebra(1), self_module(exterior_algebra(1)), {})
+        zero = Cochain(2, alg, self_module(alg), {})
+        with pytest.raises(ValueError, match="complex's algebra and module"):
+            extension_equivalence(harrison_on_itself(alg), zero, other)
 
 
 class TestRandomCochains:
