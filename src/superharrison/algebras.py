@@ -17,8 +17,6 @@ split is deliberate: the deformation layer needs to build broken algebras
 on purpose and see exactly which law fails where.  One checker scatters
 (e_i e_j)x_k and e_i(e_j x_k) from nonzero products only, and serves both
 associativity and the module law; the other laws compare sparse rows.
-Algebras and modules are hashed once, since ``lru_cache`` keys on them
-would otherwise rehash the whole table per lookup.
 
 The right action is never stored: it is induced from the left one on
 homogeneous components by the Koszul rule m*a = (-1)^{|a||m|} a*m, which
@@ -34,7 +32,7 @@ from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .linalg import Rat, _denominator, _ratio, as_rational
-from .records import HashOnceRecord, Record, set_field
+from .records import Record, set_field
 
 __all__ = [
     "SuperAlgebra",
@@ -120,7 +118,7 @@ def _check_parity(parity: Sequence[int], dim: int) -> tuple[int, ...]:
     return tuple(parity)
 
 
-class SuperAlgebra(HashOnceRecord):
+class SuperAlgebra(Record):
     """Structure constants of a superalgebra: e_i e_j = sum_k c e_k over products[i][j] = ((k, c), ...).
 
     ``products`` is checked and stored as it is: dim slices of dim rows,
@@ -153,7 +151,7 @@ class SuperAlgebra(HashOnceRecord):
         super().__init__(dim, basis_names, parity, products, unit_index)
 
 
-class SuperModule(HashOnceRecord):
+class SuperModule(Record):
     """A supermodule over ``algebra`` given by its left action.
 
     action_sparse[i][k] = ((l, c), ...) lists the nonzero coefficients c of

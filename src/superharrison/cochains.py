@@ -15,7 +15,9 @@ included, is written over flat offsets: a ``harrison_space`` row, like a
 row of ``cohomology.derivation_space``, is the ``data`` of a cochain.
 ``encode`` and ``decode`` run once per entry, so they stay out of
 ``__all__``, the names that profilers such as ``perfbench/traced_cli.py``
-wrap call by call.
+wrap call by call.  ``parity_offsets`` stays out too, although the package
+exports it: it keeps no cache, and ``perfbench/traced_cli.py`` reads
+``__wrapped__`` from whatever ``__all__`` lists under that name.
 
 Three layers live here:
 
@@ -61,7 +63,6 @@ __all__ = [
     "Cochain",
     "cochain_from_entries",
     "cochain_apply",
-    "parity_offsets",
     "parity_count",
     "parity_basis",
     "super_shuffle_sum",
@@ -190,9 +191,8 @@ def cochain_apply(f: Cochain, args: Sequence[Sequence[Rat]]) -> tuple[Rat, ...]:
     return tuple(as_rational(v) for v in out)
 
 
-@lru_cache(maxsize=None)
 def parity_offsets(algebra: SuperAlgebra, module: SuperModule, degree: int) -> tuple[int, ...]:
-    """Flat offsets of the parity-consistent entries (t, l), in enumeration order."""
+    """Flat offsets of the parity-consistent entries (t, l), in enumeration order; built per call."""
     a_par = algebra.parity
     m_par = module.parity
     out = []

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Optional
 
 from .algebras import DualNumber, SuperAlgebra, SuperModule, _table_from_cells, validate_superalgebra
@@ -41,7 +42,7 @@ from .cochains import (
     Cochain,
     hochschild_coboundary,
     is_graded_symmetric,
-    parity_basis,
+    parity_count,
     parity_offsets,
 )
 from .cohomology import CohomologyResult, Complex, ComplexKind, coboundary_matrix, cohomology
@@ -214,14 +215,19 @@ def random_parity_cochain(algebra: SuperAlgebra, module: SuperModule, degree: in
 
 
 def _sweep(cx: Complex, budget: int, failures_of: Callable[[Cochain], list[str]]) -> SweepReport:
-    """Admit degree 2, then run ``failures_of`` on the degree-2 parity basis and ``budget`` random cochains."""
+    """Admit degree 2, then run ``failures_of`` on the degree-2 parity basis and ``budget`` random cochains.
+
+    Each case is drawn as it is judged, so the sweep holds one case at a time.
+    """
     cx.space(2)
     algebra, module = cx.algebra, cx.module
-    cases = parity_basis(algebra, module, 2)
     rng = random.Random(SWEEP_SEED)
-    cases += [random_parity_cochain(algebra, module, 2, rng) for _ in range(budget)]
+    cases = chain(
+        (Cochain(2, algebra, module, {off: 1}) for off in parity_offsets(algebra, module, 2)),
+        (random_parity_cochain(algebra, module, 2, rng) for _ in range(budget)),
+    )
     failures = tuple(f"case {idx}: {failure}" for idx, psi in enumerate(cases) for failure in failures_of(psi))
-    return SweepReport(cases=len(cases), failures=failures)
+    return SweepReport(cases=parity_count(algebra, module, 2) + budget, failures=failures)
 
 
 def deformation_iff_cocycle(cx: Complex, budget: int = 50) -> SweepReport:

@@ -17,8 +17,8 @@ import pytest
 import superharrison
 from superharrison.algebras import exterior_algebra, self_module, tensor_product, truncated_polynomial
 from superharrison.cli import SUITES, _digest, build_parser, resolve_algebra, run
-from superharrison.cochains import Cochain
-from superharrison.cohomology import ShuffleClosureError
+from superharrison.cochains import Cochain, coboundary_scatter
+from superharrison.cohomology import ResourceLimits, ShuffleClosureError
 from superharrison.deformations import is_cocycle
 from superharrison.serialize import algebra_to_dict, cochain_from_dict, cochain_to_dict, dump_algebra
 
@@ -82,6 +82,21 @@ class TestSignCommand:
 
     def test_malformed_permutation_is_an_input_error(self, capsys):
         assert run(["sign", "--perm", "1,1", "--parity", "0,0"]) == 2
+
+    @pytest.mark.parametrize(
+        "perm, parity, problem",
+        [("3,,1,2", "0,1,1,", "permutation list '3,,1,2'"), ("3,1,2", "0,1,1,", "parity list '0,1,1,'")],
+    )
+    def test_an_empty_item_is_an_input_error(self, capsys, perm, parity, problem):
+        assert run(["sign", "--perm", perm, "--parity", parity]) == 2
+        assert capsys.readouterr().err == f"error: empty item in {problem}\n"
+
+    @pytest.mark.parametrize(
+        "perm, parity, problem", [(",", ",", "permutation list ','"), ("1", "", "parity list ''")]
+    )
+    def test_an_empty_list_is_an_input_error(self, capsys, perm, parity, problem):
+        assert run(["sign", "--perm", perm, "--parity", parity]) == 2
+        assert capsys.readouterr().err == f"error: empty {problem}\n"
 
 
 class TestCheckCommand:
@@ -399,6 +414,24 @@ class TestVerifyCommand:
         assert run(["verify", "--algebra", "builtin:truncpoly:2", "--max-degree", "1", "--suite", suite]) == 3
         assert capsys.readouterr().err == "resource ceiling: degree 2 exceeds the ceiling 1\n"
 
+    def test_the_complex_suite_checks_parity_violating_cochains(self, capsys, monkeypatch):
+        # Break d linearly on the entry f(1, 1) = t of exterior(1), at flat
+        # offset 1, which no parity-preserving cochain sets: d(f) gains the
+        # degree-3 entry at offset 0, whose own coboundary is nonzero.
+        alg = exterior_algebra(1)
+        mod = self_module(alg)
+        assert coboundary_scatter(alg, mod, 3, {0: 1})
+
+        def broken(algebra, module, degree, entries):
+            image = coboundary_scatter(algebra, module, degree, entries)
+            if degree == 2 and 1 in entries:
+                image[0] = image.get(0, 0) + entries[1]
+            return image
+
+        monkeypatch.setattr(sys.modules["superharrison.cli"], "coboundary_scatter", broken)
+        assert run(["verify", "--algebra", "builtin:exterior:1", "--suite", "complex"]) == 1
+        assert capsys.readouterr().out == "FAIL complex: d(d(f)) != 0 for the elementary cochain at offset 1\n"
+
     def test_suite_choices_are_all_and_the_table(self):
         assert list(SUITES) == [
             "validators", "complex", "closure", "derivations", "deformations", "extensions", "equivalence",
@@ -665,6 +698,14 @@ class TestExitCodes:
         code = run(["cohomology", "--algebra", "builtin:truncpoly:2", "--degree", "1", "--kind", "harrison"])
         assert code == 2
         assert "SUPERHARRISON_MAX_COLUMNS" in capsys.readouterr().err
+
+    def test_ceiling_help_reads_the_defaults_of_the_limits(self, monkeypatch):
+        monkeypatch.setattr(ResourceLimits, "max_degree", 7)
+        monkeypatch.setattr(ResourceLimits, "max_columns", 300)
+        for name in ("cohomology", "deform-classes", "verify"):
+            helps = {a.dest: a.help for a in _subcommands()[name]._actions}
+            assert helps["max_degree"] == "degree ceiling (default 7)"
+            assert helps["max_columns"] == "cochain dimension ceiling (default 300)"
 
     @pytest.mark.parametrize("flag", ["--max-degree", "--max-columns"])
     def test_negative_ceiling_flag_is_an_input_error(self, capsys, flag):

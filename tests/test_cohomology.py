@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from test_algebras import perturbed_modules
 
 from superharrison.algebras import (
-    SuperAlgebra,
     exterior_algebra,
     ground_field,
     self_module,
@@ -27,7 +26,6 @@ from superharrison.cochains import (
     hochschild_coboundary,
     is_graded_symmetric,
     parity_count,
-    parity_offsets,
 )
 from superharrison.cohomology import (
     Complex,
@@ -49,6 +47,17 @@ from superharrison.linalg import (
 
 HOCH = ComplexKind.HOCHSCHILD
 HARR = ComplexKind.SUPER_HARRISON
+
+
+def forbid_parity_tables(monkeypatch):
+    """Make every ``parity_offsets`` the Harrison path can reach raise."""
+
+    def built(*args):
+        raise AssertionError("a parity table was built")
+
+    for name in ("cochains", "cohomology"):
+        monkeypatch.setattr(sys.modules[f"superharrison.{name}"], "parity_offsets", built)
+
 
 # (cochains, cocycles, coboundaries, cohomology) per degree, pinned.
 # Degree 0 and 1 rows are hand checks: the even block is central, and
@@ -429,24 +438,19 @@ class TestResourceLimits:
         with pytest.raises(ResourceCeilingError, match="ceiling"):
             cohomology(Complex(alg, self_module(alg), HARR), 8)
 
-    def test_harrison_cohomology_builds_no_parity_table(self):
-        # exterior(2) under basis names of its own: no cache holds it yet.
-        ext = exterior_algebra(2)
-        alg = SuperAlgebra(ext.dim, ("u", "a", "b", "ab"), ext.parity, ext.products, unit_index=0)
+    def test_harrison_cohomology_builds_no_parity_table(self, monkeypatch):
+        forbid_parity_tables(monkeypatch)
+        alg = exterior_algebra(2)
         mod = self_module(alg)
-        before = parity_offsets.cache_info().misses
         for degree in (1, 2, 3):
             cohomology(Complex(alg, mod, HARR), degree)
-        assert parity_offsets.cache_info().misses == before
 
-    def test_oversized_harrison_request_builds_no_parity_table(self):
+    def test_oversized_harrison_request_builds_no_parity_table(self, monkeypatch):
+        forbid_parity_tables(monkeypatch)
         alg = exterior_algebra(6)
         mod = self_module(alg)
-        before = parity_offsets.cache_info().misses
         with pytest.raises(ResourceCeilingError, match="dimension 8388608 exceeds the ceiling 20000"):
             cohomology(Complex(alg, mod, HARR), 3)
-        assert parity_offsets.cache_info().misses == before
-
 
     @pytest.mark.parametrize("kind", [HOCH, HARR])
     @pytest.mark.parametrize("degree, limits", [(3, ResourceLimits(max_degree=3)), (2, ResourceLimits(max_columns=5))])

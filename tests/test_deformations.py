@@ -3,7 +3,10 @@ equivalence of extensions."""
 
 from __future__ import annotations
 
+import gc
 import random
+import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -37,8 +40,10 @@ from superharrison.cohomology import (
     ResourceLimits,
     coboundary_matrix,
     cohomology,
+    derivation_space,
 )
 from superharrison.deformations import (
+    SWEEP_SEED,
     deformation_classes,
     deformation_iff_cocycle,
     extension_equivalence,
@@ -231,6 +236,31 @@ class TestIffSweeps:
         basis_size = len(parity_basis(corpus_algebra, mod, 2))
         assert report.cases == basis_size + 40
         assert report.failures == ()
+
+    def test_a_failing_random_case_is_named_by_its_draw(self, monkeypatch):
+        # The third random draw follows the 32 elementary cases of exterior(2), so it is case 34.
+        alg = exterior_algebra(2)
+        cx = harrison_on_itself(alg)
+        rng = random.Random(SWEEP_SEED)
+        bad = [random_parity_cochain(alg, cx.module, 2, rng) for _ in range(3)][-1]
+        k = len(parity_basis(alg, cx.module, 2)) + 2
+        deformations = sys.modules["superharrison.deformations"]
+
+        def flipped_at_bad(verdict):
+            return lambda psi: verdict(psi) != (psi == bad)
+
+        cocycle = is_cocycle(bad)
+        monkeypatch.setattr(deformations, "is_cocycle", flipped_at_bad(is_cocycle))
+        report = deformation_iff_cocycle(cx, budget=5)
+        assert report.cases == k + 3
+        assert report.failures == (f"case {k}: deformation check says {cocycle}, cocycle test says {not cocycle}",)
+
+        symmetric = is_graded_symmetric(bad)
+        monkeypatch.setattr(deformations, "is_graded_symmetric", flipped_at_bad(is_graded_symmetric))
+        report = extension_valid_iff_cocycle(cx, budget=5)
+        verdict = "clean" if symmetric else "violated"
+        failure = f"extension supercommutativity is {verdict} but cochain side says {not symmetric}"
+        assert report.failures == (f"case {k}: {failure}",)
 
     def test_extension_verdict_tracks_cocycles(self, corpus_algebra):
         mod = self_module(corpus_algebra)
@@ -487,6 +517,21 @@ class TestCallersComplex:
         zero = Cochain(2, alg, self_module(alg), {})
         with pytest.raises(ValueError, match="complex's algebra and module"):
             extension_equivalence(harrison_on_itself(alg), zero, other)
+
+
+def test_nothing_keeps_an_algebra_or_its_module_alive():
+    alg = exterior_algebra(2)
+    cx = harrison_on_itself(alg)
+    psi = cochain_from_entries(alg, cx.module, 2, {((1, 2), 3): 1, ((2, 1), 3): -1})
+    derivation_space(alg, cx.module)
+    assert deformation_iff_cocycle(cx, budget=3).passed
+    assert extension_valid_iff_cocycle(cx, budget=3).passed
+    deformation_classes(cx)
+    extension_equivalence(cx, psi, psi)
+    refs = [weakref.ref(alg), weakref.ref(cx.module)]
+    del alg, cx, psi
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 class TestRandomCochains:

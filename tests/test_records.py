@@ -179,15 +179,6 @@ class TestInexactZerosAreRefused:
             SubspaceBasis.from_vectors([[zero, 1]], 2)
 
 
-def test_algebras_and_modules_keep_their_hash():
-    alg = exterior_algebra(2)
-    mod = self_module(alg)
-    for value in (alg, mod):
-        assert hash(value) == hash(value._values(value)) == value.__dict__["_hash"]
-    copied = tuple(map(tuple, alg.products))
-    assert hash(mod) == hash(SuperModule(exterior_algebra(2), 4, alg.parity, copied, alg.basis_names))
-
-
 def test_defaults_match_the_signatures():
     assert ResourceLimits() == ResourceLimits(4, 20000)
     assert (ResourceLimits.max_degree, ResourceLimits.max_columns) == (4, 20000)
