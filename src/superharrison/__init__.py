@@ -31,7 +31,6 @@ from .cochains import (
     harrison_basis,
     harrison_space,
     hochschild_coboundary,
-    is_graded_symmetric,
     parity_basis,
     parity_offsets,
     super_shuffle_sum,

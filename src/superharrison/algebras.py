@@ -52,9 +52,10 @@ __all__ = [
     "tensor_product",
 ]
 
-# The largest builtin algebra.  A builder allocates all dim^2 product rows
-# before any ceiling runs, and under the default 20000-column ceiling no
-# computation of degree >= 1 fits above dim 141.
+# The largest algebra taken from outside: a builtin spec or a JSON document.
+# A builder or the loader allocates all dim^2 product rows before any
+# ceiling runs, and under the default 20000-column ceiling no computation
+# of degree >= 1 fits above dim 141.
 MAX_BUILTIN_DIM = 256
 
 SparseRow = tuple[tuple[int, Rat], ...]
@@ -206,21 +207,8 @@ def self_module(algebra: SuperAlgebra) -> SuperModule:
 
 
 def multiply(algebra: SuperAlgebra, x: Sequence[Rat], y: Sequence[Rat]) -> tuple[Rat, ...]:
-    """Product of two coefficient vectors."""
-    if len(x) != algebra.dim or len(y) != algebra.dim:
-        raise ValueError("vector length does not match algebra dimension")
-    out: list[Rat] = [0] * algebra.dim
-    products = algebra.products
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        row = products[i]
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
-            for k, c in row[j]:
-                out[k] = out[k] + xi * yj * c
-    return tuple(as_rational(v) for v in out)
+    """Product of two coefficient vectors: x acting on y in the self-module."""
+    return act(self_module(algebra), x, y)
 
 
 def act(module: SuperModule, a: Sequence[Rat], m: Sequence[Rat]) -> tuple[Rat, ...]:

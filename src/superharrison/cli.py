@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from fractions import Fraction
 from itertools import groupby
+from math import comb
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -139,20 +139,12 @@ def resolve_algebra(spec: str) -> SuperAlgebra:
 
 
 def _ceiling(args: argparse.Namespace, name: str) -> int:
-    """A ceiling from its flag, else its environment variable, else the default."""
+    """A ceiling from its flag, else the ``ResourceLimits`` default."""
     value = getattr(args, name, None)
-    source = "--" + name.replace("_", "-")
     if value is None:
-        source = f"SUPERHARRISON_{name.upper()}"
-        text = os.environ.get(source)
-        if text is None:
-            return getattr(ResourceLimits, name)
-        try:
-            value = int(text)
-        except ValueError as exc:
-            raise InputFormatError(f"{source} must be an integer, got {text!r}") from exc
+        return getattr(ResourceLimits, name)
     if value < 0:
-        raise InputFormatError(f"{source} must be nonnegative, got {value}")
+        raise InputFormatError(f"--{name.replace('_', '-')} must be nonnegative, got {value}")
     return value
 
 
@@ -210,6 +202,10 @@ def _cmd_check(args: argparse.Namespace) -> Report:
 
 
 def _cmd_shuffles(args: argparse.Namespace) -> Report:
+    # All C(n, p) shuffles are built before one prints; a bad split gets enumerate_shuffles's error.
+    limit = _ceiling(args, "max_columns")
+    if 1 <= args.p < args.n and comb(args.n, args.p) > limit:
+        raise ResourceCeilingError(f"{comb(args.n, args.p)} shuffles exceed the ceiling {limit}")
     return EXIT_OK, None, [" ".join(str(v) for v in perm.images) for perm in enumerate_shuffles(args.n, args.p)]
 
 

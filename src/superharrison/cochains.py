@@ -70,7 +70,6 @@ __all__ = [
     "harrison_basis",
     "hochschild_coboundary",
     "coboundary_scatter",
-    "is_graded_symmetric",
 ]
 
 
@@ -396,15 +395,3 @@ def hochschild_coboundary(f: Cochain) -> Cochain:
     """The coboundary df, one degree up: ``coboundary_scatter`` of f's entries."""
     return Cochain(f.degree + 1, f.algebra, f.module, coboundary_scatter(f.algebra, f.module, f.degree, f.data))
 
-
-def is_graded_symmetric(f: Cochain) -> bool:
-    """Degree-2 check: f(a, b) = (-1)^{|a||b|} f(b, a) on basis pairs."""
-    if f.degree != 2:
-        raise ValueError("graded symmetry is a degree-2 test")
-    a_par = f.algebra.parity
-    dim_a, dim_m = f.algebra.dim, f.module.dim
-    # A pair with one side zero fails at its nonzero side, so the support suffices.
-    return all(
-        f.data.get(encode((j, i), l, dim_a, dim_m), 0) == (-v if a_par[i] and a_par[j] else v)
-        for (i, j), l, v in f.iter_nonzero()
-    )

@@ -11,9 +11,11 @@ arithmetic on all basis pairs and triples; no cochain identities are
 consulted.  The table m_t(e_i, e_j) = c_ij + t psi(e_i, e_j) is built once
 per check, and m_t(x, y) extends it bilinearly to DualNumber vectors.
 Independently, psi being a parity-preserving, graded-symmetric cocycle is
-decided by the cochain machinery.  ``deformation_iff_cocycle`` sweeps both
-sides and reports any mismatch, which would expose a sign error in either
-pipeline; ``extension_valid_iff_cocycle`` sweeps the same cases.
+decided by the cochain machinery.  Graded symmetry there is su_{2,1} psi = 0,
+(su_{2,1} f)(a, b) = f(a, b) - (-1)^{|a||b|} f(b, a), read from the signed
+shuffle table that builds every Harrison space.  ``deformation_iff_cocycle``
+sweeps both sides and reports any mismatch, which would expose a sign error
+in either pipeline; ``extension_valid_iff_cocycle`` sweeps the same cases.
 
 The same game is played with the square-zero extension A (+) M: the product
 
@@ -41,9 +43,9 @@ from .algebras import DualNumber, SuperAlgebra, SuperModule, _table_from_cells, 
 from .cochains import (
     Cochain,
     hochschild_coboundary,
-    is_graded_symmetric,
     parity_count,
     parity_offsets,
+    super_shuffle_sum,
 )
 from .cohomology import CohomologyResult, Complex, ComplexKind, coboundary_matrix, cohomology
 from .linalg import Rat, solve
@@ -181,9 +183,11 @@ def first_order_deformation_check(algebra: SuperAlgebra, psi: Cochain) -> Deform
 
 def is_cocycle(psi: Cochain) -> bool:
     """Membership in the degree-2 Harrison cocycles, decided cochain-side."""
+    if psi.degree != 2:
+        raise ValueError("a Harrison 2-cocycle has degree 2")
     return (
         psi.parity_preserving
-        and is_graded_symmetric(psi)
+        and super_shuffle_sum(psi, 1).is_zero()
         and hochschild_coboundary(psi).is_zero()
     )
 
@@ -295,8 +299,8 @@ def extension_valid_iff_cocycle(cx: Complex, budget: int = 50) -> SweepReport:
     """Sweep: the extension by the complex's module validates <=> psi is a Harrison 2-cocycle.
 
     The comparison is law-by-law: associativity of the extension against
-    the cocycle condition, supercommutativity against graded symmetry, and
-    parity compatibility against parity preservation.
+    the cocycle condition, supercommutativity against graded symmetry
+    (su_{2,1} psi = 0), and parity compatibility against parity preservation.
     """
     _check_complex(cx)
 
@@ -304,7 +308,7 @@ def extension_valid_iff_cocycle(cx: Complex, budget: int = 50) -> SweepReport:
         kinds = validate_superalgebra(square_zero_extension(cx.algebra, cx.module, psi)).kinds()
         checks = (
             ("associativity", hochschild_coboundary(psi).is_zero()),
-            ("supercommutativity", is_graded_symmetric(psi)),
+            ("supercommutativity", super_shuffle_sum(psi, 1).is_zero()),
             ("parity", psi.parity_preserving),
         )
         return [

@@ -31,7 +31,7 @@ import re
 from fractions import Fraction
 from typing import Any, Optional
 
-from .algebras import SuperAlgebra, SuperModule, _table_from_cells
+from .algebras import MAX_BUILTIN_DIM, SuperAlgebra, SuperModule, _table_from_cells
 from .cochains import Cochain, cochain_from_entries
 from .linalg import Rat, as_rational
 
@@ -99,6 +99,8 @@ def algebra_from_dict(doc: dict) -> SuperAlgebra:
         _expect(key in doc, f"algebra document missing '{key}'")
     dim = doc["dim"]
     _expect(_is_int(dim) and dim >= 1, "'dim' must be a positive integer")
+    # The product grid below is dim^2 rows, built before any ceiling runs.
+    _expect(dim <= MAX_BUILTIN_DIM, f"'dim' is {dim}, above the bound {MAX_BUILTIN_DIM}")
     basis = doc["basis"]
     _expect(
         isinstance(basis, list) and len(basis) == dim and all(isinstance(x, str) for x in basis),

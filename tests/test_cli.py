@@ -67,6 +67,21 @@ class TestShufflesCommand:
         assert run(["shuffles", "3", "3"]) == 2
         assert run(["shuffles", "3", "0"]) == 2
 
+    def test_too_many_shuffles_are_refused_before_any_is_built(self, capsys, monkeypatch):
+        def refuse(n, p):
+            raise AssertionError("shuffles were enumerated")
+
+        monkeypatch.setattr("superharrison.shuffles.enumerate_shuffles", refuse)
+        monkeypatch.setattr("superharrison.cli.enumerate_shuffles", refuse)
+        assert run(["shuffles", "30", "15"]) == 3
+        assert capsys.readouterr() == ("", "resource ceiling: 155117520 shuffles exceed the ceiling 20000\n")
+
+    def test_shuffles_under_the_ceiling_are_listed(self, capsys):
+        # C(16, 8) = 12870 fits under the default 20000; C(17, 8) = 24310 does not.
+        assert run(["shuffles", "16", "8"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 12870
+        assert run(["shuffles", "17", "8"]) == 3
+
 
 class TestSignCommand:
     def test_negative_example(self, capsys):
@@ -671,33 +686,10 @@ class TestExitCodes:
         )
         assert code == 3
 
-    def test_degree_ceiling_env_override(self, capsys, monkeypatch):
+    def test_ceiling_environment_variables_are_ignored(self, monkeypatch):
+        # The flags are the only override of the defaults.
         monkeypatch.setenv("SUPERHARRISON_MAX_DEGREE", "1")
-        code = run(
-            [
-                "cohomology",
-                "--algebra",
-                "builtin:exterior:1",
-                "--degree",
-                "2",
-                "--kind",
-                "harrison",
-            ]
-        )
-        assert code == 3
-
-    @pytest.mark.parametrize("variable", ["SUPERHARRISON_MAX_DEGREE", "SUPERHARRISON_MAX_COLUMNS"])
-    def test_non_integer_ceiling_variable_is_an_input_error(self, capsys, monkeypatch, variable):
-        monkeypatch.setenv(variable, "abc")
-        code = run(["cohomology", "--algebra", "builtin:truncpoly:2", "--degree", "1", "--kind", "harrison"])
-        assert code == 2
-        assert variable in capsys.readouterr().err
-
-    def test_negative_ceiling_variable_is_an_input_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("SUPERHARRISON_MAX_COLUMNS", "-5")
-        code = run(["cohomology", "--algebra", "builtin:truncpoly:2", "--degree", "1", "--kind", "harrison"])
-        assert code == 2
-        assert "SUPERHARRISON_MAX_COLUMNS" in capsys.readouterr().err
+        assert run(["cohomology", "--algebra", "builtin:exterior:1", "--degree", "2", "--kind", "harrison"]) == 0
 
     def test_ceiling_help_reads_the_defaults_of_the_limits(self, monkeypatch):
         monkeypatch.setattr(ResourceLimits, "max_degree", 7)
@@ -750,26 +742,17 @@ class TestExitCodes:
         assert resolve_algebra("builtin:truncpoly:256").dim == 256
         assert resolve_algebra("builtin:tensor:truncpoly:16:truncpoly:16").dim == 256
 
+    def test_json_algebra_over_the_bound_is_refused(self, capsys, tmp_path):
+        doc = {"dim": 257, "basis": [f"b{i}" for i in range(257)], "parity": [0] * 257,
+               "products": [{"i": 0, "j": 0, "terms": [{"k": 0, "coeff": "1"}]}]}
+        path = tmp_path / "dim257.json"
+        path.write_text(json.dumps(doc))
+        assert run(["check", "--algebra", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: 'dim' is 257, above the bound 256\n")
+
     @pytest.mark.parametrize("budget", ["-1", "-5"])
     def test_negative_budget_is_an_input_error(self, capsys, budget):
         assert run(["verify", "--algebra", "builtin:truncpoly:2", "--budget", budget]) == 2
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == f"error: --budget must be nonnegative, got {budget}\n"
-
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("SUPERHARRISON_MAX_DEGREE", "1")
-        code = run(
-            [
-                "cohomology",
-                "--algebra",
-                "builtin:exterior:1",
-                "--degree",
-                "2",
-                "--kind",
-                "harrison",
-                "--max-degree",
-                "4",
-            ]
-        )
-        assert code == 0

@@ -34,7 +34,6 @@ from superharrison.cochains import (
     harrison_basis,
     harrison_space,
     hochschild_coboundary,
-    is_graded_symmetric,
     parity_basis,
     parity_count,
     parity_offsets,
@@ -285,6 +284,8 @@ class TestSuperShuffleSum:
             super_shuffle_sum(f, 0)
         with pytest.raises(ValueError):
             super_shuffle_sum(f, 2)
+        with pytest.raises(ValueError, match="degree at least 2"):
+            super_shuffle_sum(Cochain(1, alg, self_module(alg), {}), 1)
 
     def test_sum_vanishes_exactly_on_graded_symmetric_cochains(self):
         alg = truncated_polynomial(2)
@@ -292,19 +293,24 @@ class TestSuperShuffleSum:
         symmetric = cochain_from_entries(
             alg, mod, 2, {((0, 1), 1): 1, ((1, 0), 1): 1}
         )
-        assert is_graded_symmetric(symmetric)
         assert super_shuffle_sum(symmetric, 1).is_zero()
         lopsided = cochain_from_entries(
             alg, mod, 2, {((0, 1), 1): 1, ((1, 0), 1): -1}
         )
-        assert not is_graded_symmetric(lopsided)
         assert not super_shuffle_sum(lopsided, 1).is_zero()
 
-    def test_graded_symmetry_is_a_degree_two_notion(self):
-        alg = exterior_algebra(1)
-        f = Cochain(1, alg, self_module(alg), {})
-        with pytest.raises(ValueError):
-            is_graded_symmetric(f)
+    def test_degree_two_sum_is_the_graded_antisymmetrisation(self):
+        # (su_{2,1} f)(a, b) = f(a, b) - (-1)^{|a||b|} f(b, a) on every
+        # elementary cochain of C^2, parity-violating ones included.
+        for alg in (exterior_algebra(2), truncated_polynomial(2)):
+            mod = self_module(alg)
+            for off in range(alg.dim**2 * mod.dim):
+                f = Cochain(2, alg, mod, {off: 1})
+                (a, b), l = decode(off, 2, alg.dim, mod.dim)
+                sign = -1 if alg.parity[a] and alg.parity[b] else 1
+                swapped = Cochain(2, alg, mod, {encode((b, a), l, alg.dim, mod.dim): 1})
+                expected = f - sign * swapped
+                assert super_shuffle_sum(f, 1) == expected
 
 
 class TestHarrisonSpace:
@@ -346,7 +352,7 @@ class TestHarrisonSpace:
     def test_degree_two_members_are_graded_symmetric(self, corpus_algebra):
         mod = self_module(corpus_algebra)
         for f in harrison_basis(corpus_algebra, mod, 2):
-            assert is_graded_symmetric(f)
+            assert super_shuffle_sum(f, 1).is_zero()
             assert f.parity_preserving
 
     def test_members_kill_every_shuffle_sum(self, corpus_algebra):

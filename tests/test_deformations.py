@@ -30,8 +30,8 @@ from superharrison.cochains import (
     cochain_from_entries,
     harrison_basis,
     hochschild_coboundary,
-    is_graded_symmetric,
     parity_basis,
+    super_shuffle_sum,
 )
 from superharrison.cohomology import (
     Complex,
@@ -160,7 +160,7 @@ class TestFirstOrderCheck:
         assert report.parity_ok
         assert report.supercommutativity_witness == (1, 1)
         assert not is_cocycle(psi)
-        assert not is_graded_symmetric(psi)
+        assert not super_shuffle_sum(psi, 1).is_zero()
 
     def test_cubic_truncation_blocks_the_square_deformation(self):
         # With x^3 = 0 but x^2 alive, psi(x, x) = 1 breaks associativity
@@ -215,7 +215,7 @@ class TestFirstOrderCheck:
             psi = random_parity_cochain(corpus_algebra, mod, 2, rng)
             report = first_order_deformation_check(corpus_algebra, psi)
             assert report.parity_ok
-            assert report.supercommutative_mod_t2 == is_graded_symmetric(psi)
+            assert report.supercommutative_mod_t2 == super_shuffle_sum(psi, 1).is_zero()
             assert report.associative_mod_t2 == hochschild_coboundary(
                 psi
             ).is_zero()
@@ -255,12 +255,33 @@ class TestIffSweeps:
         assert report.cases == k + 3
         assert report.failures == (f"case {k}: deformation check says {cocycle}, cocycle test says {not cocycle}",)
 
-        symmetric = is_graded_symmetric(bad)
-        monkeypatch.setattr(deformations, "is_graded_symmetric", flipped_at_bad(is_graded_symmetric))
+        symmetric = super_shuffle_sum(bad, 1).is_zero()
+
+        def flipped_sum(psi, p):
+            # At the bad case, a zero sum for a nonzero one and the other way round.
+            out = super_shuffle_sum(psi, p)
+            return out if psi != bad else Cochain(2, alg, cx.module, {} if not out.is_zero() else {0: 1})
+
+        monkeypatch.setattr(deformations, "super_shuffle_sum", flipped_sum)
         report = extension_valid_iff_cocycle(cx, budget=5)
         verdict = "clean" if symmetric else "violated"
         failure = f"extension supercommutativity is {verdict} but cochain side says {not symmetric}"
         assert report.failures == (f"case {k}: {failure}",)
+
+    def test_sweeps_catch_a_flipped_degree_two_swap_sign(self, monkeypatch):
+        # The cochain-side verdicts read the signed shuffle table, so a sign
+        # error there disagrees with the DualNumber and validator sides.
+        cochains = sys.modules["superharrison.cochains"]
+        signed_shuffles = cochains._signed_shuffles
+
+        def flipped(n, p, parities):
+            rows = signed_shuffles(n, p, parities)
+            return tuple((slots, -sign if slots == (1, 0) else sign) for slots, sign in rows)
+
+        monkeypatch.setattr(cochains, "_signed_shuffles", flipped)
+        cx = harrison_on_itself(exterior_algebra(1))
+        assert not deformation_iff_cocycle(cx, budget=0).passed
+        assert not extension_valid_iff_cocycle(cx, budget=0).passed
 
     def test_extension_verdict_tracks_cocycles(self, corpus_algebra):
         mod = self_module(corpus_algebra)
