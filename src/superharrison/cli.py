@@ -151,7 +151,7 @@ def _ceiling(args: argparse.Namespace, name: str) -> int:
 def _complex(args: argparse.Namespace, algebra: SuperAlgebra, kind: ComplexKind) -> Complex:
     """The complex of ``kind`` of the algebra on itself, under the ceilings of the flags."""
     limits = ResourceLimits(max_degree=_ceiling(args, "max_degree"), max_columns=_ceiling(args, "max_columns"))
-    return Complex(algebra, self_module(algebra), kind, limits)
+    return Complex(self_module(algebra), kind, limits)
 
 
 def _digest(*docs: dict) -> str:
@@ -267,8 +267,8 @@ def _cmd_cohomology(args: argparse.Namespace) -> Report:
 def _cmd_derivations(args: argparse.Namespace) -> Report:
     algebra = resolve_algebra(args.algebra)
     module = self_module(algebra)
-    space = derivation_space(algebra, module)
-    derivations = [list(Cochain(1, algebra, module, row).iter_nonzero()) for row in space.rows]
+    space = derivation_space(module)
+    derivations = [list(Cochain(1, module, row).iter_nonzero()) for row in space.rows]
     doc = {
         "command": "derivations",
         "inputs_digest": _digest(algebra_to_dict(algebra)),
@@ -284,8 +284,8 @@ def _cmd_derivations(args: argparse.Namespace) -> Report:
 
 def _cmd_deform_check(args: argparse.Namespace) -> Report:
     algebra = resolve_algebra(args.algebra)
-    psi = load_cochain(args.psi, algebra, self_module(algebra), degree=2, name="deformation direction")
-    report = first_order_deformation_check(algebra, psi)
+    psi = load_cochain(args.psi, self_module(algebra), degree=2, name="deformation direction")
+    report = first_order_deformation_check(psi)
     doc = {
         "command": "deform-check",
         "inputs_digest": _digest(algebra_to_dict(algebra), cochain_to_dict(psi)),
@@ -328,8 +328,8 @@ def _cmd_deform_classes(args: argparse.Namespace) -> Report:
 def _cmd_extend(args: argparse.Namespace) -> Report:
     _require_self_module(args)
     algebra = resolve_algebra(args.algebra)
-    psi = load_cochain(args.psi, algebra, self_module(algebra), degree=2, name="extension cocycle")
-    ext = square_zero_extension(algebra, psi.module, psi)
+    psi = load_cochain(args.psi, self_module(algebra), degree=2, name="extension cocycle")
+    ext = square_zero_extension(psi)
     report = validate_superalgebra(ext)
     doc = {
         "command": "extend",
@@ -360,9 +360,9 @@ def _suite_complex(harrison: Complex, budget: int):
             detail.append(f"d(d(.)) != 0 at degree {n}")
     # d d vanishes on all of C^2 once it vanishes on each elementary cochain,
     # the parity-violating ones included, which no Harrison matrix reaches.
-    algebra, module = harrison.algebra, harrison.module
-    for off in range(algebra.dim**2 * module.dim):
-        if coboundary_scatter(algebra, module, 3, coboundary_scatter(algebra, module, 2, {off: 1})):
+    module = harrison.module
+    for off in range(module.algebra.dim**2 * module.dim):
+        if coboundary_scatter(module, 3, coboundary_scatter(module, 2, {off: 1})):
             detail.append(f"d(d(f)) != 0 for the elementary cochain at offset {off}")
             break
     return not detail, "; ".join(detail) if detail else "d composed with d is zero"
@@ -370,7 +370,7 @@ def _suite_complex(harrison: Complex, budget: int):
 
 def _suite_closure(harrison: Complex, budget: int):
     ok = all(
-        super_shuffle_sum(hochschild_coboundary(Cochain(2, harrison.algebra, harrison.module, row)), p).is_zero()
+        super_shuffle_sum(hochschild_coboundary(Cochain(2, harrison.module, row)), p).is_zero()
         for row in harrison.space(2).rows
         for p in range(1, 3)
     )
@@ -381,7 +381,7 @@ def _suite_derivations(harrison: Complex, budget: int):
     z1 = kernel_basis(coboundary_matrix(harrison, 1))
     harrison1 = harrison.space(1)
     cocycles = SubspaceBasis.from_vectors((harrison1.combination(row) for row in z1.rows), harrison1.ambient_dim)
-    ok = cocycles == derivation_space(harrison.algebra, harrison.module)
+    ok = cocycles == derivation_space(harrison.module)
     return ok, "degree-1 cocycles match the Leibniz solutions"
 
 
@@ -396,14 +396,14 @@ def _sweep_suite(sweep: Callable[[Complex, int], SweepReport]):
 
 
 def _suite_equivalence(harrison: Complex, budget: int):
-    algebra, module = harrison.algebra, harrison.module
+    module = harrison.module
     rng = random.Random(11)
     z2 = kernel_basis(coboundary_matrix(harrison, 2))
     runs = max(budget // 10, 5)
     for _ in range(runs):
         weights = {i: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for i in range(z2.dim)}
-        psi = Cochain(2, algebra, module, harrison.space(2).combination(z2.combination(weights)))
-        shifted = psi - hochschild_coboundary(random_parity_cochain(algebra, module, 1, rng))
+        psi = Cochain(2, module, harrison.space(2).combination(z2.combination(weights)))
+        shifted = psi - hochschild_coboundary(random_parity_cochain(module, 1, rng))
         # extension_equivalence itself checks that a g it returns has dg = psi - shifted.
         if extension_equivalence(harrison, psi, shifted) is None:
             return False, "a random coboundary shift was not recovered"
@@ -426,6 +426,9 @@ def _cmd_verify(args: argparse.Namespace) -> Report:
         raise InputFormatError(f"--budget must be nonnegative, got {args.budget}")
     algebra = resolve_algebra(args.algebra)
     harrison = _complex(args, algebra, ComplexKind.SUPER_HARRISON)
+    # The budget counts random cochains, each drawn and judged in full, so the column ceiling bounds it too.
+    if args.budget > harrison.limits.max_columns:
+        raise ResourceCeilingError(f"budget {args.budget} exceeds the ceiling {harrison.limits.max_columns}")
     wanted = args.suite or ["all"]
     suites = []
     for name, suite in SUITES.items():

@@ -98,24 +98,26 @@ class Cochain(Record):
     """
 
     degree: int
-    algebra: SuperAlgebra
     module: SuperModule
     data: dict[int, Rat]
 
-    def __init__(self, degree: int, algebra: SuperAlgebra, module: SuperModule, data: Mapping[int, Rat]) -> None:
+    def __init__(self, degree: int, module: SuperModule, data: Mapping[int, Rat]) -> None:
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        if module.algebra != algebra:
-            raise ValueError("module is not over the given algebra")
-        size = algebra.dim**degree * module.dim
+        size = module.algebra.dim**degree * module.dim
         # Coerced before zeros are dropped: an inexact zero is refused, not dropped.
         data = {off: x for off, v in sorted(data.items()) if (x := as_rational(v))}
         if data and not (0 <= min(data) and max(data) < size):
             raise ValueError(f"entry offset out of range for {size} entries")
-        super().__init__(degree, algebra, module, data)
+        super().__init__(degree, module, data)
+
+    @property
+    def algebra(self) -> SuperAlgebra:
+        """The algebra that the module is over."""
+        return self.module.algebra
 
     def __hash__(self) -> int:
-        return hash((self.degree, self.algebra, self.module, tuple(self.data.items())))
+        return hash((self.degree, self.module, tuple(self.data.items())))
 
     @cached_property
     def parity_preserving(self) -> bool:
@@ -138,7 +140,7 @@ class Cochain(Record):
         out = dict(self.data)
         for off, v in other.data.items():
             out[off] = out.get(off, 0) + v
-        return Cochain(self.degree, self.algebra, self.module, out)
+        return Cochain(self.degree, self.module, out)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         return self + -other
@@ -148,23 +150,21 @@ class Cochain(Record):
 
     def scale(self, scalar: Rat) -> "Cochain":
         s = as_rational(scalar)
-        return Cochain(self.degree, self.algebra, self.module, {off: s * v for off, v in self.data.items()})
+        return Cochain(self.degree, self.module, {off: s * v for off, v in self.data.items()})
 
     def __rmul__(self, scalar: Rat) -> "Cochain":
         return self.scale(scalar)
 
     def _check_compatible(self, other: "Cochain") -> None:
-        if (self.degree, self.algebra, self.module) != (other.degree, other.algebra, other.module):
+        if (self.degree, self.module) != (other.degree, other.module):
             raise ValueError("cochains live on different spaces")
 
 
 def cochain_from_entries(
-    algebra: SuperAlgebra,
-    module: SuperModule,
-    degree: int,
-    entries: Mapping[tuple[tuple[int, ...], int], Rat],
+    module: SuperModule, degree: int, entries: Mapping[tuple[tuple[int, ...], int], Rat]
 ) -> Cochain:
     """Build a cochain from a sparse {(basis_tuple, module_index): value} map."""
+    algebra = module.algebra
     data: dict[int, Rat] = {}
     for (t, l), v in entries.items():
         if len(t) != degree:
@@ -172,7 +172,7 @@ def cochain_from_entries(
         if any(not 0 <= i < algebra.dim for i in t) or not 0 <= l < module.dim:
             raise ValueError(f"entry ({t}, {l}) out of range")
         data[encode(t, l, algebra.dim, module.dim)] = v
-    return Cochain(degree, algebra, module, data)
+    return Cochain(degree, module, data)
 
 
 def cochain_apply(f: Cochain, args: Sequence[Sequence[Rat]]) -> tuple[Rat, ...]:
@@ -190,13 +190,13 @@ def cochain_apply(f: Cochain, args: Sequence[Sequence[Rat]]) -> tuple[Rat, ...]:
     return tuple(as_rational(v) for v in out)
 
 
-def parity_offsets(algebra: SuperAlgebra, module: SuperModule, degree: int) -> tuple[int, ...]:
+def parity_offsets(module: SuperModule, degree: int) -> tuple[int, ...]:
     """Flat offsets of the parity-consistent entries (t, l), in enumeration order; built per call."""
-    a_par = algebra.parity
+    a_par = module.algebra.parity
     m_par = module.parity
     out = []
     flat = 0
-    for t in iter_product(range(algebra.dim), repeat=degree):
+    for t in iter_product(range(module.algebra.dim), repeat=degree):
         t_par = sum(a_par[i] for i in t) % 2
         for l in range(module.dim):
             if m_par[l] == t_par:
@@ -205,13 +205,14 @@ def parity_offsets(algebra: SuperAlgebra, module: SuperModule, degree: int) -> t
     return tuple(out)
 
 
-def parity_count(algebra: SuperAlgebra, module: SuperModule, degree: int) -> int:
+def parity_count(module: SuperModule, degree: int) -> int:
     """``len(parity_offsets(...))`` in closed form, without building the table.
 
     With E even and O odd basis elements of A, the tuples of even total
     parity number ((E+O)^n + (E-O)^n)/2 and the odd ones the rest; each
     pairs with the module indices of its own parity.
     """
+    algebra = module.algebra
     odd = sum(algebra.parity)
     tuples = algebra.dim**degree
     even_tuples = (tuples + (algebra.dim - 2 * odd) ** degree) // 2
@@ -219,9 +220,9 @@ def parity_count(algebra: SuperAlgebra, module: SuperModule, degree: int) -> int
     return even_tuples * (module.dim - odd_values) + (tuples - even_tuples) * odd_values
 
 
-def parity_basis(algebra: SuperAlgebra, module: SuperModule, degree: int) -> list[Cochain]:
+def parity_basis(module: SuperModule, degree: int) -> list[Cochain]:
     """Elementary parity-preserving cochains, one per parity-consistent entry."""
-    return [Cochain(degree, algebra, module, {off: 1}) for off in parity_offsets(algebra, module, degree)]
+    return [Cochain(degree, module, {off: 1}) for off in parity_offsets(module, degree)]
 
 
 @lru_cache(maxsize=None)
@@ -261,10 +262,10 @@ def super_shuffle_sum(f: Cochain, p: int) -> Cochain:
             sign = _signed_shuffles(n, p, tuple(a_par[i] for i in t))[k][1]
             off = encode(t, l, algebra.dim, module.dim)
             out[off] = out.get(off, 0) + sign * x
-    return Cochain(n, algebra, module, out)
+    return Cochain(n, module, out)
 
 
-def harrison_space(algebra: SuperAlgebra, module: SuperModule, degree: int) -> SubspaceBasis:
+def harrison_space(module: SuperModule, degree: int) -> SubspaceBasis:
     """Canonical basis of the graded Harrison subspace, over flat cochain offsets.
 
     Each row is the ``data`` of a Harrison cochain.  The stacked conditions
@@ -283,8 +284,8 @@ def harrison_space(algebra: SuperAlgebra, module: SuperModule, degree: int) -> S
     conditions, so the space is everything parity-preserving.  Nothing is
     cached here: a ``cohomology.Complex`` keeps the spaces it builds.
     """
-    dim_a, dim_m = algebra.dim, module.dim
-    a_par = algebra.parity
+    dim_a, dim_m = module.algebra.dim, module.dim
+    a_par = module.algebra.parity
     values = tuple(tuple(l for l in range(dim_m) if module.parity[l] == q) for q in (0, 1))
     # Sorted arguments -> offset of each member's entry (t, 0), members in
     # lexicographic order.
@@ -334,14 +335,12 @@ def _pattern_kernel(members: Sequence[tuple[int, ...]], parities: tuple[int, ...
     return kernel_basis(RationalMatrix.from_rows(conditions, cols=len(members))).rows
 
 
-def harrison_basis(algebra: SuperAlgebra, module: SuperModule, degree: int) -> list[Cochain]:
+def harrison_basis(module: SuperModule, degree: int) -> list[Cochain]:
     """The graded Harrison subspace as explicit cochains."""
-    return [Cochain(degree, algebra, module, row) for row in harrison_space(algebra, module, degree).rows]
+    return [Cochain(degree, module, row) for row in harrison_space(module, degree).rows]
 
 
-def coboundary_scatter(
-    algebra: SuperAlgebra, module: SuperModule, degree: int, entries: Mapping[int, Rat]
-) -> dict[int, Rat]:
+def coboundary_scatter(module: SuperModule, degree: int, entries: Mapping[int, Rat]) -> dict[int, Rat]:
     """The coboundary on sparse cochains: {offset: value} of f to {offset: value} of df.
 
     Each entry (t, l) of the degree-n cochain f is scattered into the
@@ -351,10 +350,10 @@ def coboundary_scatter(
     and f's values times L, their common denominator; each value of df is
     divided once, by D * L, so values are normalised, and zeros are dropped.
     """
-    dim_a, dim_m = algebra.dim, module.dim
+    dim_a, dim_m = module.algebra.dim, module.dim
     d, pairs, action = module.integral_tables
     scale = _denominator(entries.values())
-    a_par = algebra.parity
+    a_par = module.algebra.parity
     m_par = module.parity
     last_sign = -1 if degree % 2 == 0 else 1
     tuples = dim_a**degree
@@ -393,5 +392,5 @@ def coboundary_scatter(
 
 def hochschild_coboundary(f: Cochain) -> Cochain:
     """The coboundary df, one degree up: ``coboundary_scatter`` of f's entries."""
-    return Cochain(f.degree + 1, f.algebra, f.module, coboundary_scatter(f.algebra, f.module, f.degree, f.data))
+    return Cochain(f.degree + 1, f.module, coboundary_scatter(f.module, f.degree, f.data))
 

@@ -1,22 +1,22 @@
 """Cohomology of the full Hochschild complex and of its graded Harrison subcomplex.
 
-A ``Complex`` is one of the two, for one algebra, module and set of
-ceilings.  Both are written over flat cochain offsets and differ only in
-their space S_n in each degree (``Complex.space``): all of C^n (``None``),
-with the elementary cochains in flat order as basis, or the Harrison
-subspace with the canonical echelon basis from ``harrison_space``, whose
-rows are cochains' ``data``.  A complex builds each S_n and each coboundary
-matrix d_n at most once and frees them with itself.  A column of d_n is the
-sparse coboundary (``coboundary_scatter``) of one basis row of S_n,
-expanded in S_{n+1} by ``SubspaceBasis.sparse_coordinates`` (in C^{n+1} it
-is its own expansion), which also checks that it lies in S_{n+1}; a failure
-would mean the shuffle conditions are not closed under the coboundary and
-is raised as ``ShuffleClosureError``, naming the basis row, the first
-offending entry and, for a shuffle failure, the p of the first su_{n+1,p}
-that does not vanish.  ``Complex.space`` admits each degree against the
-ceilings, degree first and then a closed-form column count, before S_n is
-built; every degree-n computation goes through it, and d_n admits degree n
-before degree n + 1, so that a refused d_n builds nothing.
+A ``Complex`` is one of the two, for one module and set of ceilings; the
+module fixes the algebra.  Both are written over flat cochain offsets and
+differ only in their space S_n in each degree (``Complex.space``): all of
+C^n (``None``), with the elementary cochains in flat order as basis, or the
+Harrison subspace with the canonical echelon basis from ``harrison_space``,
+whose rows are cochains' ``data``.  A complex builds each S_n and each
+coboundary matrix d_n at most once and frees them with itself.  A column of
+d_n is the sparse coboundary (``coboundary_scatter``) of one basis row of
+S_n, expanded in S_{n+1} by ``SubspaceBasis.sparse_coordinates`` (in
+C^{n+1} it is its own expansion), which also checks that it lies in
+S_{n+1}; a failure would mean the shuffle conditions are not closed under
+the coboundary and is raised as ``ShuffleClosureError``, naming the basis
+row, the first offending entry and, for a shuffle failure, the p of the
+first su_{n+1,p} that does not vanish.  ``Complex.space`` admits each degree
+against the ceilings, degree first and then a closed-form column count,
+before S_n is built; every degree-n computation goes through it, and d_n
+admits degree n before degree n + 1, so that a refused d_n builds nothing.
 
 Cocycle representatives returned by ``cohomology`` are reduced against the
 coboundary subspace, so they are canonical for the given bases and the same
@@ -85,16 +85,20 @@ class ShuffleClosureError(RuntimeError):
 
 
 class Complex(Record):
-    """The Hochschild or graded Harrison complex of ``algebra`` with coefficients in ``module``.
+    """The Hochschild or graded Harrison complex of ``module.algebra`` with coefficients in ``module``.
 
     ``space(n)`` and ``coboundary_matrix(cx, n)`` are built on first use and
     kept here, so they live exactly as long as the complex does.
     """
 
-    algebra: SuperAlgebra
     module: SuperModule
     kind: ComplexKind
     limits: ResourceLimits = ResourceLimits()
+
+    @property
+    def algebra(self) -> SuperAlgebra:
+        """The algebra that the module is over."""
+        return self.module.algebra
 
     @cached_property
     def _spaces(self) -> dict[int, Optional[SubspaceBasis]]:
@@ -111,8 +115,7 @@ class Complex(Record):
         """
         if degree not in self._spaces:
             self._admit(degree)
-            a, m = self.algebra, self.module
-            self._spaces[degree] = None if self.kind is ComplexKind.HOCHSCHILD else harrison_space(a, m, degree)
+            self._spaces[degree] = None if self.kind is ComplexKind.HOCHSCHILD else harrison_space(self.module, degree)
         return self._spaces[degree]
 
     def _admit(self, degree: int) -> None:
@@ -120,8 +123,8 @@ class Complex(Record):
         limits = self.limits
         if degree > limits.max_degree:
             raise ResourceCeilingError(f"degree {degree} exceeds the ceiling {limits.max_degree}")
-        a, m = self.algebra, self.module
-        columns = a.dim**degree * m.dim if self.kind is ComplexKind.HOCHSCHILD else parity_count(a, m, degree)
+        m = self.module
+        columns = m.algebra.dim**degree * m.dim if self.kind is ComplexKind.HOCHSCHILD else parity_count(m, degree)
         if columns > limits.max_columns:
             raise ResourceCeilingError(f"cochain space of dimension {columns} exceeds the ceiling {limits.max_columns}")
 
@@ -160,10 +163,10 @@ def coboundary_matrix(cx: Complex, degree: int) -> RationalMatrix:
     rows = ({i: 1} for i in range(algebra.dim**degree * module.dim)) if domain is None else domain.rows
     columns = []
     for index, row in enumerate(rows):
-        image = coboundary_scatter(algebra, module, degree, row)
+        image = coboundary_scatter(module, degree, row)
         column = image if codomain is None else codomain.sparse_coordinates(image)
         if column is None:
-            raise _closure_error(Cochain(degree + 1, algebra, module, image), index)
+            raise _closure_error(Cochain(degree + 1, module, image), index)
         columns.append(column)
     height = algebra.dim ** (degree + 1) * module.dim if codomain is None else codomain.dim
     cx._matrices[degree] = RationalMatrix.from_columns(columns, rows=height)
@@ -197,10 +200,10 @@ def cohomology(cx: Complex, degree: int) -> CohomologyResult:
 
     algebra, module, space = cx.algebra, cx.module, cx.space(degree)
     representatives = tuple(
-        Cochain(degree, algebra, module, row if space is None else space.combination(row)) for row in reps.rows
+        Cochain(degree, module, row if space is None else space.combination(row)) for row in reps.rows
     )
     for index, rep in enumerate(representatives):
-        image = coboundary_scatter(algebra, module, degree, rep.data)
+        image = coboundary_scatter(module, degree, rep.data)
         if image:
             t, l = decode(min(image), degree + 1, algebra.dim, module.dim)
             raise AssertionError(
@@ -217,18 +220,19 @@ def cohomology(cx: Complex, degree: int) -> CohomologyResult:
     )
 
 
-def derivation_space(algebra: SuperAlgebra, module: SuperModule) -> SubspaceBasis:
+def derivation_space(module: SuperModule) -> SubspaceBasis:
     """Parity-preserving maps f: A -> M obeying the Leibniz rule f(ab) = a f(b) + f(a) b.
 
     The trailing term uses the Koszul right action.  The system is assembled
     directly from the structure constants, with no coboundary or shuffle
     machinery involved, so this is an independent check target for degree-1
     cocycles.  Each row is the ``data`` of a degree-1 cochain, over the same
-    flat offsets as ``harrison_space(algebra, module, 1)``; the entries that
-    are not parity-consistent are pinned to zero.
+    flat offsets as ``harrison_space(module, 1)``; the entries that are not
+    parity-consistent are pinned to zero.
     """
+    algebra = module.algebra
     dim_a, dim_m = algebra.dim, module.dim
-    consistent = set(parity_offsets(algebra, module, 1))
+    consistent = set(parity_offsets(module, 1))
     rows: list[dict[int, Rat]] = [{off: 1} for off in range(dim_a * dim_m) if off not in consistent]
     products = algebra.products
     action = module.action_sparse

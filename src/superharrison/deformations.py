@@ -90,17 +90,17 @@ class DeformationReport(Record):
         return self.parity_ok and self.supercommutative_mod_t2 and self.associative_mod_t2
 
 
-def _is_self_module(algebra: SuperAlgebra, m: SuperModule) -> bool:
-    """Whether m is ``self_module(algebra)``, compared field by field without building it."""
-    fields = (m.algebra, m.parity, m.action_sparse, m.basis_names)
-    return fields == (algebra, algebra.parity, algebra.products, algebra.basis_names)
+def _is_self_module(m: SuperModule) -> bool:
+    """Whether m is ``self_module(m.algebra)``, compared field by field without building it."""
+    algebra = m.algebra
+    return (m.parity, m.action_sparse, m.basis_names) == (algebra.parity, algebra.products, algebra.basis_names)
 
 
 def _check_complex(cx: Complex, self_acting: bool = False) -> None:
     """Refuse a Hochschild complex and, when ``self_acting``, a module other than the self-module."""
     if cx.kind is not ComplexKind.SUPER_HARRISON:
         raise ValueError("degree-2 deformation theory needs the graded Harrison complex")
-    if self_acting and not _is_self_module(cx.algebra, cx.module):
+    if self_acting and not _is_self_module(cx.module):
         raise ValueError("the complex must take values in the algebra acting on itself")
 
 
@@ -108,14 +108,14 @@ def _check_complex(cx: Complex, self_acting: bool = False) -> None:
 DualVector = tuple[tuple[int, DualNumber], ...]
 
 
-def _mt_table(algebra: SuperAlgebra, psi: Cochain) -> list[list[DualVector]]:
+def _mt_table(psi: Cochain) -> list[list[DualVector]]:
     """m_t on basis pairs: table[i][j] = c_ij + t psi(e_i, e_j), from the nonzero products and psi entries."""
     # twists[(i, j)] = {l: psi(e_i, e_j)_l}; psi takes values in the algebra itself.
     twists: dict[tuple[int, ...], dict[int, Rat]] = {}
     for pair, l, v in psi.iter_nonzero():
         twists.setdefault(pair, {})[l] = v
     table = []
-    for i, plane in enumerate(algebra.products):
+    for i, plane in enumerate(psi.algebra.products):
         out = []
         for j, prod in enumerate(plane):
             twist = twists.get((i, j))
@@ -144,15 +144,15 @@ def _m_t(table: list[list[DualVector]], x: DualVector, y: DualVector) -> DualVec
     return tuple((l, v) for l, v in sorted(out.items()) if not v.is_zero())
 
 
-def first_order_deformation_check(algebra: SuperAlgebra, psi: Cochain) -> DeformationReport:
-    """Check the deformed product on every basis pair and triple, first witness wins."""
+def first_order_deformation_check(psi: Cochain) -> DeformationReport:
+    """Check the deformed product of psi's algebra on every basis pair and triple, first witness wins."""
     if psi.degree != 2:
         raise ValueError("a deformation direction must be a degree-2 cochain")
-    if psi.algebra != algebra or not _is_self_module(algebra, psi.module):
+    if not _is_self_module(psi.module):
         raise ValueError("psi must take values in the algebra acting on itself")
-    dim = algebra.dim
-    par = algebra.parity
-    table = _mt_table(algebra, psi)
+    dim = psi.algebra.dim
+    par = psi.algebra.parity
+    table = _mt_table(psi)
     basis = [((i, DualNumber(1)),) for i in range(dim)]
 
     supercomm_witness = next(
@@ -209,13 +209,13 @@ RANDOM_DENSITY = 0.6
 SWEEP_SEED = 0
 
 
-def random_parity_cochain(algebra: SuperAlgebra, module: SuperModule, degree: int, rng: random.Random) -> Cochain:
+def random_parity_cochain(module: SuperModule, degree: int, rng: random.Random) -> Cochain:
     """A random rational combination of the parity basis."""
     data: dict[int, Rat] = {}
-    for off in parity_offsets(algebra, module, degree):
+    for off in parity_offsets(module, degree):
         if rng.random() < RANDOM_DENSITY:
             data[off] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-    return Cochain(degree, algebra, module, data)
+    return Cochain(degree, module, data)
 
 
 def _sweep(cx: Complex, budget: int, failures_of: Callable[[Cochain], list[str]]) -> SweepReport:
@@ -224,14 +224,14 @@ def _sweep(cx: Complex, budget: int, failures_of: Callable[[Cochain], list[str]]
     Each case is drawn as it is judged, so the sweep holds one case at a time.
     """
     cx.space(2)
-    algebra, module = cx.algebra, cx.module
+    module = cx.module
     rng = random.Random(SWEEP_SEED)
     cases = chain(
-        (Cochain(2, algebra, module, {off: 1}) for off in parity_offsets(algebra, module, 2)),
-        (random_parity_cochain(algebra, module, 2, rng) for _ in range(budget)),
+        (Cochain(2, module, {off: 1}) for off in parity_offsets(module, 2)),
+        (random_parity_cochain(module, 2, rng) for _ in range(budget)),
     )
     failures = tuple(f"case {idx}: {failure}" for idx, psi in enumerate(cases) for failure in failures_of(psi))
-    return SweepReport(cases=parity_count(algebra, module, 2) + budget, failures=failures)
+    return SweepReport(cases=parity_count(module, 2) + budget, failures=failures)
 
 
 def deformation_iff_cocycle(cx: Complex, budget: int = 50) -> SweepReport:
@@ -245,7 +245,7 @@ def deformation_iff_cocycle(cx: Complex, budget: int = 50) -> SweepReport:
     _check_complex(cx, self_acting=True)
 
     def failures_of(psi: Cochain) -> list[str]:
-        deformation_side = first_order_deformation_check(cx.algebra, psi).valid
+        deformation_side = first_order_deformation_check(psi).valid
         cochain_side = is_cocycle(psi)
         if deformation_side == cochain_side:
             return []
@@ -254,8 +254,8 @@ def deformation_iff_cocycle(cx: Complex, budget: int = 50) -> SweepReport:
     return _sweep(cx, budget, failures_of)
 
 
-def square_zero_extension(algebra: SuperAlgebra, module: SuperModule, psi: Cochain) -> SuperAlgebra:
-    """The algebra A (+) M with product (a,m)(b,n) = (ab, a n + m b + psi(a,b)).
+def square_zero_extension(psi: Cochain) -> SuperAlgebra:
+    """The algebra A (+) M with product (a,m)(b,n) = (ab, a n + m b + psi(a,b)), for M = ``psi.module``.
 
     Its basis is A's basis followed by M's: e_i is basis element i for
     i < dim A, and m_l is basis element dim A + l.  M sits as an ideal
@@ -263,8 +263,9 @@ def square_zero_extension(algebra: SuperAlgebra, module: SuperModule, psi: Cocha
     validity of psi is assumed: the point is to hand whatever comes out to
     the validator.
     """
-    if psi.degree != 2 or psi.algebra != algebra or psi.module != module:
-        raise ValueError("psi must be a degree-2 cochain on the given algebra and module")
+    if psi.degree != 2:
+        raise ValueError("psi must be a degree-2 cochain")
+    algebra, module = psi.algebra, psi.module
     da, dm = algebra.dim, module.dim
     dim = da + dm
     names = tuple(algebra.basis_names) + tuple(f"m.{n}" for n in module.basis_names)
@@ -305,7 +306,7 @@ def extension_valid_iff_cocycle(cx: Complex, budget: int = 50) -> SweepReport:
     _check_complex(cx)
 
     def failures_of(psi: Cochain) -> list[str]:
-        kinds = validate_superalgebra(square_zero_extension(cx.algebra, cx.module, psi)).kinds()
+        kinds = validate_superalgebra(square_zero_extension(psi)).kinds()
         checks = (
             ("associativity", hochschild_coboundary(psi).is_zero()),
             ("supercommutativity", super_shuffle_sum(psi, 1).is_zero()),
@@ -325,14 +326,13 @@ def extension_equivalence(cx: Complex, psi1: Cochain, psi2: Cochain) -> Optional
 
     When g exists, (a, m) |-> (a, m + g(a)) is an isomorphism between the two
     square-zero extensions, so the answer decides extension equivalence.
-    Both inputs must be Harrison 2-cocycles on the complex's algebra and
-    module; g is solved for in its degree-1 space against its d_1.
+    Both inputs must be Harrison 2-cocycles on the complex's module; g is
+    solved for in its degree-1 space against its d_1.
     """
     _check_complex(cx)
-    algebra, module = cx.algebra, cx.module
     for psi in (psi1, psi2):
-        if psi.degree != 2 or psi.algebra != algebra or psi.module != module:
-            raise ValueError("inputs must be degree-2 cochains on the complex's algebra and module")
+        if psi.degree != 2 or psi.module != cx.module:
+            raise ValueError("inputs must be degree-2 cochains on the complex's module")
         if not is_cocycle(psi):
             raise NotACocycleError("extension equivalence is defined for cocycles only")
 
@@ -344,7 +344,7 @@ def extension_equivalence(cx: Complex, psi1: Cochain, psi2: Cochain) -> Optional
     solution = solve(matrix, rhs)
     if solution is None:
         return None
-    g = Cochain(1, algebra, module, cx.space(1).combination(solution))
+    g = Cochain(1, cx.module, cx.space(1).combination(solution))
     if hochschild_coboundary(g) != diff:
         raise AssertionError("solver returned g with dg != psi1 - psi2")
     return g
@@ -359,6 +359,6 @@ def deformation_classes(cx: Complex) -> CohomologyResult:
     _check_complex(cx, self_acting=True)
     result = cohomology(cx, 2)
     for rep in result.representatives:
-        if not first_order_deformation_check(cx.algebra, rep).valid:
+        if not first_order_deformation_check(rep).valid:
             raise AssertionError("cohomology representative rejected by the deformation check")
     return result

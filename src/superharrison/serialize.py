@@ -183,7 +183,7 @@ def dump_algebra(algebra: SuperAlgebra, path: str) -> None:
         fh.write("\n")
 
 
-def cochain_from_dict(doc: dict, algebra: SuperAlgebra, module: SuperModule) -> Cochain:
+def cochain_from_dict(doc: dict, module: SuperModule) -> Cochain:
     _expect(isinstance(doc, dict), "cochain document must be a JSON object")
     _expect("degree" in doc and "entries" in doc, "cochain document needs 'degree' and 'entries'")
     degree = doc["degree"]
@@ -199,13 +199,13 @@ def cochain_from_dict(doc: dict, algebra: SuperAlgebra, module: SuperModule) -> 
             isinstance(idx, list) and len(idx) == degree and all(_is_int(x) for x in idx),
             f"'i' must be a list of {degree} integers",
         )
-        _expect(all(0 <= x < algebra.dim for x in idx), f"argument indices {idx} out of range")
+        _expect(all(0 <= x < module.algebra.dim for x in idx), f"argument indices {idx} out of range")
         l = entry["l"]
         _expect(_is_int(l) and 0 <= l < module.dim, f"value index {l} out of range")
         key = (tuple(idx), l)
         _expect(key not in entries, f"duplicate cochain entry for {key}")
         entries[key] = parse_rational(entry["coeff"])
-    return cochain_from_entries(algebra, module, degree, entries)
+    return cochain_from_entries(module, degree, entries)
 
 
 def cochain_to_dict(f: Cochain) -> dict:
@@ -216,9 +216,7 @@ def cochain_to_dict(f: Cochain) -> dict:
     return {"degree": f.degree, "entries": entries}
 
 
-def load_cochain(
-    path: str, algebra: SuperAlgebra, module: SuperModule, degree: Optional[int] = None, name: str = "cochain"
-) -> Cochain:
+def load_cochain(path: str, module: SuperModule, degree: Optional[int] = None, name: str = "cochain") -> Cochain:
     """The cochain document in ``path``.
 
     With ``degree`` given, a document of any other degree is refused as
@@ -229,4 +227,4 @@ def load_cochain(
     found = doc.get("degree") if isinstance(doc, dict) else None
     if degree is not None and _is_int(found) and found >= 0 and found != degree:
         raise InputFormatError(f"{name} must have degree {degree}, got {found}")
-    return cochain_from_dict(doc, algebra, module)
+    return cochain_from_dict(doc, module)

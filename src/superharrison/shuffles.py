@@ -75,13 +75,15 @@ class Permutation(Record):
 
 
 def _inversion_sign(values: tuple[int, ...]) -> int:
-    inversions = 0
-    for i in range(len(values)):
-        vi = values[i]
-        for j in range(i + 1, len(values)):
-            if vi > values[j]:
-                inversions += 1
-    return -1 if inversions % 2 else 1
+    """(-1)^(inversions of distinct values), as (-1)^(n - cycles) of the permutation that sorts them."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    swaps = 0  # each swap puts one index in place, so n - cycles in all
+    for i in range(len(order)):
+        while order[i] != i:
+            j = order[i]
+            order[i], order[j] = order[j], j
+            swaps += 1
+    return -1 if swaps % 2 else 1
 
 
 def is_shuffle(perm: Permutation, p: int) -> bool:

@@ -57,9 +57,9 @@ def report(label: str, started: float) -> None:
 
 def random_symmetric_cocycle(algebra, module, rng):
     """Random element of the degree-2 cocycle space."""
-    cocycles = kernel_basis(coboundary_matrix(Complex(algebra, module, HARR), 2))
-    basis = harrison_basis(algebra, module, 2)
-    total = Cochain(2, algebra, module, {})
+    cocycles = kernel_basis(coboundary_matrix(Complex(module, HARR), 2))
+    basis = harrison_basis(module, 2)
+    total = Cochain(2, module, {})
     for vector in dense_vectors(cocycles):
         weight = rng.randint(-3, 3)
         if not weight:
@@ -116,10 +116,10 @@ def test_coboundary_squares_to_zero():
     for algebra in CORPUS.values():
         module = self_module(algebra)
         for degree in range(4):
-            for f in parity_basis(algebra, module, degree):
+            for f in parity_basis(module, degree):
                 assert hochschild_coboundary(hochschild_coboundary(f)).is_zero()
             for _ in range(100):
-                f = random_parity_cochain(algebra, module, degree, rng)
+                f = random_parity_cochain(module, degree, rng)
                 assert hochschild_coboundary(hochschild_coboundary(f)).is_zero()
     report("coboundary applied twice vanishes on basis and random cochains", started)
 
@@ -129,13 +129,13 @@ def test_shuffle_closure_of_coboundary():
     for algebra in CORPUS.values():
         module = self_module(algebra)
         for degree in (2, 3):
-            for f in harrison_basis(algebra, module, degree):
+            for f in harrison_basis(module, degree):
                 boundary = hochschild_coboundary(f)
                 for p in range(1, degree + 1):
                     assert super_shuffle_sum(boundary, p).is_zero()
         # The restricted matrices assemble without leaving the subspace.
         for degree in (1, 2, 3):
-            coboundary_matrix(Complex(algebra, module, HARR), degree)
+            coboundary_matrix(Complex(module, HARR), degree)
     report("coboundaries of shuffle-closed cochains stay shuffle closed", started)
 
 
@@ -150,15 +150,15 @@ def test_first_cohomology_matches_derivations():
     }
     for name, algebra in CORPUS.items():
         module = self_module(algebra)
-        z1 = kernel_basis(coboundary_matrix(Complex(algebra, module, HARR), 1))
-        harrison1 = harrison_space(algebra, module, 1)
+        z1 = kernel_basis(coboundary_matrix(Complex(module, HARR), 1))
+        harrison1 = harrison_space(module, 1)
         cocycles = SubspaceBasis.from_vectors((harrison1.combination(row) for row in z1.rows), harrison1.ambient_dim)
-        derivations = derivation_space(algebra, module)
+        derivations = derivation_space(module)
         assert cocycles == derivations, name
-        res = cohomology(Complex(algebra, module, HARR), 1)
+        res = cohomology(Complex(module, HARR), 1)
         assert res.dim_cocycles == derivations.dim, name
         assert res.dim_cohomology == expected_dims[name], name
-    euler = cohomology(Complex(CORPUS["exterior1"], self_module(CORPUS["exterior1"]), HARR), 1)
+    euler = cohomology(Complex(self_module(CORPUS["exterior1"]), HARR), 1)
     assert sorted(euler.representatives[0].iter_nonzero()) == [((1,), 1, 1)]
     report("degree-1 cocycles are exactly the derivations", started)
 
@@ -167,7 +167,7 @@ def test_second_cohomology_matches_deformation_oracles():
     started = time.time()
     for name, algebra in CORPUS.items():
         module = self_module(algebra)
-        harrison = Complex(algebra, module, HARR)
+        harrison = Complex(module, HARR)
         sweep = deformation_iff_cocycle(harrison, budget=200)
         assert sweep.passed, (name, sweep.failures)
         sweep = extension_valid_iff_cocycle(harrison, budget=240)
@@ -175,34 +175,34 @@ def test_second_cohomology_matches_deformation_oracles():
         classes = cohomology(harrison, 2)
         for rep in classes.representatives:
             assert is_cocycle(rep)
-            assert first_order_deformation_check(algebra, rep).valid
+            assert first_order_deformation_check(rep).valid
 
     # The odd line is rigid in the symmetric theory even though the full
     # complex still sees the square-zero class.
     line = CORPUS["exterior1"]
     module = self_module(line)
-    assert cohomology(Complex(line, module, HARR), 2).dim_cohomology == 0
-    full = cohomology(Complex(line, module, HOCH), 2)
+    assert cohomology(Complex(module, HARR), 2).dim_cohomology == 0
+    full = cohomology(Complex(module, HOCH), 2)
     assert full.dim_cohomology == 1
-    clifford = cochain_from_entries(line, module, 2, {((1, 1), 0): 1})
+    clifford = cochain_from_entries(module, 2, {((1, 1), 0): 1})
     assert hochschild_coboundary(clifford).is_zero()
-    assert not image_basis(coboundary_matrix(Complex(line, module, HOCH), 1)).contains(
+    assert not image_basis(coboundary_matrix(Complex(module, HOCH), 1)).contains(
         clifford.data
     )
 
     # The nilpotent even line deforms: its square class is honest.
     nil = CORPUS["truncpoly2"]
     nil_module = self_module(nil)
-    assert cohomology(Complex(nil, nil_module, HARR), 2).dim_cohomology == 1
-    square = cochain_from_entries(nil, nil_module, 2, {((1, 1), 0): 1})
+    assert cohomology(Complex(nil_module, HARR), 2).dim_cohomology == 1
+    square = cochain_from_entries(nil_module, 2, {((1, 1), 0): 1})
     assert is_cocycle(square)
-    assert first_order_deformation_check(nil, square).valid
+    assert first_order_deformation_check(square).valid
     # The image of the restricted matrix lives in canonical-basis
     # coordinates of the degree-2 shuffle-closed space.
-    space = harrison_space(nil, nil_module, 2)
+    space = harrison_space(nil_module, 2)
     square_coords = space.coordinates(square.data)
     assert square_coords is not None
-    boundaries = image_basis(coboundary_matrix(Complex(nil, nil_module, HARR), 1))
+    boundaries = image_basis(coboundary_matrix(Complex(nil_module, HARR), 1))
     assert not boundaries.contains(square_coords)
     report("deformation and extension verdicts track degree-2 classes", started)
 
@@ -212,16 +212,16 @@ def test_extension_equivalence_roundtrip():
     rng = random.Random(97)
     for name, algebra in CORPUS.items():
         module = self_module(algebra)
-        harrison = Complex(algebra, module, HARR)
+        harrison = Complex(module, HARR)
         for _ in range(30):
             psi1 = random_symmetric_cocycle(algebra, module, rng)
-            g0 = random_parity_cochain(algebra, module, 1, rng)
+            g0 = random_parity_cochain(module, 1, rng)
             psi2 = psi1 - hochschild_coboundary(g0)
             g = extension_equivalence(harrison, psi1, psi2)
             assert g is not None, name
             assert hochschild_coboundary(g) == psi1 - psi2, name
         classes = cohomology(harrison, 2)
-        zero = Cochain(2, algebra, module, {})
+        zero = Cochain(2, module, {})
         if classes.dim_cohomology:
             # A representative of a nonzero class never collapses to the
             # split extension.
@@ -240,7 +240,7 @@ def test_even_reduction_matches_classical_pipeline():
         algebra = CORPUS[name]
         module = self_module(algebra)
         for degree in range(4):
-            res = cohomology(Complex(algebra, module, HARR), degree)
+            res = cohomology(Complex(module, HARR), degree)
             engine = (
                 res.dim_cochain,
                 res.dim_cocycles,

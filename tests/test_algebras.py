@@ -596,10 +596,10 @@ class TestSparseValidators:
 
         def cochain(degree):
             offsets = st.integers(0, algebra.dim**degree * module.dim - 1)
-            return Cochain(degree, algebra, module, data.draw(st.dictionaries(offsets, _constants, max_size=6)))
+            return Cochain(degree, module, data.draw(st.dictionaries(offsets, _constants, max_size=6)))
 
         psi = hochschild_coboundary(cochain(1)) if data.draw(st.booleans()) else cochain(2)
-        ext = square_zero_extension(algebra, module, psi)
+        ext = square_zero_extension(psi)
         got = tuple(v for v in validate_superalgebra(ext).violations if v.kind == "associativity")
         assert got == tuple(reference_action_law_violations(ext.products, ext.products, "e", "associativity"))
 

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -113,6 +114,15 @@ class TestSignCommand:
         assert run(["sign", "--perm", perm, "--parity", parity]) == 2
         assert capsys.readouterr().err == f"error: empty {problem}\n"
 
+    def test_a_long_reversal_is_signed_in_linear_time(self, capsys):
+        # The reversal of 1..n, all slots odd, has n(n-1)/2 inversions: even for n = 100000.
+        n = 100000
+        perm = ",".join(str(i) for i in range(n, 0, -1))
+        start = time.perf_counter()
+        assert run(["sign", "--perm", perm, "--parity", ",".join(["1"] * n)]) == 0
+        assert time.perf_counter() - start < 5
+        assert capsys.readouterr().out == "+1\n"
+
 
 class TestCheckCommand:
     def test_builtin_algebras_pass(self, capsys):
@@ -172,7 +182,7 @@ class TestCohomologyCommand:
         alg = truncated_polynomial(2)
         mod = self_module(alg)
         for rep_doc in doc["representatives"]:
-            rep = cochain_from_dict(rep_doc, alg, mod)
+            rep = cochain_from_dict(rep_doc, mod)
             assert is_cocycle(rep)
 
     def test_output_is_deterministic(self, capsys):
@@ -435,10 +445,10 @@ class TestVerifyCommand:
         # degree-3 entry at offset 0, whose own coboundary is nonzero.
         alg = exterior_algebra(1)
         mod = self_module(alg)
-        assert coboundary_scatter(alg, mod, 3, {0: 1})
+        assert coboundary_scatter(mod, 3, {0: 1})
 
-        def broken(algebra, module, degree, entries):
-            image = coboundary_scatter(algebra, module, degree, entries)
+        def broken(module, degree, entries):
+            image = coboundary_scatter(module, degree, entries)
             if degree == 2 and 1 in entries:
                 image[0] = image.get(0, 0) + entries[1]
             return image
@@ -547,7 +557,7 @@ LONG_COEFF_FILES = {
 
 class TestDigests:
     def test_digest_is_hashlibs_sha256(self, corpus_algebra):
-        psi = Cochain(2, corpus_algebra, self_module(corpus_algebra), {1: Fraction(-1, 2), 5: 3})
+        psi = Cochain(2, self_module(corpus_algebra), {1: Fraction(-1, 2), 5: 3})
         docs = [algebra_to_dict(corpus_algebra), cochain_to_dict(psi)]
         for n in (1, 2):
             blob = "\x1e".join(json.dumps(doc, sort_keys=True, separators=(",", ":")) for doc in docs[:n])
@@ -756,3 +766,13 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == f"error: --budget must be nonnegative, got {budget}\n"
+
+    def test_a_budget_over_the_column_ceiling_is_refused_before_any_suite(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a random cochain was drawn")
+
+        monkeypatch.setattr("superharrison.deformations.random_parity_cochain", refuse)
+        assert run(["verify", "--algebra", "builtin:exterior:2", "--budget", "1000000000"]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "resource ceiling: budget 1000000000 exceeds the ceiling 20000\n"

@@ -62,8 +62,8 @@ def basis_vector(dim, i):
 def random_parity_combo(algebra, degree, rng, spread=4):
     """Random element of the parity-preserving cochain space."""
     module = self_module(algebra)
-    total = Cochain(degree, algebra, module, {})
-    for f in parity_basis(algebra, module, degree):
+    total = Cochain(degree, module, {})
+    for f in parity_basis(module, degree):
         c = rng.randint(-spread, spread)
         if c:
             total = total + f.scale(c)
@@ -102,7 +102,7 @@ def naive_coboundary(f: Cochain) -> Cochain:
         for l, value in enumerate(total):
             if value:
                 entries[(t, l)] = value
-    return cochain_from_entries(algebra, module, n + 1, entries)
+    return cochain_from_entries(module, n + 1, entries)
 
 
 def graded_symmetry_dimension(algebra) -> int:
@@ -132,7 +132,7 @@ class TestCochainBasics:
 
     def test_entries_round_trip(self):
         f = cochain_from_entries(
-            self.alg, self.mod, 2, {((0, 1), 1): 3, ((1, 0), 1): Fraction(1, 2)}
+            self.mod, 2, {((0, 1), 1): 3, ((1, 0), 1): Fraction(1, 2)}
         )
         assert entry(f, (0, 1), 1) == 3
         assert entry(f, (1, 1), 0) == 0
@@ -143,13 +143,13 @@ class TestCochainBasics:
 
     def test_out_of_range_entries_rejected(self):
         with pytest.raises(ValueError):
-            cochain_from_entries(self.alg, self.mod, 1, {((5,), 0): 1})
+            cochain_from_entries(self.mod, 1, {((5,), 0): 1})
         with pytest.raises(ValueError):
-            cochain_from_entries(self.alg, self.mod, 1, {((0,), 9): 1})
+            cochain_from_entries(self.mod, 1, {((0,), 9): 1})
 
     def test_arithmetic(self):
-        f = cochain_from_entries(self.alg, self.mod, 1, {((0,), 0): 1})
-        g = cochain_from_entries(self.alg, self.mod, 1, {((1,), 1): 1})
+        f = cochain_from_entries(self.mod, 1, {((0,), 0): 1})
+        g = cochain_from_entries(self.mod, 1, {((1,), 1): 1})
         h = f + g.scale(2)
         assert entry(h, (0,), 0) == 1
         assert entry(h, (1,), 1) == 2
@@ -158,7 +158,7 @@ class TestCochainBasics:
         assert entry(3 * f, (0,), 0) == 3
 
     def test_degree_zero_has_a_single_empty_tuple(self):
-        m = cochain_from_entries(self.alg, self.mod, 0, {((), 1): 5})
+        m = cochain_from_entries(self.mod, 0, {((), 1): 5})
         assert vector_at(m, ()) == (0, 5)
 
     def test_apply_is_multilinear(self):
@@ -177,9 +177,9 @@ class TestCochainBasics:
             assert lhs == rhs
 
     def test_parity_flag(self):
-        euler = cochain_from_entries(self.alg, self.mod, 1, {((1,), 1): 1})
+        euler = cochain_from_entries(self.mod, 1, {((1,), 1): 1})
         assert euler.parity_preserving
-        skew = cochain_from_entries(self.alg, self.mod, 1, {((1,), 0): 1})
+        skew = cochain_from_entries(self.mod, 1, {((1,), 0): 1})
         assert not skew.parity_preserving
 
     def test_parity_is_scanned_on_first_use_only(self, monkeypatch):
@@ -191,11 +191,11 @@ class TestCochainBasics:
             return original(f)
 
         monkeypatch.setattr(Cochain, "iter_nonzero", counting)
-        f = cochain_from_entries(self.alg, self.mod, 2, {((1, 1), 0): 1})
+        f = cochain_from_entries(self.mod, 2, {((1, 1), 0): 1})
         assert scans == []
         assert f.parity_preserving and f.parity_preserving
         assert scans == [2]
-        assert f == cochain_from_entries(self.alg, self.mod, 2, {((1, 1), 0): 1})
+        assert f == cochain_from_entries(self.mod, 2, {((1, 1), 0): 1})
 
 
 class TestParityBasis:
@@ -210,22 +210,22 @@ class TestParityBasis:
                 expected += sum(
                     1 for p in mod.parity if p == in_parity
                 )
-            basis = parity_basis(corpus_algebra, mod, degree)
+            basis = parity_basis(mod, degree)
             assert len(basis) == expected
-            assert len(parity_offsets(corpus_algebra, mod, degree)) == expected
+            assert len(parity_offsets(mod, degree)) == expected
             for f in basis:
                 assert f.parity_preserving
 
     def test_offsets_are_strictly_increasing(self, corpus_algebra):
         mod = self_module(corpus_algebra)
-        offs = parity_offsets(corpus_algebra, mod, 2)
+        offs = parity_offsets(mod, 2)
         assert list(offs) == sorted(set(offs))
 
     def test_closed_form_count_matches_the_table(self, corpus_algebra):
         mod = self_module(corpus_algebra)
         for degree in range(5):
-            assert parity_count(corpus_algebra, mod, degree) == len(
-                parity_offsets(corpus_algebra, mod, degree)
+            assert parity_count(mod, degree) == len(
+                parity_offsets(mod, degree)
             )
 
 
@@ -279,23 +279,23 @@ class TestSuperShuffleSum:
 
     def test_split_point_bounds(self):
         alg = exterior_algebra(1)
-        f = Cochain(2, alg, self_module(alg), {})
+        f = Cochain(2, self_module(alg), {})
         with pytest.raises(ValueError):
             super_shuffle_sum(f, 0)
         with pytest.raises(ValueError):
             super_shuffle_sum(f, 2)
         with pytest.raises(ValueError, match="degree at least 2"):
-            super_shuffle_sum(Cochain(1, alg, self_module(alg), {}), 1)
+            super_shuffle_sum(Cochain(1, self_module(alg), {}), 1)
 
     def test_sum_vanishes_exactly_on_graded_symmetric_cochains(self):
         alg = truncated_polynomial(2)
         mod = self_module(alg)
         symmetric = cochain_from_entries(
-            alg, mod, 2, {((0, 1), 1): 1, ((1, 0), 1): 1}
+            mod, 2, {((0, 1), 1): 1, ((1, 0), 1): 1}
         )
         assert super_shuffle_sum(symmetric, 1).is_zero()
         lopsided = cochain_from_entries(
-            alg, mod, 2, {((0, 1), 1): 1, ((1, 0), 1): -1}
+            mod, 2, {((0, 1), 1): 1, ((1, 0), 1): -1}
         )
         assert not super_shuffle_sum(lopsided, 1).is_zero()
 
@@ -305,10 +305,10 @@ class TestSuperShuffleSum:
         for alg in (exterior_algebra(2), truncated_polynomial(2)):
             mod = self_module(alg)
             for off in range(alg.dim**2 * mod.dim):
-                f = Cochain(2, alg, mod, {off: 1})
+                f = Cochain(2, mod, {off: 1})
                 (a, b), l = decode(off, 2, alg.dim, mod.dim)
                 sign = -1 if alg.parity[a] and alg.parity[b] else 1
-                swapped = Cochain(2, alg, mod, {encode((b, a), l, alg.dim, mod.dim): 1})
+                swapped = Cochain(2, mod, {encode((b, a), l, alg.dim, mod.dim): 1})
                 expected = f - sign * swapped
                 assert super_shuffle_sum(f, 1) == expected
 
@@ -317,24 +317,24 @@ class TestHarrisonSpace:
     def test_low_degrees_are_unconstrained(self, corpus_algebra):
         mod = self_module(corpus_algebra)
         for degree in (0, 1):
-            space = harrison_space(corpus_algebra, mod, degree)
+            space = harrison_space(mod, degree)
             assert space.dim == len(
-                parity_basis(corpus_algebra, mod, degree)
+                parity_basis(mod, degree)
             )
 
     def test_rows_are_cochains_over_flat_offsets(self, corpus_algebra):
         mod = self_module(corpus_algebra)
         for degree in range(4):
-            space = harrison_space(corpus_algebra, mod, degree)
+            space = harrison_space(mod, degree)
             assert space.ambient_dim == corpus_algebra.dim**degree * mod.dim
             for row in space.rows:
-                assert Cochain(degree, corpus_algebra, mod, row).parity_preserving
+                assert Cochain(degree, mod, row).parity_preserving
 
     def test_degree_two_dimension_matches_symmetry_count(
         self, corpus_algebra
     ):
         mod = self_module(corpus_algebra)
-        space = harrison_space(corpus_algebra, mod, 2)
+        space = harrison_space(mod, 2)
         assert space.dim == graded_symmetry_dimension(corpus_algebra)
 
     def test_frozen_degree_two_dimensions(self, corpus_named):
@@ -347,18 +347,18 @@ class TestHarrisonSpace:
         }
         name, alg = corpus_named
         expected = expectations[name]
-        assert harrison_space(alg, self_module(alg), 2).dim == expected
+        assert harrison_space(self_module(alg), 2).dim == expected
 
     def test_degree_two_members_are_graded_symmetric(self, corpus_algebra):
         mod = self_module(corpus_algebra)
-        for f in harrison_basis(corpus_algebra, mod, 2):
+        for f in harrison_basis(mod, 2):
             assert super_shuffle_sum(f, 1).is_zero()
             assert f.parity_preserving
 
     def test_members_kill_every_shuffle_sum(self, corpus_algebra):
         mod = self_module(corpus_algebra)
         for degree in (2, 3):
-            for f in harrison_basis(corpus_algebra, mod, degree):
+            for f in harrison_basis(mod, degree):
                 for p in range(1, degree):
                     assert super_shuffle_sum(f, p).is_zero()
 
@@ -370,8 +370,8 @@ class TestHarrisonSpace:
             degrees = (2, 3)
         mod = self_module(alg)
         for degree in degrees:
-            offsets = parity_offsets(alg, mod, degree)
-            basis = parity_basis(alg, mod, degree)
+            offsets = parity_offsets(mod, degree)
+            basis = parity_basis(mod, degree)
             columns = []
             for f in basis:
                 col = []
@@ -389,7 +389,7 @@ class TestHarrisonSpace:
             )
             assert (
                 kernel.rows
-                == harrison_space(alg, mod, degree).rows
+                == harrison_space(mod, degree).rows
             )
 
     @settings(max_examples=25, deadline=None)
@@ -407,10 +407,10 @@ class TestHarrisonSpace:
         dim = len(a_par)
         alg = SuperAlgebra(dim, tuple(f"e{i}" for i in range(dim)), a_par, _table_from_cells({}, dim, dim))
         mod = SuperModule(alg, len(m_par), m_par, _table_from_cells({}, dim, len(m_par)))
-        offsets = parity_offsets(alg, mod, degree)
+        offsets = parity_offsets(mod, degree)
         position = {off: pos for pos, off in enumerate(offsets)}
         columns = []
-        for f in parity_basis(alg, mod, degree):
+        for f in parity_basis(mod, degree):
             column = {}
             for p in range(1, degree):
                 for off, x in super_shuffle_sum(f, p).data.items():
@@ -422,15 +422,15 @@ class TestHarrisonSpace:
             dim**degree * len(m_par),
             tuple({offsets[pos]: x for pos, x in row.items()} for row in kernel_basis(stacked).rows),
         )
-        assert harrison_space(alg, mod, degree) == kernel
+        assert harrison_space(mod, degree) == kernel
 
     def test_coordinates_round_trip(self):
         alg = truncated_polynomial(2)
         mod = self_module(alg)
-        space = harrison_space(alg, mod, 2)
-        basis = harrison_basis(alg, mod, 2)
+        space = harrison_space(mod, 2)
+        basis = harrison_basis(mod, 2)
         for row, f in zip(space.rows, basis):
-            rebuilt = Cochain(2, alg, mod, row)
+            rebuilt = Cochain(2, mod, row)
             assert rebuilt == f
             assert f.data == row
 
@@ -439,7 +439,7 @@ class TestCoboundary:
     def test_degree_zero_measures_the_graded_commutator(self):
         alg = exterior_algebra(2)
         mod = self_module(alg)
-        m = cochain_from_entries(alg, mod, 0, {((), 1): 1})
+        m = cochain_from_entries(mod, 0, {((), 1): 1})
         boundary = hochschild_coboundary(m)
         # t2.t1 - t1.t2 with the sign twist collapses to -2 t1t2 on the
         # t2 input and nothing anywhere else.
@@ -448,7 +448,7 @@ class TestCoboundary:
     def test_unit_component_has_zero_boundary(self, corpus_algebra):
         mod = self_module(corpus_algebra)
         unit = cochain_from_entries(
-            corpus_algebra, mod, 0, {((), corpus_algebra.unit_index): 1}
+            mod, 0, {((), corpus_algebra.unit_index): 1}
         )
         assert hochschild_coboundary(unit).is_zero()
 
@@ -456,7 +456,7 @@ class TestCoboundary:
         alg = truncated_polynomial(3)
         mod = self_module(alg)
         euler = cochain_from_entries(
-            alg, mod, 1, {((1,), 1): 1, ((2,), 2): 2}
+            mod, 1, {((1,), 1): 1, ((2,), 2): 2}
         )
         assert hochschild_coboundary(euler).is_zero()
 
@@ -492,7 +492,7 @@ class TestCoboundary:
         self, corpus_algebra
     ):
         mod = self_module(corpus_algebra)
-        for f in harrison_basis(corpus_algebra, mod, 2):
+        for f in harrison_basis(mod, 2):
             boundary = hochschild_coboundary(f)
             for p in (1, 2):
                 assert super_shuffle_sum(boundary, p).is_zero()
@@ -516,7 +516,7 @@ class TestIntegerScatter:
     @staticmethod
     def check(module, data):
         degree, entries = data.draw(scatter_inputs(module))
-        got = coboundary_scatter(module.algebra, module, degree, entries)
+        got = coboundary_scatter(module, degree, entries)
         # Same keys and equal values, and an int wherever the value is integral.
         assert got == reference_coboundary_scatter(module.algebra, module, degree, entries)
         assert all(type(x) is int or x.denominator > 1 for x in got.values())
@@ -582,7 +582,7 @@ class TestAgainstDenseReference:
     @staticmethod
     def build(algebra, module, degree, keys, dense):
         # Every entry, zeros included, so explicit zeros reach the constructor.
-        return cochain_from_entries(algebra, module, degree, dict(zip(keys, dense)))
+        return cochain_from_entries(module, degree, dict(zip(keys, dense)))
 
     @staticmethod
     def check(f, keys, expected):
@@ -595,7 +595,7 @@ class TestAgainstDenseReference:
     def test_arithmetic_and_equality(self, case, scalar):
         algebra, module, degree, keys, a, b = case
         f, g = (self.build(algebra, module, degree, keys, x) for x in (a, b))
-        zero = Cochain(degree, algebra, module, {})
+        zero = Cochain(degree, module, {})
         self.check(f + g, keys, [x + y for x, y in zip(a, b)])
         self.check(f - g, keys, [x - y for x, y in zip(a, b)])
         self.check(-f, keys, [-x for x in a])
@@ -604,7 +604,7 @@ class TestAgainstDenseReference:
         assert f - f == zero and (f - f).is_zero() and hash(f - f) == hash(zero)
         assert f.scale(0) == zero
         assert self.build(algebra, module, degree, keys, [0] * len(keys)) == zero
-        assert f == cochain_from_entries(algebra, module, degree, {k: x for k, x in zip(keys, a) if x})
+        assert f == cochain_from_entries(module, degree, {k: x for k, x in zip(keys, a) if x})
 
     @given(dense_cases(), st.data())
     @settings(max_examples=120, deadline=None)
@@ -635,8 +635,8 @@ class TestAgainstDenseReference:
     def test_entries_in_any_order_serialize_lexicographically(self, case):
         algebra, module, degree, keys, a, _ = case
         entries = {k: x for k, x in zip(keys, a) if x}
-        forward = cochain_to_dict(cochain_from_entries(algebra, module, degree, entries))
-        backward = cochain_to_dict(cochain_from_entries(algebra, module, degree, dict(reversed(entries.items()))))
+        forward = cochain_to_dict(cochain_from_entries(module, degree, entries))
+        backward = cochain_to_dict(cochain_from_entries(module, degree, dict(reversed(entries.items()))))
         assert forward == backward
         assert [(tuple(e["i"]), e["l"]) for e in forward["entries"]] == [k for k in keys if k in entries]
 
@@ -645,7 +645,7 @@ class TestAgainstDenseReference:
         module = self_module(algebra)
         for degree in range(4):
             size = algebra.dim**degree * module.dim
-            assert entry(Cochain(degree, algebra, module, {size - 1: 1}), (1,) * degree, 1) == 1
+            assert entry(Cochain(degree, module, {size - 1: 1}), (1,) * degree, 1) == 1
             for off in (size, -1):
                 with pytest.raises(ValueError, match="out of range"):
-                    Cochain(degree, algebra, module, {off: 1})
+                    Cochain(degree, module, {off: 1})

@@ -40,9 +40,9 @@ def _examples():
         "Violation": lambda: Violation("parity", (0, 1, 1), "detail"),
         "ValidationReport": lambda: ValidationReport((Violation("unit", (0,), "detail"),)),
         "DualNumber": lambda: DualNumber(1, 2),
-        "Cochain": lambda: Cochain(2, alg, mod, {3: 1, 1: 2}),
+        "Cochain": lambda: Cochain(2, mod, {3: 1, 1: 2}),
         "ResourceLimits": lambda: ResourceLimits(max_columns=7),
-        "Complex": lambda: Complex(alg, mod, ComplexKind.SUPER_HARRISON),
+        "Complex": lambda: Complex(mod, ComplexKind.SUPER_HARRISON),
         "CohomologyResult": lambda: CohomologyResult(ComplexKind.HOCHSCHILD, 1, 2, 1, 0, ()),
         "DeformationReport": lambda: DeformationReport(True, None, (0, 1, 1)),
         "SweepReport": lambda: SweepReport(3, ("case 0: failure",)),
@@ -121,7 +121,7 @@ def test_derived_values_are_properties_not_fields():
 @pytest.mark.parametrize("degree", range(4))
 @pytest.mark.parametrize("kind", list(ComplexKind))
 def test_dim_cohomology_counts_the_representatives(corpus_algebra, kind, degree):
-    result = cohomology(Complex(corpus_algebra, self_module(corpus_algebra), kind), degree)
+    result = cohomology(Complex(self_module(corpus_algebra), kind), degree)
     assert result.dim_cohomology == len(result.representatives)
 
 
@@ -143,7 +143,7 @@ class TestBooleansAreNotScalars:
     def test_cochain_value(self):
         alg = truncated_polynomial(1)
         with pytest.raises(TypeError, match="got True"):
-            Cochain(0, alg, self_module(alg), {0: True})
+            Cochain(0, self_module(alg), {0: True})
 
     def test_matrix_entry(self):
         with pytest.raises(TypeError, match="got True"):
@@ -167,7 +167,7 @@ class TestInexactZerosAreRefused:
     def test_cochain_value(self, zero):
         alg = truncated_polynomial(1)
         with pytest.raises(TypeError, match=f"got {zero}"):
-            Cochain(0, alg, self_module(alg), {0: zero})
+            Cochain(0, self_module(alg), {0: zero})
 
     @pytest.mark.parametrize("zero", [0.0, False])
     def test_dense_and_sparse_vectors(self, zero):
@@ -189,7 +189,7 @@ def test_defaults_match_the_signatures():
 
 def test_cached_properties_still_fill_in():
     alg = exterior_algebra(1)
-    f = Cochain(1, alg, self_module(alg), {1: 1})
+    f = Cochain(1, self_module(alg), {1: 1})
     assert alg.products[1][1] == () and f.parity_preserving is False
     assert alg.products is alg.products
 

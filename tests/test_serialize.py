@@ -236,7 +236,7 @@ class TestBooleansAreNotIntegers:
     def test_cochain_fields(self, doc, message, tmp_path, capsys):
         alg = exterior_algebra(1)
         with pytest.raises(InputFormatError, match=f"^{message}$"):
-            cochain_from_dict(doc, alg, self_module(alg))
+            cochain_from_dict(doc, self_module(alg))
         path = tmp_path / "psi.json"
         path.write_text(json.dumps(doc))
         assert run(["deform-check", "--algebra", "builtin:exterior:1", "--psi", str(path)]) == 2
@@ -250,20 +250,19 @@ class TestCochainDocuments:
 
     def test_round_trip(self):
         f = cochain_from_entries(
-            self.alg,
             self.mod,
             2,
             {((0, 1), 1): Fraction(2, 3), ((1, 0), 1): Fraction(2, 3)},
         )
         doc = cochain_to_dict(f)
-        again = cochain_from_dict(doc, self.alg, self.mod)
+        again = cochain_from_dict(doc, self.mod)
         assert again == f
 
     def test_json_serializable(self):
-        f = cochain_from_entries(self.alg, self.mod, 1, {((1,), 1): 1})
+        f = cochain_from_entries(self.mod, 1, {((1,), 1): 1})
         text = json.dumps(cochain_to_dict(f))
         assert cochain_from_dict(
-            json.loads(text), self.alg, self.mod
+            json.loads(text), self.mod
         ) == f
 
     def test_duplicate_entries_rejected(self):
@@ -275,17 +274,17 @@ class TestCochainDocuments:
             ],
         }
         with pytest.raises(InputFormatError):
-            cochain_from_dict(doc, self.alg, self.mod)
+            cochain_from_dict(doc, self.mod)
 
     def test_wrong_tuple_length_rejected(self):
         doc = {"degree": 2, "entries": [{"i": [1], "l": 1, "coeff": "1"}]}
         with pytest.raises(InputFormatError):
-            cochain_from_dict(doc, self.alg, self.mod)
+            cochain_from_dict(doc, self.mod)
 
     def test_out_of_range_indices_rejected(self):
         doc = {"degree": 1, "entries": [{"i": [4], "l": 0, "coeff": "1"}]}
         with pytest.raises(InputFormatError):
-            cochain_from_dict(doc, self.alg, self.mod)
+            cochain_from_dict(doc, self.mod)
 
     def test_load_cochain_from_file(self, tmp_path):
         path = tmp_path / "cochain.json"
@@ -297,12 +296,12 @@ class TestCochainDocuments:
                 }
             )
         )
-        f = load_cochain(str(path), self.alg, self.mod)
+        f = load_cochain(str(path), self.mod)
         assert entry(f, (1, 1), 0) == Fraction(-1, 2)
-        assert load_cochain(str(path), self.alg, self.mod, degree=2) == f
+        assert load_cochain(str(path), self.mod, degree=2) == f
 
     def test_load_cochain_refuses_another_degree_by_name(self, tmp_path):
         path = tmp_path / "cochain.json"
         path.write_text(json.dumps({"degree": 3, "entries": []}))
         with pytest.raises(InputFormatError, match="^psi must have degree 2, got 3$"):
-            load_cochain(str(path), self.alg, self.mod, degree=2, name="psi")
+            load_cochain(str(path), self.mod, degree=2, name="psi")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from math import comb
 
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from superharrison.shuffles import (
     Permutation,
+    _inversion_sign,
     enumerate_shuffles,
     is_shuffle,
     odd_subpermutation,
@@ -90,6 +92,14 @@ class TestPermutation:
         assert Permutation((2, 1)).sign() == -1
         assert Permutation((1, 3, 2, 4)).sign() == -1
         assert Permutation((2, 3, 1)).sign() == 1
+
+    def test_inversion_sign_matches_a_pairwise_count(self):
+        # The sign of every shuffle in the Harrison tables comes from _inversion_sign.
+        rng = random.Random(23)
+        for _ in range(3000):
+            values = tuple(rng.sample(range(20), rng.randint(0, 9)))
+            pairs = sum(1 for i, j in itertools.combinations(range(len(values)), 2) if values[i] > values[j])
+            assert _inversion_sign(values) == (-1 if pairs % 2 else 1), values
 
 
 class TestShuffleEnumeration:
