@@ -14,22 +14,25 @@ Constructors only enforce shapes and exact coefficients; algebraic laws
 compatibility, unit laws) are checked by the validators, which return a
 full list of violated identities with witnesses instead of raising.  That
 split is deliberate: the deformation layer needs to build broken algebras
-on purpose and see exactly which law fails where.  One checker scatters
-(e_i e_j)x_k and e_i(e_j x_k) from nonzero products only, and serves both
-associativity and the module law; the other laws compare sparse rows.
+on purpose and see exactly which law fails where.  One law scan,
+``_law_differences``, sums (e_i e_j)x_k and e_i(e_j x_k) triple by triple
+from nonzero products only; it serves associativity, the module law and
+the deformed product m + t psi of ``deformations``, over any coefficient
+ring.  ``_supercommutativity_differences`` is the one supercommutativity
+scan; the other laws compare sparse rows.
 
 The right action is never stored: it is induced from the left one on
 homogeneous components by the Koszul rule m*a = (-1)^{|a||m|} a*m, which
 is the convention used by the coboundary.
 
 ``DualNumber`` implements rationals adjoined an infinitesimal t with t^2 = 0,
-used to check first-order deformations by direct arithmetic.
+used to check first-order deformations by direct arithmetic in those scans.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import Any, Iterator, Mapping, Optional, Sequence
 
 from .linalg import Rat, _denominator, _ratio, as_rational
 from .records import Record, set_field
@@ -293,59 +296,82 @@ def _parity_violations(a_par: Sequence[int], table: SparseTable, x_par: Sequence
     return out
 
 
-def _action_law_violations(d: int, products: SparseTable, table: SparseTable, x: str, kind: str) -> list[Violation]:
-    """(e_i e_j)x_k = e_i(e_j x_k), first differing x_l reported per triple.
+def _law_differences(products: SparseTable, table: SparseTable) -> Iterator[tuple]:
+    """(i, j, k, l, left, right) for each triple where (e_i e_j)x_k and e_i(e_j x_k) first differ, at x_l.
 
     With ``table`` the algebra's own products this is associativity; with a
-    module's action it is the module law.  Both sides are scattered from
-    nonzero entries only, one i at a time: the left from each e_i e_j =
-    sum c e_mid times the rows of ``table[mid]``, the right from each
-    e_i x_mid != 0 times every e_j x_k with a term on x_mid.  A triple with
-    both sides zero is never visited.  Both tables come times d, from
-    ``_integral_tables``, so the sums run on integers, scaled by d^2; a
-    reported value is divided back by d^2.
+    module's action it is the module law.  Coefficients may come from any
+    ring (ints, ``Fraction``s, ``DualNumber``s); a sum of zero counts as
+    absent.  Triples come in lexicographic order: pair by pair (i, j), and
+    within a pair only the k where a side has a nonzero term, each side
+    summed from nonzero entries.  So the cost follows the nonzero products
+    plus one visit per pair, and a caller that takes one item stops early.
     """
-    # rows[mid]: the nonzero e_mid x_k as (k, row); producing[mid]: every
-    # (j, k, c) with c the coefficient of x_mid in e_j x_k.
-    rows: list[list[tuple[int, tuple[tuple[int, int], ...]]]] = []
-    producing: list[list[tuple[int, int, int]]] = [[] for _ in range(len(table[0]))]
+    # nonzero[j]: the k with e_j x_k != 0; reaching[j][mid]: the k with a term on x_mid in e_j x_k.
+    nonzero = [{k for k, row in enumerate(plane) if row} for plane in table]
+    reaching: list[dict[int, set[int]]] = [{} for _ in table]
     for j, plane in enumerate(table):
-        rows.append([(k, row) for k, row in enumerate(plane) if row])
         for k, row in enumerate(plane):
-            for mid, coeff in row:
-                producing[mid].append((j, k, coeff))
-    out = []
+            for mid, _ in row:
+                reaching[j].setdefault(mid, set()).add(k)
     for i, plane in enumerate(products):
-        lhs: dict[tuple[int, int], dict[int, int]] = {}
+        acting, live = table[i], nonzero[i]
         for j, prod in enumerate(plane):
-            for mid, coeff in prod:
-                for k, row in rows[mid]:
-                    acc = lhs.setdefault((j, k), {})
-                    for l, c2 in row:
-                        acc[l] = acc.get(l, 0) + coeff * c2
-        rhs: dict[tuple[int, int], dict[int, int]] = {}
-        for mid, row in rows[i]:
-            for j, k, coeff in producing[mid]:
-                acc = rhs.setdefault((j, k), {})
-                for l, c2 in row:
-                    acc[l] = acc.get(l, 0) + coeff * c2
-        for j, k in sorted(lhs.keys() | rhs.keys()):
-            left = lhs.get((j, k), {})
-            right = rhs.get((j, k), {})
-            if left == right:
+            ks: set[int] = set()
+            for mid, _ in prod:
+                ks |= nonzero[mid]
+            for mid in live.intersection(reaching[j]):
+                ks |= reaching[j][mid]
+            for k in sorted(ks):
+                left: dict[int, Any] = {}
+                for mid, coeff in prod:
+                    for l, c in table[mid][k]:
+                        term = coeff * c
+                        left[l] = left[l] + term if l in left else term
+                right: dict[int, Any] = {}
+                for mid, coeff in table[j][k]:
+                    for l, c in acting[mid]:
+                        term = coeff * c
+                        right[l] = right[l] + term if l in right else term
+                if left == right:
+                    continue
+                for l in sorted(left.keys() | right.keys()):
+                    a, b = left.get(l, 0), right.get(l, 0)
+                    if (a or b) and a != b:
+                        yield i, j, k, l, a, b
+                        break
+
+
+def _action_law_violations(d: int, products: SparseTable, table: SparseTable, x: str, kind: str) -> list[Violation]:
+    """The ``_law_differences`` of tables times d, from ``_integral_tables``, as Violations; values over d^2."""
+    return [
+        Violation(
+            kind,
+            (i, j, k),
+            f"(e{i}e{j}){x}{k} and e{i}(e{j}{x}{k}) differ at {x}{l}: {_ratio(left, d * d)} vs {_ratio(right, d * d)}",
+        )
+        for i, j, k, l, left, right in _law_differences(products, table)
+    ]
+
+
+def _supercommutativity_differences(parity: Sequence[int], table: SparseTable) -> Iterator[tuple]:
+    """(i, j, k, got, want) for each coefficient of e_k where e_j e_i is not (-1)^{|e_i||e_j|} e_i e_j.
+
+    Lexicographic order; the coefficients may come from any ring, as in
+    ``_law_differences``.
+    """
+    for i, plane in enumerate(table):
+        for j, forward in enumerate(plane):
+            if parity[i] and parity[j]:
+                forward = tuple((k, -c) for k, c in forward)
+            backward = table[j][i]
+            if backward == forward:
                 continue
-            for l in sorted(left.keys() | right.keys()):
-                if left.get(l, 0) != right.get(l, 0):
-                    out.append(
-                        Violation(
-                            kind,
-                            (i, j, k),
-                            f"(e{i}e{j}){x}{k} and e{i}(e{j}{x}{k}) differ at {x}{l}: "
-                            f"{_ratio(left.get(l, 0), d * d)} vs {_ratio(right.get(l, 0), d * d)}",
-                        )
-                    )
-                    break
-    return out
+            ji, ij = dict(backward), dict(forward)
+            for k in sorted(ji.keys() | ij.keys()):
+                got, want = ji.get(k, 0), ij.get(k, 0)
+                if got != want:
+                    yield i, j, k, got, want
 
 
 def validate_superalgebra(algebra: SuperAlgebra) -> ValidationReport:
@@ -360,26 +386,10 @@ def validate_superalgebra(algebra: SuperAlgebra) -> ValidationReport:
     par = algebra.parity
     products = algebra.products
     violations = _parity_violations(par, products, par, "e")
-
-    for i in range(dim):
-        for j in range(dim):
-            sign = -1 if par[i] and par[j] else 1
-            forward = products[i][j]
-            if sign < 0:
-                forward = tuple((k, -ck) for k, ck in forward)
-            if products[j][i] == forward:
-                continue
-            ji, ij = dict(products[j][i]), dict(products[i][j])
-            for k in sorted(ji.keys() | ij.keys()):
-                got, want = ji.get(k, 0), sign * ij.get(k, 0)
-                if got != want:
-                    violations.append(
-                        Violation(
-                            "supercommutativity",
-                            (i, j, k),
-                            f"coefficient of e{k}: e{j}*e{i} = {got}, expected {want}",
-                        )
-                    )
+    violations += [
+        Violation("supercommutativity", (i, j, k), f"coefficient of e{k}: e{j}*e{i} = {got}, expected {want}")
+        for i, j, k, got, want in _supercommutativity_differences(par, products)
+    ]
 
     d, scaled = _integral_tables(products)
     violations += _action_law_violations(d, scaled, scaled, "e", "associativity")
@@ -489,8 +499,10 @@ class DualNumber(Record):
 
     __rmul__ = __mul__
 
-    def is_zero(self) -> bool:
-        return not self.c0 and not self.c1
+    # Zero is 0 + 0t, so that a law scan over DualNumbers counts a sum that
+    # cancels as absent, as it does over ints and Fractions.
+    def __bool__(self) -> bool:
+        return bool(self.c0 or self.c1)
 
 
 def exterior_algebra(k: int) -> SuperAlgebra:

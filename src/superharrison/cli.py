@@ -29,7 +29,6 @@ import random
 import sys
 from fractions import Fraction
 from itertools import groupby
-from math import comb
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -203,10 +202,15 @@ def _cmd_check(args: argparse.Namespace) -> Report:
 
 def _cmd_shuffles(args: argparse.Namespace) -> Report:
     # All C(n, p) shuffles are built before one prints; a bad split gets enumerate_shuffles's error.
+    # C(n, i) grows up to i = min(p, n - p), so its running product stops as soon as it passes the ceiling.
     limit = _ceiling(args, "max_columns")
-    if 1 <= args.p < args.n and comb(args.n, args.p) > limit:
-        raise ResourceCeilingError(f"{comb(args.n, args.p)} shuffles exceed the ceiling {limit}")
-    return EXIT_OK, None, [" ".join(str(v) for v in perm.images) for perm in enumerate_shuffles(args.n, args.p)]
+    n, p = args.n, args.p
+    count = 1
+    for i in range(1, min(p, n - p) + 1):
+        count = count * (n - i + 1) // i
+        if count > limit:
+            raise ResourceCeilingError(f"C({n}, {p}) shuffles exceed the ceiling {limit}")
+    return EXIT_OK, None, [" ".join(str(v) for v in perm.images) for perm in enumerate_shuffles(n, p)]
 
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:

@@ -7,9 +7,10 @@ itself), the deformed product
     m_t(a, b) = ab + t psi(a, b)        over rationals with t^2 = 0
 
 is checked for supercommutativity and associativity by direct DualNumber
-arithmetic on all basis pairs and triples; no cochain identities are
-consulted.  The table m_t(e_i, e_j) = c_ij + t psi(e_i, e_j) is built once
-per check, and m_t(x, y) extends it bilinearly to DualNumber vectors.
+arithmetic; no cochain identities are consulted.  The table m_t(e_i, e_j)
+= c_ij + t psi(e_i, e_j) is built once per check and run through the
+validators' own law scans from ``algebras``, which go pair by pair in
+lexicographic witness order and stop at the first difference.
 Independently, psi being a parity-preserving, graded-symmetric cocycle is
 decided by the cochain machinery.  Graded symmetry there is su_{2,1} psi = 0,
 (su_{2,1} f)(a, b) = f(a, b) - (-1)^{|a||b|} f(b, a), read from the signed
@@ -39,7 +40,15 @@ from fractions import Fraction
 from itertools import chain
 from typing import Callable, Optional
 
-from .algebras import DualNumber, SuperAlgebra, SuperModule, _table_from_cells, validate_superalgebra
+from .algebras import (
+    DualNumber,
+    SuperAlgebra,
+    SuperModule,
+    _law_differences,
+    _supercommutativity_differences,
+    _table_from_cells,
+    validate_superalgebra,
+)
 from .cochains import (
     Cochain,
     hochschild_coboundary,
@@ -104,12 +113,8 @@ def _check_complex(cx: Complex, self_acting: bool = False) -> None:
         raise ValueError("the complex must take values in the algebra acting on itself")
 
 
-# A DualNumber vector, sparse: (basis index, nonzero coefficient) in index order.
-DualVector = tuple[tuple[int, DualNumber], ...]
-
-
-def _mt_table(psi: Cochain) -> list[list[DualVector]]:
-    """m_t on basis pairs: table[i][j] = c_ij + t psi(e_i, e_j), from the nonzero products and psi entries."""
+def _mt_table(psi: Cochain) -> list[list[tuple[tuple[int, DualNumber], ...]]]:
+    """m_t on basis pairs in the form of ``products``: table[i][j] = c_ij + t psi(e_i, e_j), from nonzero entries."""
     # twists[(i, j)] = {l: psi(e_i, e_j)_l}; psi takes values in the algebra itself.
     twists: dict[tuple[int, ...], dict[int, Rat]] = {}
     for pair, l, v in psi.iter_nonzero():
@@ -133,51 +138,19 @@ def _mt_table(psi: Cochain) -> list[list[DualVector]]:
     return table
 
 
-def _m_t(table: list[list[DualVector]], x: DualVector, y: DualVector) -> DualVector:
-    """The deformed product m_t(x, y), bilinearly over the table."""
-    out: dict[int, DualNumber] = {}
-    for a, xa in x:
-        for b, yb in y:
-            coeff = xa * yb
-            for l, m in table[a][b]:
-                out[l] = out[l] + coeff * m if l in out else coeff * m
-    return tuple((l, v) for l, v in sorted(out.items()) if not v.is_zero())
-
-
 def first_order_deformation_check(psi: Cochain) -> DeformationReport:
-    """Check the deformed product of psi's algebra on every basis pair and triple, first witness wins."""
+    """Check the deformed product of psi's algebra by the validators' law scans; the first witness of each wins."""
     if psi.degree != 2:
         raise ValueError("a deformation direction must be a degree-2 cochain")
     if not _is_self_module(psi.module):
         raise ValueError("psi must take values in the algebra acting on itself")
-    dim = psi.algebra.dim
-    par = psi.algebra.parity
     table = _mt_table(psi)
-    basis = [((i, DualNumber(1)),) for i in range(dim)]
-
-    supercomm_witness = next(
-        (
-            (i, j)
-            for i in range(dim)
-            for j in range(dim)
-            if table[j][i] != (tuple((l, -m) for l, m in table[i][j]) if par[i] and par[j] else table[i][j])
-        ),
-        None,
-    )
-    assoc_witness = next(
-        (
-            (i, j, k)
-            for i in range(dim)
-            for j in range(dim)
-            for k in range(dim)
-            if _m_t(table, table[i][j], basis[k]) != _m_t(table, basis[i], table[j][k])
-        ),
-        None,
-    )
+    supercomm = next(_supercommutativity_differences(psi.algebra.parity, table), None)
+    assoc = next(_law_differences(table, table), None)
     return DeformationReport(
         parity_ok=psi.parity_preserving,
-        supercommutativity_witness=supercomm_witness,
-        associativity_witness=assoc_witness,
+        supercommutativity_witness=None if supercomm is None else supercomm[:2],
+        associativity_witness=None if assoc is None else assoc[:3],
     )
 
 

@@ -8,10 +8,14 @@ No parity or sign conventions enter anywhere, which is exactly what the
 graded pipeline must collapse to when every basis element is even.
 
 Only the generic rational matrix kernel is shared with the library.
+``rank_mod_p`` shares not even that: it eliminates over Z/p with plain
+dict rows, so a fault in the library's elimination that keeps ranks
+plausible still shows against it.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import permutations, product
 
 from conftest import dense_tensor
@@ -135,3 +139,36 @@ def classical_dimensions(algebra, degree: int) -> tuple[int, int, int, int]:
             restricted_boundary(structure, degree - 1, below)
         ).dim
     return (space.dim, cocycles, coboundaries, cocycles - coboundaries)
+
+
+def rank_mod_p(rows, p: int = 2**31 - 1) -> int:
+    """Rank over Z/p of the matrix whose rows are the sparse {col: value} maps ``rows``.
+
+    Values are ints or Fractions, whose denominators must be units mod p.
+    Each row is reduced against the stored pivot rows, leftmost column
+    first, and becomes a pivot row itself when anything is left.  The rank
+    mod p is at most the rank over Q, and equal to it for all but finitely
+    many primes.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        left = {}
+        for col, value in row.items():
+            value = Fraction(value)
+            residue = value.numerator * pow(value.denominator, -1, p) % p
+            if residue:
+                left[col] = residue
+        while left:
+            col = min(left)
+            if col not in pivots:
+                inverse = pow(left[col], -1, p)
+                pivots[col] = {c: x * inverse % p for c, x in left.items()}
+                break
+            factor = left[col]
+            for c, x in pivots[col].items():
+                residue = (left.get(c, 0) - factor * x) % p
+                if residue:
+                    left[c] = residue
+                else:
+                    left.pop(c, None)
+    return len(pivots)

@@ -75,7 +75,13 @@ class TestShufflesCommand:
         monkeypatch.setattr("superharrison.shuffles.enumerate_shuffles", refuse)
         monkeypatch.setattr("superharrison.cli.enumerate_shuffles", refuse)
         assert run(["shuffles", "30", "15"]) == 3
-        assert capsys.readouterr() == ("", "resource ceiling: 155117520 shuffles exceed the ceiling 20000\n")
+        assert capsys.readouterr() == ("", "resource ceiling: C(30, 15) shuffles exceed the ceiling 20000\n")
+
+    def test_a_huge_split_is_refused_without_its_binomial(self, capsys):
+        # C(1000000, 500000) has over 300000 digits: the refusal names it
+        # and stops counting once the ceiling is passed.
+        assert run(["shuffles", "1000000", "500000"]) == 3
+        assert capsys.readouterr() == ("", "resource ceiling: C(1000000, 500000) shuffles exceed the ceiling 20000\n")
 
     def test_shuffles_under_the_ceiling_are_listed(self, capsys):
         # C(16, 8) = 12870 fits under the default 20000; C(17, 8) = 24310 does not.

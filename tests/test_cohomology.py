@@ -7,6 +7,7 @@ import sys
 import weakref
 
 import pytest
+from classical_oracle import rank_mod_p
 from conftest import BAD_FILES, dense_tensor
 from hypothesis import given, settings
 from test_algebras import perturbed_modules
@@ -196,6 +197,18 @@ class TestDimensions:
                     res.dim_cohomology
                     == res.dim_cocycles - res.dim_coboundaries
                 )
+
+    @pytest.mark.parametrize("kind", [HOCH, HARR])
+    def test_kernels_match_a_rank_computed_apart_from_linalg(self, corpus_algebra, kind):
+        # rank(d_n) is bounded above by an exact kernel whose every row z
+        # gives d_n z = 0, and below by the rank mod a prime.
+        cx = Complex(self_module(corpus_algebra), kind)
+        for degree in range(4):
+            d = coboundary_matrix(cx, degree)
+            kernel = kernel_basis(d)
+            assert rank_mod_p(d.data) == d.cols - kernel.dim, degree
+            for z in kernel.rows:
+                assert not any(sum(x * z[c] for c, x in row.items() if c in z) for row in d.data), degree
 
     @pytest.mark.parametrize(
         "kind, expected",
