@@ -12,11 +12,7 @@ from .algebras import (
     SuperModule,
     ValidationReport,
     Violation,
-    act,
     exterior_algebra,
-    ground_field,
-    multiply,
-    right_action,
     self_module,
     tensor_product,
     truncated_polynomial,
@@ -26,12 +22,9 @@ from .algebras import (
 from .cochains import (
     Cochain,
     coboundary_scatter,
-    cochain_apply,
     cochain_from_entries,
-    harrison_basis,
     harrison_space,
     hochschild_coboundary,
-    parity_basis,
     parity_offsets,
     super_shuffle_sum,
 )
@@ -70,7 +63,6 @@ from .linalg import (
 from .shuffles import (
     Permutation,
     enumerate_shuffles,
-    is_shuffle,
     odd_subpermutation,
     sigma_o_sign,
 )

@@ -31,6 +31,7 @@ used to check first-order deformations by direct arithmetic in those scans.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
 from typing import Any, Iterator, Mapping, Optional, Sequence
 
@@ -45,13 +46,9 @@ __all__ = [
     "ValidationReport",
     "validate_superalgebra",
     "validate_supermodule",
-    "multiply",
-    "act",
-    "right_action",
     "self_module",
     "exterior_algebra",
     "truncated_polynomial",
-    "ground_field",
     "tensor_product",
 ]
 
@@ -209,50 +206,6 @@ def self_module(algebra: SuperAlgebra) -> SuperModule:
     return SuperModule(algebra, algebra.dim, algebra.parity, algebra.products, algebra.basis_names)
 
 
-def multiply(algebra: SuperAlgebra, x: Sequence[Rat], y: Sequence[Rat]) -> tuple[Rat, ...]:
-    """Product of two coefficient vectors: x acting on y in the self-module."""
-    return act(self_module(algebra), x, y)
-
-
-def act(module: SuperModule, a: Sequence[Rat], m: Sequence[Rat]) -> tuple[Rat, ...]:
-    """Left action of an algebra vector on a module vector."""
-    if len(a) != module.algebra.dim or len(m) != module.dim:
-        raise ValueError("vector length mismatch")
-    out: list[Rat] = [0] * module.dim
-    sparse = module.action_sparse
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        plane = sparse[i]
-        for k, mk in enumerate(m):
-            if not mk:
-                continue
-            for l, c in plane[k]:
-                out[l] = out[l] + ai * mk * c
-    return tuple(as_rational(v) for v in out)
-
-
-def right_action(module: SuperModule, m: Sequence[Rat], a: Sequence[Rat]) -> tuple[Rat, ...]:
-    """Koszul-induced right action, m*a = (-1)^{|a||m|} a*m per homogeneous component."""
-    if len(a) != module.algebra.dim or len(m) != module.dim:
-        raise ValueError("vector length mismatch")
-    out: list[Rat] = [0] * module.dim
-    sparse = module.action_sparse
-    a_par = module.algebra.parity
-    m_par = module.parity
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        plane = sparse[i]
-        for k, mk in enumerate(m):
-            if not mk:
-                continue
-            coeff = -ai * mk if a_par[i] and m_par[k] else ai * mk
-            for l, c in plane[k]:
-                out[l] = out[l] + coeff * c
-    return tuple(as_rational(v) for v in out)
-
-
 class Violation(Record):
     """One violated identity: which law, at which basis indices, with detail."""
 
@@ -270,12 +223,6 @@ class ValidationReport(Record):
 
     def kinds(self) -> set[str]:
         return {v.kind for v in self.violations}
-
-    def first(self, kind: str) -> Optional[Violation]:
-        for v in self.violations:
-            if v.kind == kind:
-                return v
-        return None
 
 
 def _parity_violations(a_par: Sequence[int], table: SparseTable, x_par: Sequence[int], x: str) -> list[Violation]:
@@ -448,14 +395,18 @@ class DualNumber(Record):
         super().__init__(as_rational(c0), as_rational(c1))
 
     # Spelled out, not ``Record``'s generic pair: the deformation checks
-    # compare DualNumbers by the thousand.
+    # compare DualNumbers by the thousand, so that case goes first.  A
+    # scalar x compares as x + 0t, as arithmetic coerces it; a boolean is
+    # not a scalar.
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not DualNumber:
-            return NotImplemented
-        return self.c0 == other.c0 and self.c1 == other.c1
+        if other.__class__ is DualNumber:
+            return self.c0 == other.c0 and self.c1 == other.c1
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+            return not self.c1 and self.c0 == other
+        return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.c0, self.c1))
+        return hash((self.c0, self.c1)) if self.c1 else hash(self.c0)
 
     @staticmethod
     def _exact(c0: Rat, c1: Rat) -> "DualNumber":
@@ -543,11 +494,6 @@ def truncated_polynomial(n: int) -> SuperAlgebra:
     names = tuple("1" if i == 0 else ("x" if i == 1 else f"x^{i}") for i in range(n))
     products = tuple(tuple(((i + j, 1),) if i + j < n else () for j in range(n)) for i in range(n))
     return SuperAlgebra(n, names, tuple(0 for _ in range(n)), products, unit_index=0)
-
-
-def ground_field() -> SuperAlgebra:
-    """The rationals as a one-dimensional algebra."""
-    return truncated_polynomial(1)
 
 
 def tensor_product(a: SuperAlgebra, b: SuperAlgebra) -> SuperAlgebra:

@@ -99,7 +99,8 @@ Report = tuple[int, Optional[dict], list[str]]
 
 def _parse_builtin(tokens: list[str], pos: int) -> tuple[SuperAlgebra, int]:
     if pos >= len(tokens):
-        raise InputFormatError("builtin algebra name is incomplete")
+        # Only a tensor reads past the last token.
+        raise InputFormatError(f"builtin:{':'.join(tokens)} is incomplete: a tensor product needs two factors")
     head = tokens[pos]
     if head in ("exterior", "truncpoly"):
         if pos + 1 >= len(tokens):

@@ -62,12 +62,9 @@ from .shuffles import enumerate_shuffles, sigma_o_sign
 __all__ = [
     "Cochain",
     "cochain_from_entries",
-    "cochain_apply",
     "parity_count",
-    "parity_basis",
     "super_shuffle_sum",
     "harrison_space",
-    "harrison_basis",
     "hochschild_coboundary",
     "coboundary_scatter",
 ]
@@ -152,9 +149,6 @@ class Cochain(Record):
         s = as_rational(scalar)
         return Cochain(self.degree, self.module, {off: s * v for off, v in self.data.items()})
 
-    def __rmul__(self, scalar: Rat) -> "Cochain":
-        return self.scale(scalar)
-
     def _check_compatible(self, other: "Cochain") -> None:
         if (self.degree, self.module) != (other.degree, other.module):
             raise ValueError("cochains live on different spaces")
@@ -173,21 +167,6 @@ def cochain_from_entries(
             raise ValueError(f"entry ({t}, {l}) out of range")
         data[encode(t, l, algebra.dim, module.dim)] = v
     return Cochain(degree, module, data)
-
-
-def cochain_apply(f: Cochain, args: Sequence[Sequence[Rat]]) -> tuple[Rat, ...]:
-    """Evaluate f on coefficient vectors by multilinear expansion over its nonzero entries."""
-    if len(args) != f.degree:
-        raise ValueError(f"expected {f.degree} arguments, got {len(args)}")
-    for a in args:
-        if len(a) != f.algebra.dim:
-            raise ValueError("argument length does not match algebra dimension")
-    out: list[Rat] = [0] * f.module.dim
-    for t, l, v in f.iter_nonzero():
-        for a, i in zip(args, t):
-            v = v * a[i]
-        out[l] = out[l] + v
-    return tuple(as_rational(v) for v in out)
 
 
 def parity_offsets(module: SuperModule, degree: int) -> tuple[int, ...]:
@@ -218,11 +197,6 @@ def parity_count(module: SuperModule, degree: int) -> int:
     even_tuples = (tuples + (algebra.dim - 2 * odd) ** degree) // 2
     odd_values = sum(module.parity)
     return even_tuples * (module.dim - odd_values) + (tuples - even_tuples) * odd_values
-
-
-def parity_basis(module: SuperModule, degree: int) -> list[Cochain]:
-    """Elementary parity-preserving cochains, one per parity-consistent entry."""
-    return [Cochain(degree, module, {off: 1}) for off in parity_offsets(module, degree)]
 
 
 @lru_cache(maxsize=None)
@@ -333,11 +307,6 @@ def _pattern_kernel(members: Sequence[tuple[int, ...]], parities: tuple[int, ...
                 condition[c] = condition.get(c, 0) + sign
             conditions.append(condition)
     return kernel_basis(RationalMatrix.from_rows(conditions, cols=len(members))).rows
-
-
-def harrison_basis(module: SuperModule, degree: int) -> list[Cochain]:
-    """The graded Harrison subspace as explicit cochains."""
-    return [Cochain(degree, module, row) for row in harrison_space(module, degree).rows]
 
 
 def coboundary_scatter(module: SuperModule, degree: int, entries: Mapping[int, Rat]) -> dict[int, Rat]:

@@ -42,7 +42,6 @@ __all__ = [
     "algebra_to_dict",
     "algebra_from_dict",
     "load_algebra",
-    "dump_algebra",
     "cochain_to_dict",
     "cochain_from_dict",
     "load_cochain",
@@ -174,13 +173,12 @@ def _read_json(path: str) -> Any:
 
 
 def load_algebra(path: str) -> SuperAlgebra:
-    return algebra_from_dict(_read_json(path))
-
-
-def dump_algebra(algebra: SuperAlgebra, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(algebra_to_dict(algebra), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """The algebra document in ``path``; an error in its content names the file."""
+    doc = _read_json(path)
+    try:
+        return algebra_from_dict(doc)
+    except ValueError as exc:
+        raise InputFormatError(f"{path}: {exc}") from exc
 
 
 def cochain_from_dict(doc: dict, module: SuperModule) -> Cochain:
@@ -221,10 +219,13 @@ def load_cochain(path: str, module: SuperModule, degree: Optional[int] = None, n
 
     With ``degree`` given, a document of any other degree is refused as
     "``name`` must have degree ..." before ``cochain_from_dict`` reads any
-    of its entries.
+    of its entries.  Any other error in its content names the file.
     """
     doc = _read_json(path)
     found = doc.get("degree") if isinstance(doc, dict) else None
     if degree is not None and _is_int(found) and found >= 0 and found != degree:
         raise InputFormatError(f"{name} must have degree {degree}, got {found}")
-    return cochain_from_dict(doc, module)
+    try:
+        return cochain_from_dict(doc, module)
+    except ValueError as exc:
+        raise InputFormatError(f"{path}: {exc}") from exc

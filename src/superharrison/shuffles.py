@@ -37,7 +37,6 @@ ParityVector = tuple[int, ...]
 __all__ = [
     "ParityVector",
     "Permutation",
-    "is_shuffle",
     "enumerate_shuffles",
     "odd_subpermutation",
     "sigma_o_sign",
@@ -84,16 +83,6 @@ def _inversion_sign(values: tuple[int, ...]) -> int:
             order[i], order[j] = order[j], j
             swaps += 1
     return -1 if swaps % 2 else 1
-
-
-def is_shuffle(perm: Permutation, p: int) -> bool:
-    """Whether both runs of ``perm`` increase.  Requires 1 <= p <= n-1."""
-    n = perm.n
-    if not 1 <= p <= n - 1:
-        raise ValueError(f"p must satisfy 1 <= p <= n-1, got p={p}, n={n}")
-    first = perm.images[:p]
-    second = perm.images[p:]
-    return all(a < b for a, b in zip(first, first[1:])) and all(a < b for a, b in zip(second, second[1:]))
 
 
 @lru_cache(maxsize=None)

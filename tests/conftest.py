@@ -17,6 +17,15 @@ plain dense loops read them through here.  ``entry`` and ``vector_at``
 read one value, or one module vector, of a cochain through
 ``cochains.encode``, the one flat-index codec.
 
+``act``, ``multiply`` and ``right_action`` evaluate the action, the
+product and the Koszul right action on coefficient vectors, summed over the
+sparse tables; ``cochain_apply`` evaluates a cochain on coefficient vectors
+by multilinear expansion.  With ``parity_basis`` and ``harrison_basis``
+(the elementary parity-preserving cochains and the rows of
+``harrison_space`` as cochains), ``is_shuffle``, ``ground_field`` and
+``dump_algebra``, they are the tests' own: the library has no caller for
+them, so a reference built on them does not move with the code it checks.
+
 ``reference_coboundary_scatter`` and ``reference_action_law_violations``
 are the coboundary and the associativity/module-law checker as they were
 written before the library moved them to integer arithmetic: the same
@@ -36,6 +45,7 @@ import superharrison as sh
 from superharrison.algebras import Violation, _table_from_cells
 from superharrison.cli import resolve_algebra
 from superharrison.cochains import encode
+from superharrison.serialize import algebra_to_dict
 
 CORPUS_SPECS: dict[str, str] = {
     "exterior1": "builtin:exterior:1",
@@ -73,6 +83,74 @@ def entry(f: sh.Cochain, t: tuple, l: int):
 def vector_at(f: sh.Cochain, t: tuple) -> tuple:
     """The module vector f(e_{t_1}, ..., e_{t_n})."""
     return tuple(entry(f, t, l) for l in range(f.module.dim))
+
+
+def act(module: sh.SuperModule, a, m) -> tuple:
+    """Left action of an algebra vector on a module vector."""
+    assert len(a) == module.algebra.dim and len(m) == module.dim, "vector length mismatch"
+    out = [0] * module.dim
+    for i, ai in enumerate(a):
+        for k, mk in enumerate(m):
+            for l, c in module.action_sparse[i][k] if ai and mk else ():
+                out[l] += ai * mk * c
+    return tuple(out)
+
+
+def multiply(algebra: sh.SuperAlgebra, x, y) -> tuple:
+    """Product of two coefficient vectors: x acting on y in the self-module."""
+    return act(sh.self_module(algebra), x, y)
+
+
+def right_action(module: sh.SuperModule, m, a) -> tuple:
+    """Koszul-induced right action, m*a = (-1)^{|a||m|} a*m per homogeneous component."""
+    assert len(a) == module.algebra.dim and len(m) == module.dim, "vector length mismatch"
+    a_par, m_par = module.algebra.parity, module.parity
+    out = [0] * module.dim
+    for i, ai in enumerate(a):
+        for k, mk in enumerate(m):
+            sign = -1 if a_par[i] and m_par[k] else 1
+            for l, c in module.action_sparse[i][k] if ai and mk else ():
+                out[l] += sign * ai * mk * c
+    return tuple(out)
+
+
+def cochain_apply(f: sh.Cochain, args) -> tuple:
+    """f on coefficient vectors, by multilinear expansion over its nonzero entries."""
+    assert len(args) == f.degree and all(len(a) == f.algebra.dim for a in args), "argument shape mismatch"
+    out = [0] * f.module.dim
+    for t, l, v in f.iter_nonzero():
+        for a, i in zip(args, t):
+            v *= a[i]
+        out[l] += v
+    return tuple(out)
+
+
+def parity_basis(module: sh.SuperModule, degree: int) -> list:
+    """Elementary parity-preserving cochains, one per parity-consistent entry."""
+    return [sh.Cochain(degree, module, {off: 1}) for off in sh.parity_offsets(module, degree)]
+
+
+def harrison_basis(module: sh.SuperModule, degree: int) -> list:
+    """The graded Harrison subspace as explicit cochains."""
+    return [sh.Cochain(degree, module, row) for row in sh.harrison_space(module, degree).rows]
+
+
+def is_shuffle(perm: sh.Permutation, p: int) -> bool:
+    """Whether both runs of ``perm``, split after position p, increase."""
+    first, second = perm.images[:p], perm.images[p:]
+    return list(first) == sorted(first) and list(second) == sorted(second)
+
+
+def ground_field() -> sh.SuperAlgebra:
+    """The rationals as a one-dimensional algebra."""
+    return sh.truncated_polynomial(1)
+
+
+def dump_algebra(algebra: sh.SuperAlgebra, path) -> None:
+    """Write ``algebra`` to ``path`` in the JSON format that ``load_algebra`` reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(algebra_to_dict(algebra), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def reference_coboundary_scatter(algebra, module, degree, entries) -> dict:

@@ -13,15 +13,13 @@ import time
 from math import comb
 
 from classical_oracle import classical_dimensions
-from conftest import CORPUS, EVEN_CORPUS, dense_vectors
+from conftest import CORPUS, EVEN_CORPUS, dense_vectors, harrison_basis, is_shuffle, parity_basis
 from superharrison.algebras import self_module
 from superharrison.cochains import (
     Cochain,
     cochain_from_entries,
-    harrison_basis,
     harrison_space,
     hochschild_coboundary,
-    parity_basis,
     super_shuffle_sum,
 )
 from superharrison.cohomology import (
@@ -43,7 +41,6 @@ from superharrison.linalg import SubspaceBasis, image_basis, kernel_basis
 from superharrison.shuffles import (
     Permutation,
     enumerate_shuffles,
-    is_shuffle,
     sigma_o_sign,
 )
 

@@ -10,17 +10,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_tensor, rebased, reference_action_law_violations
+from conftest import (
+    act,
+    dense_tensor,
+    ground_field,
+    multiply,
+    rebased,
+    reference_action_law_violations,
+    right_action,
+)
 from superharrison.algebras import (
     SuperAlgebra,
     SuperModule,
     Violation,
     _table_from_cells,
-    act,
     exterior_algebra,
-    ground_field,
-    multiply,
-    right_action,
     self_module,
     tensor_product,
     truncated_polynomial,
@@ -280,8 +284,7 @@ class TestValidators:
         )
         report = validate_superalgebra(clifford)
         assert not report.ok
-        violation = report.first("supercommutativity")
-        assert violation is not None
+        violation = next(v for v in report.violations if v.kind == "supercommutativity")
         assert violation.indices == (1, 1, 0)
 
     def test_parity_mismatch_is_flagged(self):
@@ -306,7 +309,7 @@ class TestValidators:
         )
         report = validate_superalgebra(alg)
         assert report.kinds() == {"associativity"}
-        assert report.first("associativity").indices == (0, 0, 1)
+        assert report.violations[0].indices == (0, 0, 1)
 
     def test_broken_unit_is_flagged(self):
         alg = SuperAlgebra(

@@ -14,6 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import dump_algebra
 
 import superharrison
 from superharrison.algebras import exterior_algebra, self_module, tensor_product, truncated_polynomial
@@ -21,7 +22,7 @@ from superharrison.cli import SUITES, _digest, build_parser, resolve_algebra, ru
 from superharrison.cochains import Cochain, coboundary_scatter
 from superharrison.cohomology import ResourceLimits, ShuffleClosureError
 from superharrison.deformations import is_cocycle
-from superharrison.serialize import algebra_to_dict, cochain_from_dict, cochain_to_dict, dump_algebra
+from superharrison.serialize import algebra_to_dict, cochain_from_dict, cochain_to_dict
 
 
 @pytest.fixture
@@ -615,7 +616,7 @@ class TestExitCodes:
         out = capsys.readouterr()
         if hasattr(sys, "get_int_max_str_digits"):
             assert code == 2
-            assert out == ("", "error: coefficient 10000000000000000000... of 5001 digits is too long\n")
+            assert out == ("", f"error: {path}: coefficient 10000000000000000000... of 5001 digits is too long\n")
         else:
             # No digit limit: the coefficient is read.
             assert code in (0, 1) and out.err == ""
@@ -764,7 +765,33 @@ class TestExitCodes:
         path = tmp_path / "dim257.json"
         path.write_text(json.dumps(doc))
         assert run(["check", "--algebra", str(path)]) == 2
-        assert capsys.readouterr() == ("", "error: 'dim' is 257, above the bound 256\n")
+        assert capsys.readouterr() == ("", f"error: {path}: 'dim' is 257, above the bound 256\n")
+
+    @pytest.mark.parametrize(
+        "command, doc, message",
+        [
+            ("check", {"dim": 3, "basis": ["a", "b", "c"], "parity": [0, 0, 0],
+                       "products": [{"i": 0, "j": 3, "terms": []}]}, "product indices (0, 3) out of range"),
+            ("deform-check", {"degree": 2, "entries": [{"i": [0, 5], "l": 0, "coeff": "1"}]},
+             "argument indices [0, 5] out of range"),
+            ("extend", {"degree": 2, "entries": [{"i": [0, 1], "l": 2, "coeff": "1"}]}, "value index 2 out of range"),
+        ],
+    )
+    def test_bad_file_content_names_the_file(self, capsys, tmp_path, command, doc, message):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, "--algebra", str(path)]
+        if command != "check":
+            argv = [command, "--algebra", "builtin:truncpoly:2", "--psi", str(path)]
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+    @pytest.mark.parametrize(
+        "spec", ["builtin:tensor", "builtin:tensor:exterior:1", "builtin:tensor:tensor:truncpoly:2:exterior:1"]
+    )
+    def test_an_incomplete_builtin_is_named(self, capsys, spec):
+        assert run(["cohomology", "--algebra", spec, "--degree", "1", "--kind", "harrison"]) == 2
+        assert capsys.readouterr() == ("", f"error: {spec} is incomplete: a tensor product needs two factors\n")
 
     @pytest.mark.parametrize("budget", ["-1", "-5"])
     def test_negative_budget_is_an_input_error(self, capsys, budget):

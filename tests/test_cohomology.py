@@ -8,15 +8,15 @@ import weakref
 
 import pytest
 from classical_oracle import rank_mod_p
-from conftest import BAD_FILES, dense_tensor
+from conftest import BAD_FILES, dense_tensor, ground_field, harrison_basis
 from hypothesis import given, settings
 from test_algebras import perturbed_modules
 
 from superharrison.algebras import (
     SuperModule,
     exterior_algebra,
-    ground_field,
     self_module,
+    tensor_product,
     truncated_polynomial,
 )
 from superharrison.cochains import (
@@ -24,7 +24,6 @@ from superharrison.cochains import (
     coboundary_scatter,
     cochain_from_entries,
     encode,
-    harrison_basis,
     harrison_space,
     hochschild_coboundary,
     parity_count,
@@ -236,6 +235,21 @@ class TestDimensions:
         # exterior(k): Harr^0 = 2^(k-1), Harr^1 = k 2^(k-1), and Harr^n = 0 for n >= 2.
         harrison = Complex(self_module(exterior_algebra(k)), HARR)
         assert [cohomology(harrison, n).dim_cohomology for n in range(4)] == [2 ** (k - 1), k * 2 ** (k - 1), 0, 0]
+
+    @pytest.mark.parametrize("a, b, top", [(2, 2, 3), (2, 3, 3), (3, 3, 2), (2, 4, 2)])
+    def test_even_tensor_product_closed_forms(self, a, b, top):
+        # For even A and B: HH obeys Kunneth, HH^n(A(x)B) = sum_{i+j=n} HH^i(A) HH^j(B),
+        # and Harr^n(A(x)B) = Harr^n(A) dim B + dim A Harr^n(B) for n >= 1.
+        factors = truncated_polynomial(a), truncated_polynomial(b)
+        algebras = (*factors, tensor_product(*factors))
+
+        def dims(alg, kind):
+            cx = Complex(self_module(alg), kind)
+            return [cohomology(cx, n).dim_cohomology for n in range(top + 1)]
+
+        (hh_a, hh_b, hh), (harr_a, harr_b, harr) = ([dims(alg, kind) for alg in algebras] for kind in (HOCH, HARR))
+        assert hh == [sum(hh_a[i] * hh_b[n - i] for i in range(n + 1)) for n in range(top + 1)]
+        assert harr[1:] == [harr_a[n] * b + a * harr_b[n] for n in range(1, top + 1)]
 
     def test_degree_zero_cocycles_are_the_even_block(self, corpus_algebra):
         # Even elements commute with everything in a supercommutative

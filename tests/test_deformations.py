@@ -10,7 +10,16 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from conftest import dense, dense_vectors, vector_at
+from conftest import (
+    cochain_apply,
+    dense,
+    dense_vectors,
+    ground_field,
+    harrison_basis,
+    multiply,
+    parity_basis,
+    vector_at,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_algebras import _constants, perturbed_algebras, rebased_algebras
@@ -20,19 +29,14 @@ from superharrison.algebras import (
     SuperModule,
     _law_differences,
     exterior_algebra,
-    ground_field,
-    multiply,
     self_module,
     truncated_polynomial,
     validate_superalgebra,
 )
 from superharrison.cochains import (
     Cochain,
-    cochain_apply,
     cochain_from_entries,
-    harrison_basis,
     hochschild_coboundary,
-    parity_basis,
     super_shuffle_sum,
 )
 from superharrison.cohomology import (
@@ -166,6 +170,25 @@ class TestDualNumber:
         assert 2 * x == DualNumber(4, 6)
         assert 5 - x == DualNumber(3, -3)
         assert x * Fraction(1, 2) == DualNumber(1, Fraction(3, 2))
+
+    @given(ints, ints)
+    def test_a_scalar_equals_its_dual_number(self, a, b):
+        # x compares as x + 0t, as arithmetic coerces it.
+        assert DualNumber(a) == a and a == DualNumber(a)
+        assert DualNumber(Fraction(a, 3)) == Fraction(a, 3)
+        assert (DualNumber(a, b) == a) == (b == 0)
+        assert (DualNumber(a, b) != a) == (b != 0)
+
+    def test_a_scalar_hashes_as_its_dual_number(self):
+        assert hash(DualNumber(Fraction(5, 2))) == hash(Fraction(5, 2))
+        assert hash(DualNumber._exact(Fraction(4, 2), 0)) == hash(2)
+        assert {DualNumber(1): "one"}.get(1) == "one"
+        assert {1: "one"}.get(DualNumber(1)) == "one"
+        assert DualNumber(0) == 0 and not DualNumber(0) != 0
+
+    def test_a_boolean_is_not_a_scalar(self):
+        assert DualNumber(1) != True and DualNumber(0) != False  # noqa: E712
+        assert DualNumber(1) != 1.0
 
     def test_values_from_outside_are_normalised(self):
         x = DualNumber(Fraction(4, 2), Fraction(3, 1))

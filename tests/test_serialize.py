@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import dense_tensor, entry
+from conftest import dense_tensor, dump_algebra, entry
 from superharrison.algebras import (
     exterior_algebra,
     self_module,
@@ -24,7 +24,6 @@ from superharrison.serialize import (
     algebra_to_dict,
     cochain_from_dict,
     cochain_to_dict,
-    dump_algebra,
     format_rational,
     load_algebra,
     load_cochain,
@@ -240,7 +239,7 @@ class TestBooleansAreNotIntegers:
         path = tmp_path / "psi.json"
         path.write_text(json.dumps(doc))
         assert run(["deform-check", "--algebra", "builtin:exterior:1", "--psi", str(path)]) == 2
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
 
 class TestCochainDocuments:

@@ -6,6 +6,7 @@ import itertools
 import random
 from math import comb
 
+from conftest import is_shuffle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,6 @@ from superharrison.shuffles import (
     Permutation,
     _inversion_sign,
     enumerate_shuffles,
-    is_shuffle,
     odd_subpermutation,
     sigma_o_sign,
 )
@@ -147,15 +147,6 @@ class TestShuffleEnumeration:
         inverse = member.inverse()
         assert inverse.images == (4, 1, 5, 2, 3)
         assert not any(is_shuffle(inverse, p) for p in range(1, 5))
-
-    def test_split_point_out_of_range_rejected(self):
-        perm = Permutation((1, 2, 3))
-        for p in (0, 3, 7):
-            try:
-                is_shuffle(perm, p)
-            except ValueError:
-                continue
-            raise AssertionError(f"p={p} accepted")
 
 
 class TestOddSubpermutation:
