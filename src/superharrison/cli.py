@@ -5,6 +5,7 @@ Exit codes are part of the contract:
 * 0: success (for checks: the mathematical answer is "valid"/"yes"),
 * 1: the computation ran fine and the mathematical answer is negative,
 * 2: input problems: unreadable files, malformed JSON, bad flags or ranges,
+  and an invalid algebra given to a command that computes on it,
 * 3: a resource ceiling would be exceeded.
 
 Algebras are given either as a JSON file path or as a builtin name:
@@ -19,6 +20,9 @@ Each ``_cmd_*`` handler returns its report as (exit code, JSON document,
 text lines), and ``run`` alone prints it: the document with ``--json``,
 the lines otherwise.  ``verify`` runs the suites of ``SUITES`` in table
 order.  Cochains print from their sparse (module index, value) terms.
+A command that computes on an algebra validates it as it reads it, before
+any complex is built, so ``ShuffleClosureError``, ``NotASubspaceError`` and
+``NotACocycleError`` are faults of the program: ``run`` lets them propagate.
 """
 
 from __future__ import annotations
@@ -58,7 +62,6 @@ from .cohomology import (
     ComplexKind,
     ResourceCeilingError,
     ResourceLimits,
-    ShuffleClosureError,
     coboundary_matrix,
     cohomology,
     derivation_space,
@@ -97,26 +100,26 @@ EXIT_RESOURCE = 3
 Report = tuple[int, Optional[dict], list[str]]
 
 
-def _parse_builtin(tokens: list[str], pos: int) -> tuple[SuperAlgebra, int]:
+def _parse_builtin(spec: str, tokens: list[str], pos: int) -> tuple[SuperAlgebra, int]:
     if pos >= len(tokens):
         # Only a tensor reads past the last token.
-        raise InputFormatError(f"builtin:{':'.join(tokens)} is incomplete: a tensor product needs two factors")
+        raise InputFormatError(f"{spec} is incomplete: a tensor product needs two factors")
     head = tokens[pos]
     if head in ("exterior", "truncpoly"):
         if pos + 1 >= len(tokens):
-            raise InputFormatError(f"builtin:{head} needs an integer parameter")
+            raise InputFormatError(f"{spec} is incomplete: {head} needs an integer parameter")
         try:
             value = int(tokens[pos + 1])
         except ValueError as exc:
-            raise InputFormatError(f"bad integer in builtin name: {tokens[pos + 1]!r}") from exc
+            raise InputFormatError(f"{spec}: bad integer {tokens[pos + 1]!r} for {head}") from exc
         try:
             algebra = exterior_algebra(value) if head == "exterior" else truncated_polynomial(value)
         except ValueError as exc:
-            raise InputFormatError(f"builtin:{head}:{tokens[pos + 1]}: {exc}") from exc
+            raise InputFormatError(f"{spec}: {exc}") from exc
         return algebra, pos + 2
     if head == "tensor":
-        left, nxt = _parse_builtin(tokens, pos + 1)
-        right, end = _parse_builtin(tokens, nxt)
+        left, nxt = _parse_builtin(spec, tokens, pos + 1)
+        right, end = _parse_builtin(spec, tokens, nxt)
         # tensor_product builds all dim^2 product rows; refuse before it runs.
         if left.dim * right.dim > MAX_BUILTIN_DIM:
             raise InputFormatError(
@@ -124,28 +127,42 @@ def _parse_builtin(tokens: list[str], pos: int) -> tuple[SuperAlgebra, int]:
                 f"above the builtin bound {MAX_BUILTIN_DIM}"
             )
         return tensor_product(left, right), end
-    raise InputFormatError(f"unknown builtin algebra {head!r}")
+    raise InputFormatError(f"{spec}: unknown builtin algebra {head!r}")
 
 
 def resolve_algebra(spec: str) -> SuperAlgebra:
     """File path or builtin:... name."""
     if spec.startswith("builtin:"):
         tokens = spec.split(":")[1:]
-        algebra, end = _parse_builtin(tokens, 0)
+        algebra, end = _parse_builtin(spec, tokens, 0)
         if end != len(tokens):
-            raise InputFormatError(f"trailing tokens in builtin name: {':'.join(tokens[end:])}")
+            raise InputFormatError(f"{spec}: trailing tokens after the algebra: {':'.join(tokens[end:])}")
         return algebra
     return load_algebra(spec)
 
 
-def _ceiling(args: argparse.Namespace, name: str) -> int:
-    """A ceiling from its flag, else the ``ResourceLimits`` default."""
-    value = getattr(args, name, None)
-    if value is None:
-        return getattr(ResourceLimits, name)
+def _valid_algebra(spec: str) -> SuperAlgebra:
+    """The algebra of ``spec``, refused unless it is a supercommutative superalgebra; its self-module's laws follow."""
+    algebra = resolve_algebra(spec)
+    violations = validate_superalgebra(algebra).violations
+    if violations:
+        raise InputFormatError(f"{spec} is not a supercommutative superalgebra: {_format_violation(violations[0])}")
+    return algebra
+
+
+def _nonnegative(args: argparse.Namespace, name: str) -> int:
+    """The value of the flag of ``name``, refused as bad input if it is negative."""
+    value = getattr(args, name)
     if value < 0:
         raise InputFormatError(f"--{name.replace('_', '-')} must be nonnegative, got {value}")
     return value
+
+
+def _ceiling(args: argparse.Namespace, name: str) -> int:
+    """A ceiling from its flag, else the ``ResourceLimits`` default."""
+    if getattr(args, name, None) is None:
+        return getattr(ResourceLimits, name)
+    return _nonnegative(args, name)
 
 
 def _complex(args: argparse.Namespace, algebra: SuperAlgebra, kind: ComplexKind) -> Complex:
@@ -229,11 +246,7 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
 def _cmd_sign(args: argparse.Namespace) -> Report:
     images = _parse_int_list(args.perm, "permutation")
     parities = _parse_int_list(args.parity, "parity")
-    try:
-        value = sigma_o_sign(Permutation(images), parities)
-    except ValueError as exc:
-        raise InputFormatError(str(exc)) from exc
-    return EXIT_OK, None, ["+1" if value == 1 else "-1"]
+    return EXIT_OK, None, ["+1" if sigma_o_sign(Permutation(images), parities) == 1 else "-1"]
 
 
 def _require_self_module(args: argparse.Namespace) -> None:
@@ -243,9 +256,9 @@ def _require_self_module(args: argparse.Namespace) -> None:
 
 def _cmd_cohomology(args: argparse.Namespace) -> Report:
     _require_self_module(args)
-    algebra = resolve_algebra(args.algebra)
+    algebra = _valid_algebra(args.algebra)
     kind = ComplexKind(args.kind)
-    result = cohomology(_complex(args, algebra, kind), args.degree)
+    result = cohomology(_complex(args, algebra, kind), _nonnegative(args, "degree"))
     doc = {
         "command": "cohomology",
         "inputs_digest": _digest(algebra_to_dict(algebra)),
@@ -270,7 +283,7 @@ def _cmd_cohomology(args: argparse.Namespace) -> Report:
 
 
 def _cmd_derivations(args: argparse.Namespace) -> Report:
-    algebra = resolve_algebra(args.algebra)
+    algebra = _valid_algebra(args.algebra)
     module = self_module(algebra)
     space = derivation_space(module)
     derivations = [list(Cochain(1, module, row).iter_nonzero()) for row in space.rows]
@@ -316,7 +329,7 @@ def _cmd_deform_check(args: argparse.Namespace) -> Report:
 
 
 def _cmd_deform_classes(args: argparse.Namespace) -> Report:
-    algebra = resolve_algebra(args.algebra)
+    algebra = _valid_algebra(args.algebra)
     result = deformation_classes(_complex(args, algebra, ComplexKind.SUPER_HARRISON))
     doc = {
         "command": "deform-classes",
@@ -427,18 +440,18 @@ SUITES = {
 
 
 def _cmd_verify(args: argparse.Namespace) -> Report:
-    if args.budget < 0:
-        raise InputFormatError(f"--budget must be nonnegative, got {args.budget}")
-    algebra = resolve_algebra(args.algebra)
+    budget = _nonnegative(args, "budget")
+    wanted = args.suite or ["all"]
+    # The validators suite reports an invalid algebra itself; every other suite assumes a valid one.
+    algebra = (resolve_algebra if "all" in wanted or "validators" in wanted else _valid_algebra)(args.algebra)
     harrison = _complex(args, algebra, ComplexKind.SUPER_HARRISON)
     # The budget counts random cochains, each drawn and judged in full, so the column ceiling bounds it too.
-    if args.budget > harrison.limits.max_columns:
-        raise ResourceCeilingError(f"budget {args.budget} exceeds the ceiling {harrison.limits.max_columns}")
-    wanted = args.suite or ["all"]
+    if budget > harrison.limits.max_columns:
+        raise ResourceCeilingError(f"budget {budget} exceeds the ceiling {harrison.limits.max_columns}")
     suites = []
     for name, suite in SUITES.items():
         if "all" in wanted or name in wanted:
-            ok, detail = suite(harrison, args.budget)
+            ok, detail = suite(harrison, budget)
             suites.append({"name": name, "passed": ok, "detail": detail})
             if name == "validators" and not ok:
                 break  # Every later suite assumes a valid algebra.
@@ -535,22 +548,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return int(code) if code is not None else EXIT_OK
     try:
         code, doc, lines = args.handler(args)
-    except InputFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except ResourceCeilingError as exc:
         print(f"resource ceiling: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ShuffleClosureError, NotASubspaceError, NotACocycleError):
-        # The complex is only closed, and its kernels only cocycles, over a
-        # valid algebra; validate on this path only.
-        violations = validate_superalgebra(resolve_algebra(args.algebra)).violations
-        if not violations:
-            raise
-        first = _format_violation(violations[0])
-        print(f"error: {args.algebra} is not a supercommutative superalgebra: {first}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (NotASubspaceError, NotACocycleError):
+        raise  # The algebra was validated when it was read: these are faults of the program, not bad input.
+    except ValueError as exc:  # InputFormatError and the library's own checks of an argument
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     print(json.dumps(doc, sort_keys=True, indent=2) if getattr(args, "json", False) else "\n".join(lines))

@@ -13,7 +13,8 @@ C^{n+1} it is its own expansion), which also checks that it lies in
 S_{n+1}; a failure would mean the shuffle conditions are not closed under
 the coboundary and is raised as ``ShuffleClosureError``, naming the basis
 row, the first offending entry and, for a shuffle failure, the p of the
-first su_{n+1,p} that does not vanish.  ``Complex.space`` admits each degree
+first su_{n+1,p} that does not vanish.  Over a supercommutative algebra they
+are closed, and the CLI validates an algebra before it builds a complex.  ``Complex.space`` admits each degree
 against the ceilings, degree first and then a closed-form column count,
 before S_n is built; every degree-n computation goes through it, and d_n
 admits degree n before degree n + 1, so that a refused d_n builds nothing.

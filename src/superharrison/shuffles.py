@@ -116,7 +116,7 @@ def odd_subpermutation(perm: Permutation, parities: ParityVector) -> dict[int, i
     if len(parities) != n:
         raise ValueError(f"parity vector length {len(parities)} does not match n={n}")
     if any(x not in (0, 1) for x in parities):
-        raise ValueError("parities must be 0 or 1")
+        raise ValueError(f"parities must be 0 or 1, got {tuple(parities)}")
     alphas = [i for i in range(1, n + 1) if parities[i - 1] == 1]
     betas = [m for m in range(1, n + 1) if parities[perm(m) - 1] == 1]
     return {a: perm(b) for a, b in zip(alphas, betas)}

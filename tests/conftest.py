@@ -26,6 +26,9 @@ by multilinear expansion.  With ``parity_basis`` and ``harrison_basis``
 ``dump_algebra``, they are the tests' own: the library has no caller for
 them, so a reference built on them does not move with the code it checks.
 
+``parity_shift`` gives the module PiA, the algebra on itself with its
+parities flipped, whose cochains are the odd cochains of A.
+
 ``reference_coboundary_scatter`` and ``reference_action_law_violations``
 are the coboundary and the associativity/module-law checker as they were
 written before the library moved them to integer arithmetic: the same
@@ -133,6 +136,16 @@ def parity_basis(module: sh.SuperModule, degree: int) -> list:
 def harrison_basis(module: sh.SuperModule, degree: int) -> list:
     """The graded Harrison subspace as explicit cochains."""
     return [sh.Cochain(degree, module, row) for row in sh.harrison_space(module, degree).rows]
+
+
+def parity_shift(algebra: sh.SuperAlgebra) -> sh.SuperModule:
+    """The parity shift of the self-module: the basis of A with each parity flipped.
+
+    Of the two actions that make it a supermodule, a*pi(m) = pi(am) and
+    (-1)^|a| pi(am), this is the first: it shares the algebra's products.
+    """
+    names = tuple(f"pi({name})" for name in algebra.basis_names)
+    return sh.SuperModule(algebra, algebra.dim, [1 - p for p in algebra.parity], algebra.products, names)
 
 
 def is_shuffle(perm: sh.Permutation, p: int) -> bool:

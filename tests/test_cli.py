@@ -21,7 +21,8 @@ from superharrison.algebras import exterior_algebra, self_module, tensor_product
 from superharrison.cli import SUITES, _digest, build_parser, resolve_algebra, run
 from superharrison.cochains import Cochain, coboundary_scatter
 from superharrison.cohomology import ResourceLimits, ShuffleClosureError
-from superharrison.deformations import is_cocycle
+from superharrison.deformations import NotACocycleError, is_cocycle
+from superharrison.linalg import NotASubspaceError
 from superharrison.serialize import algebra_to_dict, cochain_from_dict, cochain_to_dict
 
 
@@ -105,6 +106,10 @@ class TestSignCommand:
 
     def test_malformed_permutation_is_an_input_error(self, capsys):
         assert run(["sign", "--perm", "1,1", "--parity", "0,0"]) == 2
+
+    def test_a_bad_parity_is_named_with_its_vector(self, capsys):
+        assert run(["sign", "--perm", "2,1", "--parity", "0,2"]) == 2
+        assert capsys.readouterr() == ("", "error: parities must be 0 or 1, got (0, 2)\n")
 
     @pytest.mark.parametrize(
         "perm, parity, problem",
@@ -506,7 +511,7 @@ class TestJsonReports:
 
 
 class TestInvalidAlgebras:
-    """Cohomology of a broken algebra is refused with exit 2, naming its first violation."""
+    """A command that computes on a broken algebra refuses it with exit 2 as it reads it, naming its first violation."""
 
     @pytest.mark.parametrize(
         "argv, violation",
@@ -528,6 +533,26 @@ class TestInvalidAlgebras:
             ),
             (["verify", "--algebra", "clifford.json", "--suite", "complex"], "supercommutativity at (1, 1, 0)"),
             (["verify", "--algebra", "nonassoc.json", "--suite", "equivalence"], "associativity at (1, 1, 2)"),
+            # No computation below trips on these: the algebra is refused as it is read.
+            (["derivations", "--algebra", "nonassoc.json"], "associativity at (1, 1, 2)"),
+            (["derivations", "--algebra", "clifford.json"], "supercommutativity at (1, 1, 0)"),
+            (
+                ["cohomology", "--algebra", "nonassoc.json", "--degree", "0", "--kind", "hochschild"],
+                "associativity at (1, 1, 2)",
+            ),
+            (
+                ["cohomology", "--algebra", "clifford.json", "--degree", "0", "--kind", "harrison"],
+                "supercommutativity at (1, 1, 0)",
+            ),
+            (
+                ["cohomology", "--algebra", "parity.json", "--degree", "3", "--kind", "hochschild"],
+                "parity at (1, 1, 2)",
+            ),
+            (["cohomology", "--algebra", "badunit.json", "--degree", "2", "--kind", "harrison"], "unit at (1,)"),
+            (["deform-classes", "--algebra", "badunit.json"], "unit at (1,)"),
+            (["verify", "--algebra", "nonassoc.json", "--suite", "derivations"], "associativity at (1, 1, 2)"),
+            (["verify", "--algebra", "badunit.json", "--suite", "derivations"], "unit at (1,)"),
+            (["verify", "--algebra", "parity.json", "--suite", "closure"], "parity at (1, 1, 2)"),
         ],
     )
     def test_exit_two_names_the_violation(self, capsys, bad_inputs, argv, violation):
@@ -541,12 +566,14 @@ class TestInvalidAlgebras:
         assert run(["verify", "--algebra", name, "--budget", "5"]) == 1
         assert capsys.readouterr().out == "FAIL validators: algebra and self-module laws\n"
 
-    def test_closure_failure_on_a_valid_algebra_is_a_bug(self, monkeypatch):
+    @pytest.mark.parametrize("error", [ShuffleClosureError, NotASubspaceError, NotACocycleError])
+    def test_closure_failure_on_a_valid_algebra_is_a_bug(self, monkeypatch, error):
+        # The algebra was validated when it was read, so each of these is a fault of the program, never exit 2.
         def broken(*args, **kwargs):
-            raise ShuffleClosureError("coboundary of a Harrison element fails a shuffle condition")
+            raise error("coboundary of a Harrison element fails a shuffle condition")
 
         monkeypatch.setattr("superharrison.cli.cohomology", broken)
-        with pytest.raises(ShuffleClosureError):
+        with pytest.raises(error):
             run(["cohomology", "--algebra", "builtin:truncpoly:2", "--degree", "1", "--kind", "harrison"])
 
 
@@ -792,6 +819,26 @@ class TestExitCodes:
     def test_an_incomplete_builtin_is_named(self, capsys, spec):
         assert run(["cohomology", "--algebra", spec, "--degree", "1", "--kind", "harrison"]) == 2
         assert capsys.readouterr() == ("", f"error: {spec} is incomplete: a tensor product needs two factors\n")
+
+    @pytest.mark.parametrize(
+        "spec, problem",
+        [
+            ("builtin:tensor:exterior:1:exterior", " is incomplete: exterior needs an integer parameter"),
+            ("builtin:truncpoly", " is incomplete: truncpoly needs an integer parameter"),
+            ("builtin:", ": unknown builtin algebra ''"),
+            ("builtin:tensor:truncpoly:2:foo:1", ": unknown builtin algebra 'foo'"),
+            ("builtin:exterior:x", ": bad integer 'x' for exterior"),
+            ("builtin:exterior:1:junk", ": trailing tokens after the algebra: junk"),
+            ("builtin:tensor:exterior:7:exterior:1", ": exterior algebra supported for 0 <= k <= 6, got 7"),
+        ],
+    )
+    def test_a_bad_builtin_name_is_quoted_whole(self, capsys, spec, problem):
+        assert run(["check", "--algebra", spec]) == 2
+        assert capsys.readouterr() == ("", f"error: {spec}{problem}\n")
+
+    def test_negative_degree_names_its_flag(self, capsys):
+        assert run(["cohomology", "--algebra", "builtin:exterior:1", "--degree", "-1", "--kind", "harrison"]) == 2
+        assert capsys.readouterr() == ("", "error: --degree must be nonnegative, got -1\n")
 
     @pytest.mark.parametrize("budget", ["-1", "-5"])
     def test_negative_budget_is_an_input_error(self, capsys, budget):

@@ -8,7 +8,7 @@ import weakref
 
 import pytest
 from classical_oracle import rank_mod_p
-from conftest import BAD_FILES, dense_tensor, ground_field, harrison_basis
+from conftest import BAD_FILES, dense_tensor, ground_field, harrison_basis, parity_shift
 from hypothesis import given, settings
 from test_algebras import perturbed_modules
 
@@ -18,6 +18,7 @@ from superharrison.algebras import (
     self_module,
     tensor_product,
     truncated_polynomial,
+    validate_supermodule,
 )
 from superharrison.cochains import (
     Cochain,
@@ -250,6 +251,36 @@ class TestDimensions:
         (hh_a, hh_b, hh), (harr_a, harr_b, harr) = ([dims(alg, kind) for alg in algebras] for kind in (HOCH, HARR))
         assert hh == [sum(hh_a[i] * hh_b[n - i] for i in range(n + 1)) for n in range(top + 1)]
         assert harr[1:] == [harr_a[n] * b + a * harr_b[n] for n in range(1, top + 1)]
+
+    @pytest.mark.parametrize(
+        "left, right, expected",
+        [
+            (exterior_algebra(1), exterior_algebra(1), (4, 0, 0)),
+            (truncated_polynomial(2), exterior_algebra(1), (3, 1, 0)),
+            (truncated_polynomial(3), exterior_algebra(1), (5, 2, 0)),
+            (exterior_algebra(1), exterior_algebra(2), (12, 0)),
+            (truncated_polynomial(2), exterior_algebra(2), (10, 2)),
+            (exterior_algebra(2), exterior_algebra(1), (12, 0)),
+        ],
+        ids=["ext1-ext1", "tp2-ext1", "tp3-ext1", "ext1-ext2", "tp2-ext2", "ext2-ext1"],
+    )
+    def test_odd_tensor_product_closed_forms(self, left, right, expected):
+        # Cochains preserve parity, so the odd part of Harr^n(A) is Harr^n(A, PiA).  For n >= 1,
+        # Harr^n(A(x)B) = E_A B_0 + O_A B_1 + A_0 E_B + A_1 O_B, with E = Harr^n(., .), O = Harr^n(., Pi.),
+        # and X_0, X_1 the even and odd dimensions of X.
+        degrees = range(1, len(expected) + 1)
+
+        def harr(module):
+            cx = Complex(module, HARR)
+            return [cohomology(cx, n).dim_cohomology for n in degrees]
+
+        assert harr(self_module(tensor_product(left, right))) == list(expected)
+        (e_a, o_a), (e_b, o_b) = ((harr(self_module(x)), harr(parity_shift(x))) for x in (left, right))
+        (a0, a1), (b0, b1) = ((x.parity.count(0), x.parity.count(1)) for x in (left, right))
+        assert list(expected) == [e_a[i] * b0 + o_a[i] * b1 + a0 * e_b[i] + a1 * o_b[i] for i in range(len(expected))]
+
+    def test_parity_shift_is_a_supermodule(self, corpus_algebra):
+        assert validate_supermodule(parity_shift(corpus_algebra)).ok
 
     def test_degree_zero_cocycles_are_the_even_block(self, corpus_algebra):
         # Even elements commute with everything in a supercommutative
