@@ -34,7 +34,6 @@ from .cohomology import (
     ComplexKind,
     ResourceCeilingError,
     ResourceLimits,
-    ShuffleClosureError,
     coboundary_matrix,
     cohomology,
     derivation_space,

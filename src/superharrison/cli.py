@@ -21,8 +21,8 @@ text lines), and ``run`` alone prints it: the document with ``--json``,
 the lines otherwise.  ``verify`` runs the suites of ``SUITES`` in table
 order.  Cochains print from their sparse (module index, value) terms.
 A command that computes on an algebra validates it as it reads it, before
-any complex is built, so ``ShuffleClosureError``, ``NotASubspaceError`` and
-``NotACocycleError`` are faults of the program: ``run`` lets them propagate.
+any complex is built, so ``NotASubspaceError`` and ``NotACocycleError`` are
+faults of the program: ``run`` lets them propagate.
 """
 
 from __future__ import annotations

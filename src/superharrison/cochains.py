@@ -39,9 +39,26 @@ Three layers live here:
           sum_{shuffles s} sign(s) * oddsign(s^{-1}) * f(a_{s^{-1}(1)}, ...)
 
   for p = 1, ..., n-1, where oddsign is the odd-subpermutation signature of
-  s^{-1} against the argument parities.  The coboundary preserves this
-  subspace; ``cohomology.coboundary_matrix`` checks that fact on each
-  Harrison basis row it expands, rather than assuming it.
+  s^{-1} against the argument parities.  Over a supercommutative algebra
+  the coboundary preserves it, as ``verify``'s ``closure`` suite checks.
+
+The Harrison subspace is built from the Lie side, with no elimination:
+the functionals that vanish on shuffle products pair with Lie elements
+(Ree, Ann. Math. 68, 1958; Barr, J. Algebra 8, 1968), and the free Lie
+superalgebra has a basis of standard bracketings (Reutenauer, *Free Lie
+Algebras*, 1993), one per Lyndon word and [v, v] per odd Lyndon word v.  A letter a has the suspended parity
+1 + |a|, a bracket is [P, Q] = PQ - (-1)^{|P||Q|} QP in that parity, and
+the coefficient of the word u = u_0 ... u_{n-1} is the value at (u, l)
+times (-1)^{sum_i (n-1-i)|u_i|}, in A's own parity.  The least word of the
+bracketing of w is w, so the pivots (``harrison_pivots``) are the Lyndon
+words of length n (Duval, J. Algorithms 4, 1983) and the squares of the
+odd ones of length n/2, each with every l of its parity; on exterior(1),
+with basis 1 and t, (1, 1) -> 1 and (1, t) -> t in degree 2:
+
+>>> from superharrison.algebras import exterior_algebra, self_module
+>>> module = self_module(exterior_algebra(1))
+>>> [decode(off, 2, 2, 2) for off in harrison_pivots(module, 2)]
+[((0, 0), 0), ((0, 1), 1)]
 
 The coboundary has one implementation, ``coboundary_scatter``, which maps
 the nonzero entries {offset: value} of f to those of df, so a cochain costs
@@ -55,7 +72,7 @@ from itertools import product as iter_product
 from typing import Iterator, Mapping, Sequence
 
 from .algebras import SuperAlgebra, SuperModule
-from .linalg import Rat, SubspaceBasis, _denominator, _ratio, as_rational, kernel_basis, RationalMatrix
+from .linalg import Rat, SubspaceBasis, _denominator, _ratio, _rref, as_rational
 from .records import Record
 from .shuffles import enumerate_shuffles, sigma_o_sign
 
@@ -65,6 +82,7 @@ __all__ = [
     "parity_count",
     "super_shuffle_sum",
     "harrison_space",
+    "harrison_pivots",
     "hochschild_coboundary",
     "coboundary_scatter",
 ]
@@ -239,74 +257,85 @@ def super_shuffle_sum(f: Cochain, p: int) -> Cochain:
     return Cochain(n, module, out)
 
 
+def _lyndon_words(letters: int, length: int) -> Iterator[tuple[int, ...]]:
+    """The Lyndon words of ``length`` over the letters 0, ..., letters - 1, in lexicographic order."""
+    # Duval's generator: raise the last letter, repeat the word periodically
+    # up to ``length``, drop the maximal letters at its end, and repeat.
+    w = [-1]
+    while w:
+        w[-1] += 1
+        if len(w) == length:
+            yield tuple(w)
+        period = len(w)
+        while len(w) < length:
+            w.append(w[-period])
+        while w and w[-1] == letters - 1:
+            w.pop()
+
+
+def _harrison_words(module: SuperModule, degree: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The leading words w of the Harrison basis in lexicographic order, each with the l of its parity.
+
+    They are the Lyndon words of length n (in degree 0, the empty word) and
+    the squares vv of the Lyndon words v of length n/2 that are odd in the
+    suspended parity; a word with no l of its parity is left out.
+    """
+    dim_a, a_par = module.algebra.dim, module.algebra.parity
+    words = list(_lyndon_words(dim_a, degree)) if degree else [()]
+    if degree % 2 == 0:
+        half = degree // 2
+        words = sorted(words + [v + v for v in _lyndon_words(dim_a, half) if (half + sum(a_par[i] for i in v)) % 2])
+    values = tuple(tuple(l for l in range(module.dim) if module.parity[l] == q) for q in (0, 1))
+    return [(w, ls) for w in words if (ls := values[sum(a_par[i] for i in w) % 2])]
+
+
+def harrison_pivots(module: SuperModule, degree: int) -> tuple[int, ...]:
+    """The pivots of ``harrison_space(module, degree)`` in increasing order, without building it: each (w, l)."""
+    dim_a, dim_m = module.algebra.dim, module.dim
+    return tuple(encode(w, l, dim_a, dim_m) for w, ls in _harrison_words(module, degree) for l in ls)
+
+
 def harrison_space(module: SuperModule, degree: int) -> SubspaceBasis:
     """Canonical basis of the graded Harrison subspace, over flat cochain offsets.
 
-    Each row is the ``data`` of a Harrison cochain.  The stacked conditions
-    su_{n,p} f = 0 (p = 1..n-1) decompose into independent blocks, one per
-    parity-consistent (argument multiset, module index) orbit, because a
-    shuffle only permutes argument slots.  A block's system depends only on
-    its orbit pattern: the rank tuple of the sorted arguments and the
-    parity of each rank.  So one kernel is solved per pattern, on the
-    members of the first block of that pattern, decoded from their offsets
-    and relabelled by rank, and its rows are copied to every block of that
-    pattern by member offset.  An order-preserving relabelling keeps the
-    members in lexicographic order, so the copied rows are canonical too,
-    and a pattern costs what its block costs, not n!.  The result equals the
-    kernel of the literally stacked system since the reduced echelon basis
-    of a subspace is unique.  For degree <= 1 a block has one member and no
-    conditions, so the space is everything parity-preserving.  Nothing is
-    cached here: a ``cohomology.Complex`` keeps the spaces it builds.
+    Each row is the ``data`` of a Harrison cochain: the twisted standard
+    bracketing of a leading word, reduced with those of its argument
+    multiset.  Nothing is cached: a ``cohomology.Complex`` keeps its spaces.
     """
     dim_a, dim_m = module.algebra.dim, module.dim
     a_par = module.algebra.parity
-    values = tuple(tuple(l for l in range(dim_m) if module.parity[l] == q) for q in (0, 1))
-    # Sorted arguments -> offset of each member's entry (t, 0), members in
-    # lexicographic order.
-    blocks: dict[tuple[int, ...], list[int]] = {}
-    for idx, t in enumerate(iter_product(range(dim_a), repeat=degree)):
-        blocks.setdefault(tuple(sorted(t)), []).append(idx * dim_m)
 
-    kernels: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[dict[int, Rat], ...]] = {}
-    # The blocks have disjoint supports, so their rows sorted by pivot are
-    # the canonical rows of the whole.
+    @lru_cache(maxsize=None)
+    def bracket(w: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+        # [b(u), b(v)] for w = uv with v its longest proper Lyndon suffix; a
+        # letter, or the empty word, is its own bracketing.
+        split = next((i for i in range(1, len(w)) if all(w[i:] < w[j:] for j in range(i + 1, len(w)))), None)
+        if split is None:
+            return {w: 1}
+        u, v = w[:split], w[split:]
+        # [P, Q] = PQ - (-1)^{|P||Q|} QP, in the suspended parity.
+        sign = -1 if (len(u) + sum(a_par[i] for i in u)) % 2 and (len(v) + sum(a_par[i] for i in v)) % 2 else 1
+        out: dict[tuple[int, ...], int] = {}
+        for x, a in bracket(u).items():
+            for y, b in bracket(v).items():
+                out[x + y] = out.get(x + y, 0) + a * b
+                out[y + x] = out.get(y + x, 0) - sign * a * b
+        return {x: c for x, c in out.items() if c}
+
+    blocks: dict[tuple[int, ...], tuple[tuple[int, ...], list[tuple[int, ...]]]] = {}
+    for w, ls in _harrison_words(module, degree):
+        blocks.setdefault(tuple(sorted(w)), (ls, []))[1].append(w)
+    # A bracket only rearranges letters, so the blocks of distinct multisets
+    # and l have disjoint supports: their rows by pivot are the canonical rows.
     rows: list[dict[int, Rat]] = []
-    for args, members in blocks.items():
-        # One block per module index l of the arguments' parity.
-        ls = values[sum(a_par[i] for i in args) % 2]
-        if not ls:
-            continue
-        distinct = sorted(set(args))
-        rank = {x: r for r, x in enumerate(distinct)}
-        key = (tuple(rank[x] for x in args), tuple(a_par[x] for x in distinct))
-        if key not in kernels:
-            ranked = [tuple(rank[x] for x in decode(off, degree, dim_a, dim_m)[0]) for off in members]
-            kernels[key] = _pattern_kernel(ranked, key[1])
-        for l in ls:
-            rows.extend({members[c] + l: x for c, x in row.items()} for row in kernels[key])
+    for ls, words in blocks.values():
+        # Word u is the entry (u, 0), times (-1)^{sum_i (n-1-i)|u_i|}: the
+        # slots i with n - 1 - i odd are those of the parity of n.
+        twist = {u: (-1) ** sum(a_par[i] for i in u[degree % 2 :: 2]) for w in words for u in bracket(w)}
+        block = [{encode(u, 0, dim_a, dim_m): twist[u] * c for u, c in bracket(w).items()} for w in words]
+        rows.extend({off + l: x for off, x in row.items()} for row in _rref(block) for l in ls)
     rows.sort(key=min)
     return SubspaceBasis(dim_a**degree * dim_m, tuple(rows))
-
-
-def _pattern_kernel(members: Sequence[tuple[int, ...]], parities: tuple[int, ...]) -> tuple[dict[int, Rat], ...]:
-    """Kernel of the stacked su_{n,p} system on one block's rank tuples.
-
-    ``members`` are all the rearrangements of one rank tuple, in
-    lexicographic order, and coordinate c indexes ``members[c]``;
-    ``parities[r]`` is the parity of rank r.
-    """
-    n = len(members[0])
-    index = {u: c for c, u in enumerate(members)}
-    conditions: list[dict[int, Rat]] = []
-    for u in members:
-        u_par = tuple(parities[r] for r in u)
-        for p in range(1, n):
-            condition: dict[int, Rat] = {}
-            for slot_map, sign in _signed_shuffles(n, p, u_par):
-                c = index[tuple([u[m] for m in slot_map])]
-                condition[c] = condition.get(c, 0) + sign
-            conditions.append(condition)
-    return kernel_basis(RationalMatrix.from_rows(conditions, cols=len(members))).rows
 
 
 def coboundary_scatter(module: SuperModule, degree: int, entries: Mapping[int, Rat]) -> dict[int, Rat]:

@@ -6,18 +6,18 @@ differ only in their space S_n in each degree (``Complex.space``): all of
 C^n (``None``), with the elementary cochains in flat order as basis, or the
 Harrison subspace with the canonical echelon basis from ``harrison_space``,
 whose rows are cochains' ``data``.  A complex builds each S_n and each
-coboundary matrix d_n at most once and frees them with itself.  A column of
-d_n is the sparse coboundary (``coboundary_scatter``) of one basis row of
-S_n, expanded in S_{n+1} by ``SubspaceBasis.sparse_coordinates`` (in
-C^{n+1} it is its own expansion), which also checks that it lies in
-S_{n+1}; a failure would mean the shuffle conditions are not closed under
-the coboundary and is raised as ``ShuffleClosureError``, naming the basis
-row, the first offending entry and, for a shuffle failure, the p of the
-first su_{n+1,p} that does not vanish.  Over a supercommutative algebra they
-are closed, and the CLI validates an algebra before it builds a complex.  ``Complex.space`` admits each degree
-against the ceilings, degree first and then a closed-form column count,
-before S_n is built; every degree-n computation goes through it, and d_n
-admits degree n before degree n + 1, so that a refused d_n builds nothing.
+coboundary matrix d_n at most once and frees them with itself.  A column
+of d_n is the sparse coboundary (``coboundary_scatter``) of one basis row
+of S_n, read in S_{n+1}: in C^{n+1} as it stands, and in the Harrison
+subspace, whose basis is reduced echelon, at the pivots that
+``harrison_pivots`` lists, so S_{n+1} is never built.  That relies on d
+preserving the Harrison subspace, as it does over a supercommutative
+algebra (the CLI validates one before it builds a complex); ``verify``'s
+``closure`` suite and the tests check it.
+``Complex.space`` admits each degree against the ceilings, degree first
+and then a closed-form column count, before S_n is built; every degree-n
+computation goes through it, and d_n admits degree n before degree n + 1,
+so that a refused d_n builds nothing.
 
 Cocycle representatives returned by ``cohomology`` are reduced against the
 coboundary subspace, so they are canonical for the given bases and the same
@@ -36,10 +36,10 @@ from .cochains import (
     coboundary_scatter,
     decode,
     encode,
+    harrison_pivots,
     harrison_space,
     parity_count,
     parity_offsets,
-    super_shuffle_sum,
 )
 from .linalg import (
     Rat,
@@ -56,7 +56,6 @@ __all__ = [
     "Complex",
     "ResourceLimits",
     "ResourceCeilingError",
-    "ShuffleClosureError",
     "CohomologyResult",
     "coboundary_matrix",
     "cohomology",
@@ -79,10 +78,6 @@ class ResourceLimits(Record):
 
 class ResourceCeilingError(RuntimeError):
     """A requested computation exceeds the configured size ceilings."""
-
-
-class ShuffleClosureError(RuntimeError):
-    """A coboundary of a Harrison basis element left the Harrison space."""
 
 
 class Complex(Record):
@@ -130,46 +125,22 @@ class Complex(Record):
             raise ResourceCeilingError(f"cochain space of dimension {columns} exceeds the ceiling {limits.max_columns}")
 
 
-def _entry_name(f: Cochain, t: tuple[int, ...], l: int) -> str:
-    """Entry (t, l) of a cochain over f's algebra and module, with the basis names of its arguments and value."""
-    args = ", ".join(f.algebra.basis_names[i] for i in t)
-    return f"entry (t, l) = ({t}, {l}), that is ({args}) -> {f.module.basis_names[l]}"
-
-
-def _closure_error(df: Cochain, index: int) -> ShuffleClosureError:
-    """Why df, the coboundary of Harrison basis row ``index``, left the Harrison space."""
-    prefix = f"coboundary of Harrison basis row {index} in degree {df.degree - 1}"
-    a_par, m_par = df.algebra.parity, df.module.parity
-    for t, l, _ in df.iter_nonzero():
-        if sum(a_par[i] for i in t) % 2 != m_par[l]:
-            return ShuffleClosureError(f"{prefix} has a parity-violating {_entry_name(df, t, l)}")
-    for p in range(1, df.degree):
-        for t, l, _ in super_shuffle_sum(df, p).iter_nonzero():
-            return ShuffleClosureError(
-                f"{prefix} fails a shuffle condition: su_{{{df.degree},{p}}} is nonzero at {_entry_name(df, t, l)}"
-            )
-    return ShuffleClosureError(f"{prefix} fails a shuffle condition")
-
-
 def coboundary_matrix(cx: Complex, degree: int) -> RationalMatrix:
     """Matrix of the coboundary d_n: S_n -> S_{n+1} in the complex's bases, built once per complex."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     if degree in cx._matrices:
         return cx._matrices[degree]
-    # Degree n is refused first, and both degrees are admitted before either space is built.
+    # Degree n is refused first, and both degrees are admitted before the domain is built.
     cx._admit(degree)
-    codomain, domain = cx.space(degree + 1), cx.space(degree)
+    cx._admit(degree + 1)
+    domain = cx.space(degree)
     algebra, module = cx.algebra, cx.module
     rows = ({i: 1} for i in range(algebra.dim**degree * module.dim)) if domain is None else domain.rows
-    columns = []
-    for index, row in enumerate(rows):
-        image = coboundary_scatter(module, degree, row)
-        column = image if codomain is None else codomain.sparse_coordinates(image)
-        if column is None:
-            raise _closure_error(Cochain(degree + 1, module, image), index)
-        columns.append(column)
-    height = algebra.dim ** (degree + 1) * module.dim if codomain is None else codomain.dim
+    pivots = None if domain is None else {p: i for i, p in enumerate(harrison_pivots(module, degree + 1))}
+    images = (coboundary_scatter(module, degree, row) for row in rows)
+    columns = list(images) if pivots is None else [{pivots[p]: x for p, x in im.items() if p in pivots} for im in images]
+    height = algebra.dim ** (degree + 1) * module.dim if pivots is None else len(pivots)
     cx._matrices[degree] = RationalMatrix.from_columns(columns, rows=height)
     return cx._matrices[degree]
 
@@ -207,9 +178,10 @@ def cohomology(cx: Complex, degree: int) -> CohomologyResult:
         image = coboundary_scatter(module, degree, rep.data)
         if image:
             t, l = decode(min(image), degree + 1, algebra.dim, module.dim)
+            args = ", ".join(algebra.basis_names[i] for i in t)
             raise AssertionError(
-                f"{cx.kind.value} representative {index} in degree {degree} is not a cocycle: "
-                f"its coboundary is nonzero at {_entry_name(rep, t, l)}"
+                f"{cx.kind.value} representative {index} in degree {degree} is not a cocycle: its coboundary "
+                f"is nonzero at entry (t, l) = ({t}, {l}), that is ({args}) -> {module.basis_names[l]}"
             )
     return CohomologyResult(
         kind=cx.kind,

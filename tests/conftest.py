@@ -29,6 +29,11 @@ them, so a reference built on them does not move with the code it checks.
 ``parity_shift`` gives the module PiA, the algebra on itself with its
 parities flipped, whose cochains are the odd cochains of A.
 
+``reference_coboundary_matrix`` is the coboundary matrix as it was built
+before d_n read its codomain at ``harrison_pivots``: it builds S_{n+1} and
+expands every column in it with ``sparse_coordinates``, which also checks
+that the column lies in S_{n+1}.
+
 ``reference_coboundary_scatter`` and ``reference_action_law_violations``
 are the coboundary and the associativity/module-law checker as they were
 written before the library moved them to integer arithmetic: the same
@@ -164,6 +169,21 @@ def dump_algebra(algebra: sh.SuperAlgebra, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(algebra_to_dict(algebra), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def reference_coboundary_matrix(cx: sh.Complex, degree: int) -> sh.RationalMatrix:
+    """d_n: S_n -> S_{n+1}, each scattered column expanded in the built basis of S_{n+1}."""
+    module = cx.module
+    domain, codomain = cx.space(degree), cx.space(degree + 1)
+    rows = [{i: 1} for i in range(module.algebra.dim**degree * module.dim)] if domain is None else domain.rows
+    columns = []
+    for index, row in enumerate(rows):
+        image = sh.coboundary_scatter(module, degree, row)
+        column = image if codomain is None else codomain.sparse_coordinates(image)
+        assert column is not None, f"the coboundary of basis row {index} in degree {degree} left S_{degree + 1}"
+        columns.append(column)
+    height = module.algebra.dim ** (degree + 1) * module.dim if codomain is None else codomain.dim
+    return sh.RationalMatrix.from_columns(columns, rows=height)
 
 
 def reference_coboundary_scatter(algebra, module, degree, entries) -> dict:

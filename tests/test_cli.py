@@ -19,8 +19,8 @@ from conftest import dump_algebra
 import superharrison
 from superharrison.algebras import exterior_algebra, self_module, tensor_product, truncated_polynomial
 from superharrison.cli import SUITES, _digest, build_parser, resolve_algebra, run
-from superharrison.cochains import Cochain, coboundary_scatter
-from superharrison.cohomology import ResourceLimits, ShuffleClosureError
+from superharrison.cochains import Cochain, coboundary_scatter, encode, hochschild_coboundary, super_shuffle_sum
+from superharrison.cohomology import ResourceLimits
 from superharrison.deformations import NotACocycleError, is_cocycle
 from superharrison.linalg import NotASubspaceError
 from superharrison.serialize import algebra_to_dict, cochain_from_dict, cochain_to_dict
@@ -247,9 +247,9 @@ class TestCohomologyCommand:
         assert "dim H = 4" in capsys.readouterr().out
 
     def test_a_one_element_algebra_at_degree_eleven_finishes_quickly(self):
-        # truncpoly:1 has one basis element, so each Harrison block has one
-        # member; solving each pattern over all n! rearrangements of its
-        # ranks instead took over a minute.
+        # truncpoly:1 has one basis element, so it has no Lyndon word of
+        # length 11; solving the shuffle conditions over all n!
+        # rearrangements of the arguments instead took over a minute.
         src = str(Path(superharrison.__file__).resolve().parent.parent)
         argv = ["--algebra", "builtin:truncpoly:1", "--degree", "11", "--kind", "harrison", "--max-degree", "20"]
         out = subprocess.run(
@@ -469,6 +469,21 @@ class TestVerifyCommand:
         assert run(["verify", "--algebra", "builtin:exterior:1", "--suite", "complex"]) == 1
         assert capsys.readouterr().out == "FAIL complex: d(d(f)) != 0 for the elementary cochain at offset 1\n"
 
+    def test_the_closure_suite_fails_on_a_coboundary_that_leaves_the_harrison_space(self, capsys, monkeypatch):
+        # Add to every coboundary the entry f(1, x, x) = 1 of truncpoly(2): it
+        # preserves parity, but su_{3,1} of it is nonzero.
+        def stray(module):
+            return Cochain(3, module, {encode((0, 1, 1), 0, 2, 2): 1})
+
+        assert not super_shuffle_sum(stray(self_module(truncated_polynomial(2))), 1).is_zero()
+
+        def broken(f):
+            return hochschild_coboundary(f) + stray(f.module)
+
+        monkeypatch.setattr(sys.modules["superharrison.cli"], "hochschild_coboundary", broken)
+        assert run(["verify", "--algebra", "builtin:truncpoly:2", "--suite", "closure"]) == 1
+        assert capsys.readouterr().out == "FAIL closure: coboundaries of Harrison elements stay Harrison\n"
+
     def test_suite_choices_are_all_and_the_table(self):
         assert list(SUITES) == [
             "validators", "complex", "closure", "derivations", "deformations", "extensions", "equivalence",
@@ -566,7 +581,7 @@ class TestInvalidAlgebras:
         assert run(["verify", "--algebra", name, "--budget", "5"]) == 1
         assert capsys.readouterr().out == "FAIL validators: algebra and self-module laws\n"
 
-    @pytest.mark.parametrize("error", [ShuffleClosureError, NotASubspaceError, NotACocycleError])
+    @pytest.mark.parametrize("error", [NotASubspaceError, NotACocycleError])
     def test_closure_failure_on_a_valid_algebra_is_a_bug(self, monkeypatch, error):
         # The algebra was validated when it was read, so each of these is a fault of the program, never exit 2.
         def broken(*args, **kwargs):

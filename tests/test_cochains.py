@@ -16,6 +16,7 @@ from conftest import (
     harrison_basis,
     multiply,
     parity_basis,
+    parity_shift,
     reference_coboundary_scatter,
     right_action,
     vector_at,
@@ -38,6 +39,7 @@ from superharrison.cochains import (
     cochain_from_entries,
     decode,
     encode,
+    harrison_pivots,
     harrison_space,
     hochschild_coboundary,
     parity_count,
@@ -429,6 +431,15 @@ class TestHarrisonSpace:
             tuple({offsets[pos]: x for pos, x in row.items()} for row in kernel_basis(stacked).rows),
         )
         assert harrison_space(mod, degree) == kernel
+        assert harrison_pivots(mod, degree) == tuple(min(row) for row in kernel.rows)
+
+    @pytest.mark.parametrize("shifted", [False, True], ids=["A", "PiA"])
+    def test_pivots_are_the_leading_words(self, corpus_algebra, shifted):
+        # The pivots of S_n, found without building it: each Lyndon word, and
+        # each square vv of an odd Lyndon word v, with every l of its parity.
+        mod = parity_shift(corpus_algebra) if shifted else self_module(corpus_algebra)
+        for degree in range(4 if corpus_algebra.dim >= 8 else 5):
+            assert harrison_pivots(mod, degree) == tuple(min(row) for row in harrison_space(mod, degree).rows)
 
     def test_coordinates_round_trip(self):
         alg = truncated_polynomial(2)

@@ -8,7 +8,7 @@ import weakref
 
 import pytest
 from classical_oracle import rank_mod_p
-from conftest import BAD_FILES, dense_tensor, ground_field, harrison_basis, parity_shift
+from conftest import dense_tensor, ground_field, harrison_basis, parity_shift, reference_coboundary_matrix
 from hypothesis import given, settings
 from test_algebras import perturbed_modules
 
@@ -35,12 +35,10 @@ from superharrison.cohomology import (
     ComplexKind,
     ResourceCeilingError,
     ResourceLimits,
-    ShuffleClosureError,
     coboundary_matrix,
     cohomology,
     derivation_space,
 )
-from superharrison.serialize import algebra_from_dict
 from superharrison.linalg import (
     RationalMatrix,
     SubspaceBasis,
@@ -144,25 +142,13 @@ class TestCoboundaryMatrices:
             column = tuple(matrix.entries[r][col] for r in range(matrix.rows))
             assert codomain.coordinates(expanded.data) == column
 
-    @pytest.mark.parametrize(
-        "name, failure",
-        [("parity.json", "parity-violating entry"), ("clifford.json", "fails a shuffle condition")],
-    )
-    def test_harrison_columns_are_checked_for_closure(self, name, failure):
-        # Over a broken algebra d leaves the Harrison space; the column
-        # assembly says how instead of projecting the column back, naming
-        # the basis row, the first offending entry and the failing p.
-        cause = {
-            # f(1) = x gives df(1, x) = f(1) x = x x = y, odd on even arguments.
-            "parity.json": "row 1 in degree 1 has a parity-violating entry (t, l) = ((0, 1), 2), that is (1, x) -> y",
-            # f(1) = 1 gives df(t, t) = -f(t t) = -1, and su_{2,1} doubles it.
-            "clifford.json": "row 0 in degree 1 fails a shuffle condition: "
-            "su_{2,1} is nonzero at entry (t, l) = ((1, 1), 0), that is (t, t) -> 1",
-        }[name]
-        alg = algebra_from_dict(BAD_FILES[name])
-        with pytest.raises(ShuffleClosureError, match=failure) as info:
-            coboundary_matrix(Complex(self_module(alg), HARR), 1)
-        assert cause in str(info.value)
+    @pytest.mark.parametrize("kind", [HOCH, HARR])
+    def test_matrix_equals_the_expansion_in_the_built_codomain(self, corpus_algebra, kind):
+        # d_n reads each image at the pivots of S_{n+1} without building it;
+        # the reference builds S_{n+1} and expands every column in it.
+        mod = self_module(corpus_algebra)
+        for degree in range(4):
+            assert coboundary_matrix(Complex(mod, kind), degree) == reference_coboundary_matrix(Complex(mod, kind), degree)
 
     def test_cochain_basis_counts(self):
         alg = exterior_algebra(2)
@@ -348,8 +334,8 @@ def harrison_cocycles_over_offsets(algebra, module):
 
     The kernel is taken in Harrison coordinates and expanded by
     ``harrison_space(algebra, module, 1).combination``.  The coboundary is
-    read in the full degree-2 space, so no closure check gets in the way
-    when a perturbed module breaks a law.
+    read in the full degree-2 space, so it does not rely on closure, which
+    a perturbed module that breaks a law need not have.
     """
     space = harrison_space(module, 1)
     images = [coboundary_scatter(module, 1, row) for row in space.rows]
@@ -526,13 +512,22 @@ class TestResourceLimits:
         with pytest.raises(ResourceCeilingError, match="dimension 8388608 exceeds the ceiling 20000"):
             cohomology(Complex(mod, HARR), 3)
 
+    def test_oversized_harrison_request_enumerates_no_word(self, monkeypatch):
+        # The refusal counts parity entries in closed form; no Lyndon word is generated first.
+        def enumerated(*args):
+            raise AssertionError("a Lyndon word was enumerated before the ceilings were checked")
+
+        monkeypatch.setattr(sys.modules["superharrison.cochains"], "_lyndon_words", enumerated)
+        with pytest.raises(ResourceCeilingError, match="dimension 8388608 exceeds the ceiling 20000"):
+            cohomology(Complex(self_module(exterior_algebra(6)), HARR), 3)
+
     @pytest.mark.parametrize("kind", [HOCH, HARR])
     @pytest.mark.parametrize("degree, limits", [(3, ResourceLimits(max_degree=3)), (2, ResourceLimits(max_columns=5))])
     def test_a_refused_degree_builds_nothing(self, monkeypatch, kind, degree, limits):
         def built(*args):
             raise AssertionError("built before the ceilings were checked")
 
-        for name in ("harrison_space", "coboundary_scatter"):
+        for name in ("harrison_space", "harrison_pivots", "coboundary_scatter"):
             monkeypatch.setattr(sys.modules["superharrison.cohomology"], name, built)
         alg = exterior_algebra(2)
         with pytest.raises(ResourceCeilingError):

@@ -27,3 +27,7 @@ def test_docstring_examples_pass(name):
 
 def test_the_shuffle_examples_are_collected():
     assert doctest.testmod(sys.modules["superharrison.shuffles"]).attempted == 2
+
+
+def test_the_pivot_example_is_collected():
+    assert doctest.testmod(sys.modules["superharrison.cochains"]).attempted == 3
