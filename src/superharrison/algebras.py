@@ -19,7 +19,8 @@ on purpose and see exactly which law fails where.  One law scan,
 from nonzero products only; it serves associativity, the module law and
 the deformed product m + t psi of ``deformations``, over any coefficient
 ring.  ``_supercommutativity_differences`` is the one supercommutativity
-scan; the other laws compare sparse rows.
+scan.  Every law compares sparse rows, and once two rows are found unequal,
+``_differences`` alone walks their nonzero positions to name where.
 
 The right action is never stored: it is induced from the left one on
 homogeneous components by the Koszul rule m*a = (-1)^{|a||m|} a*m, which
@@ -233,14 +234,17 @@ def _parity_violations(a_par: Sequence[int], table: SparseTable, x_par: Sequence
             target = (a_par[i] + x_par[k]) % 2
             for l, _ in row:
                 if x_par[l] != target:
-                    out.append(
-                        Violation(
-                            "parity",
-                            (i, k, l),
-                            f"e{i}*{x}{k} hits {x}{l} of parity {x_par[l]}, expected {target}",
-                        )
-                    )
+                    text = f"e{i}*{x}{k} hits {x}{l} of parity {x_par[l]}, expected {target}"
+                    out.append(Violation("parity", (i, k, l), text))
     return out
+
+
+def _differences(got: Mapping[int, Any], want: Mapping[int, Any]) -> Iterator[tuple]:
+    """(k, got_k, want_k) where two sparse rows as {k: c}, over any ring, differ; k ascending, a zero is absent."""
+    for k in sorted(got.keys() | want.keys()):
+        a, b = got.get(k, 0), want.get(k, 0)
+        if a != b:
+            yield k, a, b
 
 
 def _law_differences(products: SparseTable, table: SparseTable) -> Iterator[tuple]:
@@ -282,11 +286,9 @@ def _law_differences(products: SparseTable, table: SparseTable) -> Iterator[tupl
                         right[l] = right[l] + term if l in right else term
                 if left == right:
                     continue
-                for l in sorted(left.keys() | right.keys()):
-                    a, b = left.get(l, 0), right.get(l, 0)
-                    if (a or b) and a != b:
-                        yield i, j, k, l, a, b
-                        break
+                for l, a, b in _differences(left, right):
+                    yield i, j, k, l, a, b
+                    break
 
 
 def _action_law_violations(d: int, products: SparseTable, table: SparseTable, x: str, kind: str) -> list[Violation]:
@@ -314,11 +316,8 @@ def _supercommutativity_differences(parity: Sequence[int], table: SparseTable) -
             backward = table[j][i]
             if backward == forward:
                 continue
-            ji, ij = dict(backward), dict(forward)
-            for k in sorted(ji.keys() | ij.keys()):
-                got, want = ji.get(k, 0), ij.get(k, 0)
-                if got != want:
-                    yield i, j, k, got, want
+            for k, got, want in _differences(dict(backward), dict(forward)):
+                yield i, j, k, got, want
 
 
 def validate_superalgebra(algebra: SuperAlgebra) -> ValidationReport:
@@ -349,16 +348,10 @@ def validate_superalgebra(algebra: SuperAlgebra) -> ValidationReport:
             if products[u][i] == products[i][u] == ((i, 1),):
                 continue
             left, right = dict(products[u][i]), dict(products[i][u])
-            for k in sorted(left.keys() | right.keys() | {i}):
-                want = 1 if k == i else 0
-                if left.get(k, 0) != want:
-                    violations.append(
-                        Violation("unit", (u, i, k), f"e_unit*e{i} is not e{i}")
-                    )
-                if right.get(k, 0) != want:
-                    violations.append(
-                        Violation("unit", (i, u, k), f"e{i}*e_unit is not e{i}")
-                    )
+            # Position by position, e_unit*e_i (side 0) before e_i*e_unit (side 1).
+            found = [(k, 0, (u, i, k), f"e_unit*e{i} is not e{i}") for k, _, _ in _differences(left, {i: 1})]
+            found += [(k, 1, (i, u, k), f"e{i}*e_unit is not e{i}") for k, _, _ in _differences(right, {i: 1})]
+            violations += [Violation("unit", where, text) for _, _, where, text in sorted(found)]
 
     return ValidationReport(tuple(violations))
 
@@ -372,15 +365,11 @@ def validate_supermodule(module: SuperModule) -> ValidationReport:
     if algebra.unit_index is not None:
         u = algebra.unit_index
         for k in range(module.dim):
-            if table[u][k] == ((k, 1),):
-                continue
-            image = dict(table[u][k])
-            for l in sorted(image.keys() | {k}):
-                want = 1 if l == k else 0
-                if image.get(l, 0) != want:
-                    violations.append(
-                        Violation("unit", (u, k, l), f"e_unit*m{k} is not m{k}")
-                    )
+            if table[u][k] != ((k, 1),):
+                violations += [
+                    Violation("unit", (u, k, l), f"e_unit*m{k} is not m{k}")
+                    for l, _, _ in _differences(dict(table[u][k]), {k: 1})
+                ]
 
     return ValidationReport(tuple(violations))
 

@@ -17,9 +17,10 @@ Output is deterministic: identical inputs produce byte-identical reports.
 JSON reports carry a sha256 digest of the canonicalized inputs.
 
 Each ``_cmd_*`` handler returns its report as (exit code, JSON document,
-text lines), and ``run`` alone prints it: the document with ``--json``,
-the lines otherwise.  ``verify`` runs the suites of ``SUITES`` in table
-order.  Cochains print from their sparse (module index, value) terms.
+text lines), and ``run`` alone prints it: with ``--json`` the document,
+to which ``run`` adds the ``command`` key (the subcommand), otherwise the
+lines.  ``verify`` runs the suites of ``SUITES`` in table order.
+Cochains print from their sparse (module index, value) terms.
 A command that computes on an algebra validates it as it reads it, before
 any complex is built, so ``NotASubspaceError`` and ``NotACocycleError`` are
 faults of the program: ``run`` lets them propagate.
@@ -158,16 +159,9 @@ def _nonnegative(args: argparse.Namespace, name: str) -> int:
     return value
 
 
-def _ceiling(args: argparse.Namespace, name: str) -> int:
-    """A ceiling from its flag, else the ``ResourceLimits`` default."""
-    if getattr(args, name, None) is None:
-        return getattr(ResourceLimits, name)
-    return _nonnegative(args, name)
-
-
 def _complex(args: argparse.Namespace, algebra: SuperAlgebra, kind: ComplexKind) -> Complex:
     """The complex of ``kind`` of the algebra on itself, under the ceilings of the flags."""
-    limits = ResourceLimits(max_degree=_ceiling(args, "max_degree"), max_columns=_ceiling(args, "max_columns"))
+    limits = ResourceLimits(max_degree=_nonnegative(args, "max_degree"), max_columns=_nonnegative(args, "max_columns"))
     return Complex(self_module(algebra), kind, limits)
 
 
@@ -214,14 +208,14 @@ def _cmd_check(args: argparse.Namespace) -> Report:
     algebra = resolve_algebra(args.algebra)
     violations = validate_superalgebra(algebra).violations + validate_supermodule(self_module(algebra)).violations
     ok = not violations
-    doc = {"command": "check", "inputs_digest": _digest(algebra_to_dict(algebra)), "valid": ok}
+    doc = {"inputs_digest": _digest(algebra_to_dict(algebra)), "valid": ok}
     return _violations_report(ok, doc, [f"algebra: {args.algebra}", f"valid: {'yes' if ok else 'no'}"], violations)
 
 
 def _cmd_shuffles(args: argparse.Namespace) -> Report:
     # All C(n, p) shuffles are built before one prints; a bad split gets enumerate_shuffles's error.
     # C(n, i) grows up to i = min(p, n - p), so its running product stops as soon as it passes the ceiling.
-    limit = _ceiling(args, "max_columns")
+    limit = ResourceLimits.max_columns
     n, p = args.n, args.p
     count = 1
     for i in range(1, min(p, n - p) + 1):
@@ -260,7 +254,6 @@ def _cmd_cohomology(args: argparse.Namespace) -> Report:
     kind = ComplexKind(args.kind)
     result = cohomology(_complex(args, algebra, kind), _nonnegative(args, "degree"))
     doc = {
-        "command": "cohomology",
         "inputs_digest": _digest(algebra_to_dict(algebra)),
         "kind": kind.value,
         "degree": result.degree,
@@ -288,7 +281,6 @@ def _cmd_derivations(args: argparse.Namespace) -> Report:
     space = derivation_space(module)
     derivations = [list(Cochain(1, module, row).iter_nonzero()) for row in space.rows]
     doc = {
-        "command": "derivations",
         "inputs_digest": _digest(algebra_to_dict(algebra)),
         "dim": space.dim,
         "basis": [[{"arg": i, "value": l, "coeff": str(v)} for (i,), l, v in terms] for terms in derivations],
@@ -305,7 +297,6 @@ def _cmd_deform_check(args: argparse.Namespace) -> Report:
     psi = load_cochain(args.psi, self_module(algebra), degree=2, name="deformation direction")
     report = first_order_deformation_check(psi)
     doc = {
-        "command": "deform-check",
         "inputs_digest": _digest(algebra_to_dict(algebra), cochain_to_dict(psi)),
         "valid": report.valid,
         "parity_ok": report.parity_ok,
@@ -332,7 +323,6 @@ def _cmd_deform_classes(args: argparse.Namespace) -> Report:
     algebra = _valid_algebra(args.algebra)
     result = deformation_classes(_complex(args, algebra, ComplexKind.SUPER_HARRISON))
     doc = {
-        "command": "deform-classes",
         "inputs_digest": _digest(algebra_to_dict(algebra)),
         "dim_classes": result.dim_cohomology,
         "dim_cocycles": result.dim_cocycles,
@@ -350,7 +340,6 @@ def _cmd_extend(args: argparse.Namespace) -> Report:
     ext = square_zero_extension(psi)
     report = validate_superalgebra(ext)
     doc = {
-        "command": "extend",
         "inputs_digest": _digest(algebra_to_dict(algebra), cochain_to_dict(psi)),
         "valid": report.ok,
         "extension": algebra_to_dict(ext),
@@ -387,12 +376,17 @@ def _suite_complex(harrison: Complex, budget: int):
 
 
 def _suite_closure(harrison: Complex, budget: int):
-    ok = all(
-        super_shuffle_sum(hochschild_coboundary(Cochain(2, harrison.module, row)), p).is_zero()
-        for row in harrison.space(2).rows
-        for p in range(1, 3)
-    )
-    return ok, "coboundaries of Harrison elements stay Harrison"
+    module = harrison.module
+    for index, row in enumerate(harrison.space(2).rows):
+        boundary = hochschild_coboundary(Cochain(2, module, row))
+        for p in (1, 2):
+            for t, l, value in super_shuffle_sum(boundary, p).iter_nonzero():  # its first nonzero entry
+                args = ", ".join(module.algebra.basis_names[i] for i in t)
+                return False, (
+                    f"su_{{3,{p}}} of the coboundary of Harrison element {index} is {format_rational(value)} "
+                    f"at entry (t, l) = ({t}, {l}), that is ({args}) -> {module.basis_names[l]}"
+                )
+    return True, "coboundaries of Harrison elements stay Harrison"
 
 
 def _suite_derivations(harrison: Complex, budget: int):
@@ -456,7 +450,7 @@ def _cmd_verify(args: argparse.Namespace) -> Report:
             if name == "validators" and not ok:
                 break  # Every later suite assumes a valid algebra.
     passed = all(s["passed"] for s in suites)
-    doc = {"command": "verify", "inputs_digest": _digest(algebra_to_dict(algebra)), "suites": suites, "passed": passed}
+    doc = {"inputs_digest": _digest(algebra_to_dict(algebra)), "suites": suites, "passed": passed}
     lines = [f"{'PASS' if s['passed'] else 'FAIL'} {s['name']}: {s['detail']}" for s in suites]
     return (EXIT_OK if passed else EXIT_NEGATIVE), doc, lines
 
@@ -475,10 +469,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="machine-readable report")
 
     def add_limits(p: argparse.ArgumentParser) -> None:
-        # The flags ``_ceiling`` reads, with the defaults it falls back to.
         for name, what in (("max_degree", "degree"), ("max_columns", "cochain dimension")):
-            text = f"{what} ceiling (default {getattr(ResourceLimits, name)})"
-            p.add_argument("--" + name.replace("_", "-"), type=int, default=None, help=text)
+            default = getattr(ResourceLimits, name)
+            text = f"{what} ceiling (default {default})"
+            p.add_argument("--" + name.replace("_", "-"), type=int, default=default, help=text)
 
     p = sub.add_parser("check", help="validate superalgebra laws")
     add_algebra(p)
@@ -556,7 +550,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:  # InputFormatError and the library's own checks of an argument
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    print(json.dumps(doc, sort_keys=True, indent=2) if getattr(args, "json", False) else "\n".join(lines))
+    as_json = getattr(args, "json", False)
+    print(json.dumps({**doc, "command": args.subcommand}, sort_keys=True, indent=2) if as_json else "\n".join(lines))
     return code
 
 

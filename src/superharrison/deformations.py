@@ -12,11 +12,12 @@ arithmetic; no cochain identities are consulted.  The table m_t(e_i, e_j)
 validators' own law scans from ``algebras``, which go pair by pair in
 lexicographic witness order and stop at the first difference.
 Independently, psi being a parity-preserving, graded-symmetric cocycle is
-decided by the cochain machinery.  Graded symmetry there is su_{2,1} psi = 0,
-(su_{2,1} f)(a, b) = f(a, b) - (-1)^{|a||b|} f(b, a), read from the signed
-shuffle table that builds every Harrison space.  ``deformation_iff_cocycle``
-sweeps both sides and reports any mismatch, which would expose a sign error
-in either pipeline; ``extension_valid_iff_cocycle`` sweeps the same cases.
+decided by the cochain machinery, law by law (``_cochain_laws``).  Graded
+symmetry there is su_{2,1} psi = 0, (su_{2,1} f)(a, b) = f(a, b) -
+(-1)^{|a||b|} f(b, a), read from the signed shuffle table of the shuffle
+sums.  ``deformation_iff_cocycle`` sweeps both sides and reports any
+mismatch, which would expose a sign error in either pipeline;
+``extension_valid_iff_cocycle`` sweeps the same cases.
 
 The same game is played with the square-zero extension A (+) M: the product
 
@@ -38,7 +39,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .algebras import (
     DualNumber,
@@ -154,15 +155,18 @@ def first_order_deformation_check(psi: Cochain) -> DeformationReport:
     )
 
 
+def _cochain_laws(psi: Cochain) -> Iterator[tuple[str, bool]]:
+    """Lazily, (law, holds) for parity, su_{2,1} psi = 0 and d psi = 0, named and ordered as the validators report."""
+    yield "parity", psi.parity_preserving
+    yield "supercommutativity", super_shuffle_sum(psi, 1).is_zero()
+    yield "associativity", hochschild_coboundary(psi).is_zero()
+
+
 def is_cocycle(psi: Cochain) -> bool:
     """Membership in the degree-2 Harrison cocycles, decided cochain-side."""
     if psi.degree != 2:
         raise ValueError("a Harrison 2-cocycle has degree 2")
-    return (
-        psi.parity_preserving
-        and super_shuffle_sum(psi, 1).is_zero()
-        and hochschild_coboundary(psi).is_zero()
-    )
+    return all(holds for _, holds in _cochain_laws(psi))
 
 
 class SweepReport(Record):
@@ -272,22 +276,17 @@ def square_zero_extension(psi: Cochain) -> SuperAlgebra:
 def extension_valid_iff_cocycle(cx: Complex, budget: int = 50) -> SweepReport:
     """Sweep: the extension by the complex's module validates <=> psi is a Harrison 2-cocycle.
 
-    The comparison is law-by-law: associativity of the extension against
-    the cocycle condition, supercommutativity against graded symmetry
-    (su_{2,1} psi = 0), and parity compatibility against parity preservation.
+    The comparison is law by law over ``_cochain_laws``: parity compatibility
+    against parity preservation, supercommutativity against graded symmetry
+    (su_{2,1} psi = 0), and associativity against the cocycle condition.
     """
     _check_complex(cx)
 
     def failures_of(psi: Cochain) -> list[str]:
         kinds = validate_superalgebra(square_zero_extension(psi)).kinds()
-        checks = (
-            ("associativity", hochschild_coboundary(psi).is_zero()),
-            ("supercommutativity", super_shuffle_sum(psi, 1).is_zero()),
-            ("parity", psi.parity_preserving),
-        )
         return [
             f"extension {kind} is {'clean' if kind not in kinds else 'violated'} but cochain side says {cochain_ok}"
-            for kind, cochain_ok in checks
+            for kind, cochain_ok in _cochain_laws(psi)
             if (kind not in kinds) != cochain_ok
         ]
 

@@ -37,7 +37,11 @@ that the column lies in S_{n+1}.
 ``reference_coboundary_scatter`` and ``reference_action_law_violations``
 are the coboundary and the associativity/module-law checker as they were
 written before the library moved them to integer arithmetic: the same
-loops, summing ``Fraction`` values.  ``rebased`` gives an algebra in a
+loops, summing ``Fraction`` values.  ``reference_unit_violations`` and
+``reference_supercommutativity_violations`` are the unit-law and
+supercommutativity checks as they were written before every law compared
+its sparse rows through ``algebras._differences``: each walked the union
+of two rows' positions itself.  ``rebased`` gives an algebra in a
 rational change of basis, so that its structure constants are not
 integers.
 """
@@ -263,6 +267,58 @@ def reference_action_law_violations(products, table, x: str, kind: str) -> list:
                         )
                     )
                     break
+    return out
+
+
+def reference_supercommutativity_violations(algebra: sh.SuperAlgebra) -> list:
+    """The supercommutativity violations of ``validate_superalgebra``, by its own row walk."""
+    parity, table = algebra.parity, algebra.products
+    out = []
+    for i, plane in enumerate(table):
+        for j, forward in enumerate(plane):
+            if parity[i] and parity[j]:
+                forward = tuple((k, -c) for k, c in forward)
+            backward = table[j][i]
+            if backward == forward:
+                continue
+            ji, ij = dict(backward), dict(forward)
+            for k in sorted(ji.keys() | ij.keys()):
+                got, want = ji.get(k, 0), ij.get(k, 0)
+                if got != want:
+                    text = f"coefficient of e{k}: e{j}*e{i} = {got}, expected {want}"
+                    out.append(Violation("supercommutativity", (i, j, k), text))
+    return out
+
+
+def reference_unit_violations(x) -> list:
+    """The unit-law violations of an algebra, as ``validate_superalgebra`` reports them, or of a module."""
+    out = []
+    if isinstance(x, sh.SuperModule):
+        table, u = x.action_sparse, x.algebra.unit_index
+        for k in range(x.dim) if u is not None else ():
+            if table[u][k] == ((k, 1),):
+                continue
+            image = dict(table[u][k])
+            for l in sorted(image.keys() | {k}):
+                want = 1 if l == k else 0
+                if image.get(l, 0) != want:
+                    out.append(Violation("unit", (u, k, l), f"e_unit*m{k} is not m{k}"))
+        return out
+    products, u = x.products, x.unit_index
+    if u is None:
+        return out
+    if x.parity[u] != 0:
+        out.append(Violation("unit", (u,), "unit element must be even"))
+    for i in range(x.dim):
+        if products[u][i] == products[i][u] == ((i, 1),):
+            continue
+        left, right = dict(products[u][i]), dict(products[i][u])
+        for k in sorted(left.keys() | right.keys() | {i}):
+            want = 1 if k == i else 0
+            if left.get(k, 0) != want:
+                out.append(Violation("unit", (u, i, k), f"e_unit*e{i} is not e{i}"))
+            if right.get(k, 0) != want:
+                out.append(Violation("unit", (i, u, k), f"e{i}*e_unit is not e{i}"))
     return out
 
 

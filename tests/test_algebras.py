@@ -17,6 +17,8 @@ from conftest import (
     multiply,
     rebased,
     reference_action_law_violations,
+    reference_supercommutativity_violations,
+    reference_unit_violations,
     right_action,
 )
 from superharrison.algebras import (
@@ -566,7 +568,42 @@ def rebased_algebras(draw):
     return rebased(base, p)
 
 
+@st.composite
+def unit_perturbed_algebras(draw):
+    """A corpus or rebased algebra with a declared unit, and its unit row or column perturbed or one product negated.
+
+    A rebased algebra declares none of its own, so one of its basis elements is drawn as the unit.
+    """
+    base = draw(st.one_of(st.sampled_from(_VALID_BASES), rebased_algebras()))
+    dim = base.dim
+    index = st.integers(min_value=0, max_value=dim - 1)
+    u = draw(index) if base.unit_index is None else base.unit_index
+    cells = {(i, j): dict(row) for i, plane in enumerate(base.products) for j, row in enumerate(plane)}
+    how = draw(st.sampled_from(("row", "column", "flip")))
+    if how == "flip":
+        i, j = draw(index), draw(index)
+        cells[i, j] = {k: -c for k, c in cells[i, j].items()}
+    for _ in range(draw(st.integers(min_value=1, max_value=3)) if how != "flip" else 0):
+        i, k = draw(index), draw(index)
+        cells.setdefault((u, i) if how == "row" else (i, u), {})[k] = draw(_constants)
+    return SuperAlgebra(dim, base.basis_names, base.parity, _table_from_cells(cells, dim, dim), unit_index=u)
+
+
 class TestSparseValidators:
+    @given(unit_perturbed_algebras())
+    @settings(max_examples=300, deadline=None)
+    def test_unit_and_supercommutativity_violations_match_the_row_walks(self, algebra):
+        # The unit laws and supercommutativity name each position where two
+        # rows differ, in the order the validators' own walks named them.
+        def of_kind(violations, kind):
+            return [v for v in violations if v.kind == kind]
+
+        violations = validate_superalgebra(algebra).violations
+        assert of_kind(violations, "unit") == reference_unit_violations(algebra)
+        assert of_kind(violations, "supercommutativity") == reference_supercommutativity_violations(algebra)
+        module = self_module(algebra)
+        assert of_kind(validate_supermodule(module).violations, "unit") == reference_unit_violations(module)
+
     @given(perturbed_algebras())
     @settings(max_examples=300, deadline=None)
     def test_algebra_violations_match_the_dense_reference(self, algebra):

@@ -482,7 +482,10 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(sys.modules["superharrison.cli"], "hochschild_coboundary", broken)
         assert run(["verify", "--algebra", "builtin:truncpoly:2", "--suite", "closure"]) == 1
-        assert capsys.readouterr().out == "FAIL closure: coboundaries of Harrison elements stay Harrison\n"
+        assert capsys.readouterr().out == (
+            "FAIL closure: su_{3,1} of the coboundary of Harrison element 0 is 1 "
+            "at entry (t, l) = ((0, 1, 1), 0), that is (1, x, x) -> 1\n"
+        )
 
     def test_suite_choices_are_all_and_the_table(self):
         assert list(SUITES) == [
@@ -665,6 +668,18 @@ class TestExitCodes:
 
     def test_no_arguments_is_a_usage_error(self, capsys):
         assert run([]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cohomology", "--algebra", "builtin:truncpoly:2", "--degree", "1", "--kind", "harrison"],
+            ["extend", "--algebra", "builtin:truncpoly:2", "--psi", None],
+        ],
+    )
+    def test_a_module_other_than_self_is_an_input_error(self, capsys, square_psi_file, argv):
+        argv = [square_psi_file if arg is None else arg for arg in argv]
+        assert run([*argv, "--module", "trivial"]) == 2
+        assert capsys.readouterr() == ("", "error: only --module self is supported\n")
 
     def test_unknown_builtin_is_an_input_error(self, capsys):
         assert (
