@@ -525,7 +525,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run consistency suites against an algebra")
     add_algebra(p)
     p.add_argument("--suite", action="append", choices=["all", *SUITES], help="run in table order")
-    p.add_argument("--budget", type=int, default=50, help="random cases per randomized suite")
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=50,
+        help="random cochains that deformations and extensions each draw after the parity basis; "
+        "equivalence runs max(BUDGET // 10, 5) shifts",
+    )
     add_limits(p)
     add_json(p)
     p.set_defaults(handler=_cmd_verify)

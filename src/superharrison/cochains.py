@@ -15,9 +15,10 @@ included, is written over flat offsets: a ``harrison_space`` row, like a
 row of ``cohomology.derivation_space``, is the ``data`` of a cochain.
 ``encode`` and ``decode`` run once per entry, so they stay out of
 ``__all__``, the names that profilers such as ``perfbench/traced_cli.py``
-wrap call by call.  ``parity_offsets`` stays out too, although the package
-exports it: it keeps no cache, and ``perfbench/traced_cli.py`` reads
-``__wrapped__`` from whatever ``__all__`` lists under that name.
+wrap call by call.  ``parity_offsets`` stays out too: it keeps no cache,
+and ``perfbench/traced_cli.py`` reads ``__wrapped__`` from whatever
+``__all__`` lists under that name.  Callers import all three from here
+by name.
 
 Three layers live here:
 

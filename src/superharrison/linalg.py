@@ -143,9 +143,16 @@ def _ratio(x: int, d: int) -> Rat:
 
 
 def _integral(row: Mapping[int, Rat]) -> dict[int, int]:
-    """``row`` times the least common multiple of its denominators."""
-    scale = _denominator(row.values())
-    return dict(row) if scale == 1 else {j: int(x * scale) for j, x in row.items()}
+    """``row`` times the least common multiple of its denominators, as ints.
+
+    A ``Fraction`` of denominator 1, which a difference of fractions leaves,
+    becomes an int as well.
+    """
+    denominators = {x.denominator for x in row.values() if isinstance(x, Fraction)}
+    if not denominators:
+        return dict(row)
+    scale = lcm(*denominators)
+    return {j: int(x * scale) for j, x in row.items()}
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:

@@ -53,11 +53,20 @@ from fractions import Fraction
 
 import pytest
 
-import superharrison as sh
-from superharrison.algebras import Violation, _table_from_cells
+from superharrison.algebras import (
+    SuperAlgebra,
+    SuperModule,
+    Violation,
+    _table_from_cells,
+    self_module,
+    truncated_polynomial,
+)
 from superharrison.cli import resolve_algebra
-from superharrison.cochains import encode
+from superharrison.cochains import Cochain, coboundary_scatter, encode, harrison_space, parity_offsets
+from superharrison.cohomology import Complex
+from superharrison.linalg import RationalMatrix
 from superharrison.serialize import algebra_to_dict
+from superharrison.shuffles import Permutation
 
 CORPUS_SPECS: dict[str, str] = {
     "exterior1": "builtin:exterior:1",
@@ -67,7 +76,7 @@ CORPUS_SPECS: dict[str, str] = {
     "mixed": "builtin:tensor:truncpoly:2:exterior:1",
 }
 
-CORPUS: dict[str, sh.SuperAlgebra] = {name: resolve_algebra(spec) for name, spec in CORPUS_SPECS.items()}
+CORPUS: dict[str, SuperAlgebra] = {name: resolve_algebra(spec) for name, spec in CORPUS_SPECS.items()}
 
 EVEN_CORPUS = ("truncpoly2", "truncpoly3")
 
@@ -87,17 +96,17 @@ def dense_tensor(table, width: int) -> tuple:
     return tuple(tuple(dense(row, width) for row in plane) for plane in table)
 
 
-def entry(f: sh.Cochain, t: tuple, l: int):
+def entry(f: Cochain, t: tuple, l: int):
     """The value of cochain f at entry (t, l)."""
     return f.data.get(encode(t, l, f.algebra.dim, f.module.dim), 0)
 
 
-def vector_at(f: sh.Cochain, t: tuple) -> tuple:
+def vector_at(f: Cochain, t: tuple) -> tuple:
     """The module vector f(e_{t_1}, ..., e_{t_n})."""
     return tuple(entry(f, t, l) for l in range(f.module.dim))
 
 
-def act(module: sh.SuperModule, a, m) -> tuple:
+def act(module: SuperModule, a, m) -> tuple:
     """Left action of an algebra vector on a module vector."""
     assert len(a) == module.algebra.dim and len(m) == module.dim, "vector length mismatch"
     out = [0] * module.dim
@@ -108,12 +117,12 @@ def act(module: sh.SuperModule, a, m) -> tuple:
     return tuple(out)
 
 
-def multiply(algebra: sh.SuperAlgebra, x, y) -> tuple:
+def multiply(algebra: SuperAlgebra, x, y) -> tuple:
     """Product of two coefficient vectors: x acting on y in the self-module."""
-    return act(sh.self_module(algebra), x, y)
+    return act(self_module(algebra), x, y)
 
 
-def right_action(module: sh.SuperModule, m, a) -> tuple:
+def right_action(module: SuperModule, m, a) -> tuple:
     """Koszul-induced right action, m*a = (-1)^{|a||m|} a*m per homogeneous component."""
     assert len(a) == module.algebra.dim and len(m) == module.dim, "vector length mismatch"
     a_par, m_par = module.algebra.parity, module.parity
@@ -126,7 +135,7 @@ def right_action(module: sh.SuperModule, m, a) -> tuple:
     return tuple(out)
 
 
-def cochain_apply(f: sh.Cochain, args) -> tuple:
+def cochain_apply(f: Cochain, args) -> tuple:
     """f on coefficient vectors, by multilinear expansion over its nonzero entries."""
     assert len(args) == f.degree and all(len(a) == f.algebra.dim for a in args), "argument shape mismatch"
     out = [0] * f.module.dim
@@ -137,57 +146,57 @@ def cochain_apply(f: sh.Cochain, args) -> tuple:
     return tuple(out)
 
 
-def parity_basis(module: sh.SuperModule, degree: int) -> list:
+def parity_basis(module: SuperModule, degree: int) -> list:
     """Elementary parity-preserving cochains, one per parity-consistent entry."""
-    return [sh.Cochain(degree, module, {off: 1}) for off in sh.parity_offsets(module, degree)]
+    return [Cochain(degree, module, {off: 1}) for off in parity_offsets(module, degree)]
 
 
-def harrison_basis(module: sh.SuperModule, degree: int) -> list:
+def harrison_basis(module: SuperModule, degree: int) -> list:
     """The graded Harrison subspace as explicit cochains."""
-    return [sh.Cochain(degree, module, row) for row in sh.harrison_space(module, degree).rows]
+    return [Cochain(degree, module, row) for row in harrison_space(module, degree).rows]
 
 
-def parity_shift(algebra: sh.SuperAlgebra) -> sh.SuperModule:
+def parity_shift(algebra: SuperAlgebra) -> SuperModule:
     """The parity shift of the self-module: the basis of A with each parity flipped.
 
     Of the two actions that make it a supermodule, a*pi(m) = pi(am) and
     (-1)^|a| pi(am), this is the first: it shares the algebra's products.
     """
     names = tuple(f"pi({name})" for name in algebra.basis_names)
-    return sh.SuperModule(algebra, algebra.dim, [1 - p for p in algebra.parity], algebra.products, names)
+    return SuperModule(algebra, algebra.dim, [1 - p for p in algebra.parity], algebra.products, names)
 
 
-def is_shuffle(perm: sh.Permutation, p: int) -> bool:
+def is_shuffle(perm: Permutation, p: int) -> bool:
     """Whether both runs of ``perm``, split after position p, increase."""
     first, second = perm.images[:p], perm.images[p:]
     return list(first) == sorted(first) and list(second) == sorted(second)
 
 
-def ground_field() -> sh.SuperAlgebra:
+def ground_field() -> SuperAlgebra:
     """The rationals as a one-dimensional algebra."""
-    return sh.truncated_polynomial(1)
+    return truncated_polynomial(1)
 
 
-def dump_algebra(algebra: sh.SuperAlgebra, path) -> None:
+def dump_algebra(algebra: SuperAlgebra, path) -> None:
     """Write ``algebra`` to ``path`` in the JSON format that ``load_algebra`` reads."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(algebra_to_dict(algebra), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def reference_coboundary_matrix(cx: sh.Complex, degree: int) -> sh.RationalMatrix:
+def reference_coboundary_matrix(cx: Complex, degree: int) -> RationalMatrix:
     """d_n: S_n -> S_{n+1}, each scattered column expanded in the built basis of S_{n+1}."""
     module = cx.module
     domain, codomain = cx.space(degree), cx.space(degree + 1)
     rows = [{i: 1} for i in range(module.algebra.dim**degree * module.dim)] if domain is None else domain.rows
     columns = []
     for index, row in enumerate(rows):
-        image = sh.coboundary_scatter(module, degree, row)
+        image = coboundary_scatter(module, degree, row)
         column = image if codomain is None else codomain.sparse_coordinates(image)
         assert column is not None, f"the coboundary of basis row {index} in degree {degree} left S_{degree + 1}"
         columns.append(column)
     height = module.algebra.dim ** (degree + 1) * module.dim if codomain is None else codomain.dim
-    return sh.RationalMatrix.from_columns(columns, rows=height)
+    return RationalMatrix.from_columns(columns, rows=height)
 
 
 def reference_coboundary_scatter(algebra, module, degree, entries) -> dict:
@@ -270,7 +279,7 @@ def reference_action_law_violations(products, table, x: str, kind: str) -> list:
     return out
 
 
-def reference_supercommutativity_violations(algebra: sh.SuperAlgebra) -> list:
+def reference_supercommutativity_violations(algebra: SuperAlgebra) -> list:
     """The supercommutativity violations of ``validate_superalgebra``, by its own row walk."""
     parity, table = algebra.parity, algebra.products
     out = []
@@ -293,7 +302,7 @@ def reference_supercommutativity_violations(algebra: sh.SuperAlgebra) -> list:
 def reference_unit_violations(x) -> list:
     """The unit-law violations of an algebra, as ``validate_superalgebra`` reports them, or of a module."""
     out = []
-    if isinstance(x, sh.SuperModule):
+    if isinstance(x, SuperModule):
         table, u = x.action_sparse, x.algebra.unit_index
         for k in range(x.dim) if u is not None else ():
             if table[u][k] == ((k, 1),):
@@ -322,7 +331,7 @@ def reference_unit_violations(x) -> list:
     return out
 
 
-def rebased(algebra: sh.SuperAlgebra, p) -> sh.SuperAlgebra:
+def rebased(algebra: SuperAlgebra, p) -> SuperAlgebra:
     """``algebra`` in the basis f_i = sum_j p[i][j] e_j, with no unit declared.
 
     ``p`` is upper triangular with a nonzero diagonal, and p[i][j] is zero
@@ -345,16 +354,16 @@ def rebased(algebra: sh.SuperAlgebra, p) -> sh.SuperAlgebra:
                     for k, c in algebra.products[a][b] if p[i][a] and p[j][b] else ():
                         for l in range(dim):
                             cell[l] = cell.get(l, 0) + p[i][a] * p[j][b] * c * q[k][l]
-    return sh.SuperAlgebra(dim, algebra.basis_names, algebra.parity, _table_from_cells(cells, dim, dim))
+    return SuperAlgebra(dim, algebra.basis_names, algebra.parity, _table_from_cells(cells, dim, dim))
 
 
 @pytest.fixture(params=sorted(CORPUS))
-def corpus_algebra(request) -> sh.SuperAlgebra:
+def corpus_algebra(request) -> SuperAlgebra:
     return CORPUS[request.param]
 
 
 @pytest.fixture(params=sorted(CORPUS))
-def corpus_named(request) -> tuple[str, sh.SuperAlgebra]:
+def corpus_named(request) -> tuple[str, SuperAlgebra]:
     return request.param, CORPUS[request.param]
 
 

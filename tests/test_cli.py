@@ -465,7 +465,7 @@ class TestVerifyCommand:
                 image[0] = image.get(0, 0) + entries[1]
             return image
 
-        monkeypatch.setattr(sys.modules["superharrison.cli"], "coboundary_scatter", broken)
+        monkeypatch.setattr("superharrison.cli.coboundary_scatter", broken)
         assert run(["verify", "--algebra", "builtin:exterior:1", "--suite", "complex"]) == 1
         assert capsys.readouterr().out == "FAIL complex: d(d(f)) != 0 for the elementary cochain at offset 1\n"
 
@@ -480,7 +480,7 @@ class TestVerifyCommand:
         def broken(f):
             return hochschild_coboundary(f) + stray(f.module)
 
-        monkeypatch.setattr(sys.modules["superharrison.cli"], "hochschild_coboundary", broken)
+        monkeypatch.setattr("superharrison.cli.hochschild_coboundary", broken)
         assert run(["verify", "--algebra", "builtin:truncpoly:2", "--suite", "closure"]) == 1
         assert capsys.readouterr().out == (
             "FAIL closure: su_{3,1} of the coboundary of Harrison element 0 is 1 "

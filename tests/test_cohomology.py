@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import gc
-import sys
 import weakref
 
 import pytest
@@ -57,7 +56,7 @@ def forbid_parity_tables(monkeypatch):
         raise AssertionError("a parity table was built")
 
     for name in ("cochains", "cohomology"):
-        monkeypatch.setattr(sys.modules[f"superharrison.{name}"], "parity_offsets", built)
+        monkeypatch.setattr(f"superharrison.{name}.parity_offsets", built)
 
 
 # (cochains, cocycles, coboundaries, cohomology) per degree, pinned.
@@ -434,7 +433,7 @@ class TestRepresentatives:
         def every_basis_cochain(space, subspace):
             return SubspaceBasis(space.ambient_dim, tuple({i: 1} for i in range(space.ambient_dim)))
 
-        monkeypatch.setattr(sys.modules["superharrison.cohomology"], "quotient_representatives", every_basis_cochain)
+        monkeypatch.setattr("superharrison.cohomology.quotient_representatives", every_basis_cochain)
         alg = exterior_algebra(1)
         with pytest.raises(AssertionError) as info:
             cohomology(Complex(self_module(alg), kind), 1)
@@ -517,7 +516,7 @@ class TestResourceLimits:
         def enumerated(*args):
             raise AssertionError("a Lyndon word was enumerated before the ceilings were checked")
 
-        monkeypatch.setattr(sys.modules["superharrison.cochains"], "_lyndon_words", enumerated)
+        monkeypatch.setattr("superharrison.cochains._lyndon_words", enumerated)
         with pytest.raises(ResourceCeilingError, match="dimension 8388608 exceeds the ceiling 20000"):
             cohomology(Complex(self_module(exterior_algebra(6)), HARR), 3)
 
@@ -528,7 +527,7 @@ class TestResourceLimits:
             raise AssertionError("built before the ceilings were checked")
 
         for name in ("harrison_space", "harrison_pivots", "coboundary_scatter"):
-            monkeypatch.setattr(sys.modules["superharrison.cohomology"], name, built)
+            monkeypatch.setattr(f"superharrison.cohomology.{name}", built)
         alg = exterior_algebra(2)
         with pytest.raises(ResourceCeilingError):
             cohomology(Complex(self_module(alg), kind, limits), degree)

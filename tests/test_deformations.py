@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import gc
 import random
-import sys
 import weakref
 from fractions import Fraction
 
@@ -35,6 +34,7 @@ from superharrison.algebras import (
 )
 from superharrison.cochains import (
     Cochain,
+    _signed_shuffles,
     cochain_from_entries,
     hochschild_coboundary,
     super_shuffle_sum,
@@ -354,13 +354,12 @@ class TestIffSweeps:
         rng = random.Random(SWEEP_SEED)
         bad = [random_parity_cochain(cx.module, 2, rng) for _ in range(3)][-1]
         k = len(parity_basis(cx.module, 2)) + 2
-        deformations = sys.modules["superharrison.deformations"]
 
         def flipped_at_bad(verdict):
             return lambda psi: verdict(psi) != (psi == bad)
 
         cocycle = is_cocycle(bad)
-        monkeypatch.setattr(deformations, "is_cocycle", flipped_at_bad(is_cocycle))
+        monkeypatch.setattr("superharrison.deformations.is_cocycle", flipped_at_bad(is_cocycle))
         report = deformation_iff_cocycle(cx, budget=5)
         assert report.cases == k + 3
         assert report.failures == (f"case {k}: deformation check says {cocycle}, cocycle test says {not cocycle}",)
@@ -372,7 +371,7 @@ class TestIffSweeps:
             out = super_shuffle_sum(psi, p)
             return out if psi != bad else Cochain(2, cx.module, {} if not out.is_zero() else {0: 1})
 
-        monkeypatch.setattr(deformations, "super_shuffle_sum", flipped_sum)
+        monkeypatch.setattr("superharrison.deformations.super_shuffle_sum", flipped_sum)
         report = extension_valid_iff_cocycle(cx, budget=5)
         verdict = "clean" if symmetric else "violated"
         failure = f"extension supercommutativity is {verdict} but cochain side says {not symmetric}"
@@ -381,14 +380,11 @@ class TestIffSweeps:
     def test_sweeps_catch_a_flipped_degree_two_swap_sign(self, monkeypatch):
         # The cochain-side verdicts read the signed shuffle table, so a sign
         # error there disagrees with the DualNumber and validator sides.
-        cochains = sys.modules["superharrison.cochains"]
-        signed_shuffles = cochains._signed_shuffles
-
         def flipped(n, p, parities):
-            rows = signed_shuffles(n, p, parities)
+            rows = _signed_shuffles(n, p, parities)
             return tuple((slots, -sign if slots == (1, 0) else sign) for slots, sign in rows)
 
-        monkeypatch.setattr(cochains, "_signed_shuffles", flipped)
+        monkeypatch.setattr("superharrison.cochains._signed_shuffles", flipped)
         cx = harrison_on_itself(exterior_algebra(1))
         assert not deformation_iff_cocycle(cx, budget=0).passed
         assert not extension_valid_iff_cocycle(cx, budget=0).passed

@@ -3,18 +3,25 @@ and every function or class a package module exports is read somewhere in ``src/
 
 The scan is static: a module's AST lists the names each import binds, and
 every name the module loads, including names inside string annotations.
-The package's ``__init__.py`` imports names from its own modules to
-re-export them; those count as read.  For exports, a name loaded or read
-as an attribute counts, except inside the definition of that name, and a
-re-export from ``__init__.py`` does not.
+For exports, a name loaded or read as an attribute counts, except inside
+the definition of that name.
+
+Each public name has one import path, its defining module: the package
+binds no name but its modules, which the import system binds as they
+load, so ``superharrison.X`` is always the module ``X``.
 """
 
 from __future__ import annotations
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
+
+import superharrison
+from superharrison.algebras import exterior_algebra, self_module
+from superharrison.cohomology import Complex, ComplexKind, cohomology
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "superharrison").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
@@ -53,21 +60,10 @@ def _read(tree: ast.Module) -> set[str]:
     return names
 
 
-def _reexported(tree: ast.Module) -> set[str]:
-    """The names a package ``__init__`` imports from its own modules."""
-    return {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level
-        for alias in node.names
-    }
-
-
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_imported_name_is_read(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    exported = _reexported(tree) if path.name == "__init__.py" else set()
-    unused = {name: line for name, line in _imported(tree).items() if name not in _read(tree) | exported}
+    unused = {name: line for name, line in _imported(tree).items() if name not in _read(tree)}
     assert not unused, f"{path.name} imports names it never reads: " + ", ".join(
         f"{name} (line {line})" for name, line in sorted(unused.items(), key=lambda item: item[1])
     )
@@ -76,6 +72,26 @@ def test_every_imported_name_is_read(path):
 def test_the_scan_sees_an_unused_import():
     tree = ast.parse("from typing import Iterable, Optional\nx: 'Optional[int]' = None\n")
     assert set(_imported(tree)) - _read(tree) == {"Iterable"}
+
+
+def test_the_package_binds_no_name_but_its_modules():
+    bound = {name: value for name, value in vars(superharrison).items() if not name.startswith("__")}
+    assert [name for name, value in bound.items() if not isinstance(value, types.ModuleType)] == []
+
+
+def test_a_module_path_binds_the_module():
+    import superharrison.cohomology as m
+
+    assert isinstance(m, types.ModuleType) and m.Complex is Complex
+
+
+def test_a_patch_by_module_path_reaches_the_module(monkeypatch):
+    def refused(cx, degree):
+        raise LookupError("patched")
+
+    monkeypatch.setattr("superharrison.cohomology.coboundary_matrix", refused)
+    with pytest.raises(LookupError, match="patched"):
+        cohomology(Complex(self_module(exterior_algebra(1)), ComplexKind.HOCHSCHILD), 0)
 
 
 def _exported_definitions(tree: ast.Module) -> set[str]:

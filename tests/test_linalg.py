@@ -256,6 +256,15 @@ class TestQuotient:
         space = SubspaceBasis.from_vectors([(1, 2, 0), (0, 1, 1)], 3)
         assert dense_vectors(quotient_representatives(space, space)) == ()
 
+    def test_a_remainder_with_integral_fractions_is_reduced(self):
+        # Clearing (1, 0, -1/2) against (1, 1, 1/2) leaves (0, -1, Fraction(-1, 1)):
+        # integral, but not an int.
+        space = SubspaceBasis.from_vectors([(1, 0, Fraction(-1, 2)), (0, 1, 1)], 3)
+        sub = SubspaceBasis.from_vectors([(1, 1, Fraction(1, 2))], 3)
+        reps = quotient_representatives(space, sub)
+        assert dense_vectors(reps) == ((0, 1, 1),)
+        assert is_normalised(dense_vectors(reps))
+
     @given(st.data())
     @settings(max_examples=40)
     def test_representatives_are_independent_mod_subspace(self, data):

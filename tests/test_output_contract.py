@@ -13,6 +13,9 @@ The bad-input cases run ``check`` on the broken algebras of
 associativity, graded symmetry or parity.  Text output echoes the
 ``--algebra`` argument, so the ``bad_inputs`` fixture writes those files
 into a temporary directory and runs from inside it.
+
+``shuffles`` and ``sign`` read no algebra; they are pinned on their own
+arguments, each case named by its argument list.
 """
 
 from __future__ import annotations
@@ -236,3 +239,17 @@ def test_every_bad_case_has_a_recorded_digest():
 @pytest.mark.parametrize("case", sorted(BAD_CASES))
 def test_bad_input_output_is_byte_identical(case, bad_inputs):
     assert run_digest(BAD_CASES[case]) == BAD_DIGESTS[case]
+
+
+ARGUMENT_DIGESTS: dict[str, tuple[int, str]] = {
+    "shuffles 4 2": (0, "d6f6ea92d2977a9022424d86f2def02de0d85511ea5b4ed97e65ab25fda51699"),
+    "shuffles 5 1": (0, "cea1d91c86386faee5660528f67324b9b220bc28f6cdbfa5cf2696ef0cb5d24f"),
+    "shuffles 16 8": (0, "990bbc31cba4db7a734f9505fc93c18f451b25226d86bf14b7f6c15dc8daad35"),
+    "sign --perm 3,1,2 --parity 0,1,1": (0, "ee3aa64bb94a50845d5024cd4bd20202a4567aed5cd5328c0d97e9920775fc28"),
+    "sign --perm 2,4,5,1,3 --parity 1,0,1,1,0": (0, "2be5b899a1b7fe4a747baeb088f0b554b89c67772af1a62dbb8b6b890e5e85aa"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARGUMENT_DIGESTS))
+def test_shuffles_and_sign_output_is_byte_identical(case):
+    assert run_digest(case.split()) == ARGUMENT_DIGESTS[case]
