@@ -211,7 +211,7 @@ def _sweep(cx: Complex, budget: int, failures_of: Callable[[Cochain], list[str]]
     return SweepReport(cases=parity_count(module, 2) + budget, failures=failures)
 
 
-def deformation_iff_cocycle(cx: Complex, budget: int = 50) -> SweepReport:
+def deformation_iff_cocycle(cx: Complex, budget: int) -> SweepReport:
     """Sweep: deformed product valid <=> psi is a Harrison 2-cocycle.
 
     ``cx`` is the Harrison complex of an algebra on itself.  Runs every
@@ -273,7 +273,7 @@ def square_zero_extension(psi: Cochain) -> SuperAlgebra:
     return SuperAlgebra(dim, names, parity, _table_from_cells(cells, dim, dim), unit_index=None)
 
 
-def extension_valid_iff_cocycle(cx: Complex, budget: int = 50) -> SweepReport:
+def extension_valid_iff_cocycle(cx: Complex, budget: int) -> SweepReport:
     """Sweep: the extension by the complex's module validates <=> psi is a Harrison 2-cocycle.
 
     The comparison is law by law over ``_cochain_laws``: parity compatibility

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations, product
 
-from conftest import dense_tensor
+from conftest import dense_tensor, sparse
 from superharrison.linalg import (
     RationalMatrix,
     SubspaceBasis,
@@ -60,10 +60,7 @@ def shuffle_closed_space(dim: int, degree: int) -> SubspaceBasis:
     """Kernel of every stacked shuffle-sum matrix over flat coordinates."""
     total = flat_dim(dim, degree)
     if degree <= 1:
-        return SubspaceBasis.from_vectors(
-            [[1 if c == r else 0 for c in range(total)] for r in range(total)],
-            total,
-        )
+        return SubspaceBasis.from_vectors([{r: 1} for r in range(total)], total)
     rows = []
     for p in range(1, degree):
         shuffles = []
@@ -77,7 +74,7 @@ def shuffle_closed_space(dim: int, degree: int) -> SubspaceBasis:
                     u = tuple(t[inverse[m]] for m in range(degree))
                     row[flat_offset(dim, u, l)] += sign
                 rows.append(row)
-    return kernel_basis(RationalMatrix.from_rows(rows, total))
+    return kernel_basis(RationalMatrix.from_rows(list(map(sparse, rows)), total))
 
 
 def coboundary_columns(structure, degree: int) -> RationalMatrix:
@@ -112,7 +109,7 @@ def coboundary_columns(structure, degree: int) -> RationalMatrix:
                     c = structure[l][j][k]
                     if c:
                         column[flat_offset(dim, u + (j,), k)] += last_sign * c
-            columns.append(column)
+            columns.append(sparse(column))
     return RationalMatrix.from_columns(columns, flat_dim(dim, n + 1))
 
 

@@ -13,9 +13,11 @@ directory and runs the test from inside it.
 ``dense`` is the reference reader of the sparse forms, with
 ``dense_vectors`` and ``dense_tensor`` built on it: the library keeps
 structure constants and bases sparse only, and tests that compare against
-plain dense loops read them through here.  ``entry`` and ``vector_at``
-read one value, or one module vector, of a cochain through
-``cochains.encode``, the one flat-index codec.
+plain dense loops read them through here.  ``sparse`` goes the other way:
+it writes a dense test vector as ``{position: value}``, the one vector
+form ``linalg`` takes.  ``entry`` and ``vector_at`` read one value, or one
+module vector, of a cochain through ``cochains.encode``, the one
+flat-index codec.
 
 ``act``, ``multiply`` and ``right_action`` evaluate the action, the
 product and the Koszul right action on coefficient vectors, summed over the
@@ -84,6 +86,11 @@ EVEN_CORPUS = ("truncpoly2", "truncpoly3")
 def dense(row, width: int) -> tuple:
     """A sparse row, as (k, c) pairs or a {k: c} dict, as a tuple of ``width`` entries."""
     return tuple(dict(row).get(k, 0) for k in range(width))
+
+
+def sparse(vector) -> dict:
+    """A dense vector as {position: value}, zeros kept, so that ``linalg`` coerces every entry."""
+    return dict(enumerate(vector))
 
 
 def dense_vectors(basis) -> tuple:

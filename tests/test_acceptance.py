@@ -197,7 +197,7 @@ def test_second_cohomology_matches_deformation_oracles():
     # The image of the restricted matrix lives in canonical-basis
     # coordinates of the degree-2 shuffle-closed space.
     space = harrison_space(nil_module, 2)
-    square_coords = space.coordinates(square.data)
+    square_coords = space.sparse_coordinates(square.data)
     assert square_coords is not None
     boundaries = image_basis(coboundary_matrix(Complex(nil_module, HARR), 1))
     assert not boundaries.contains(square_coords)

@@ -19,6 +19,7 @@ from conftest import (
     parity_shift,
     reference_coboundary_scatter,
     right_action,
+    sparse,
     vector_at,
 )
 from hypothesis import example, given, settings
@@ -386,7 +387,7 @@ class TestHarrisonSpace:
                 for p in range(1, degree):
                     s = super_shuffle_sum(f, p)
                     col.extend(s.data.get(o, 0) for o in offsets)
-                columns.append(col)
+                columns.append(sparse(col))
             stacked = RationalMatrix.from_columns(
                 columns, len(offsets) * (degree - 1)
             )

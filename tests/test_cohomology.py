@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 from classical_oracle import rank_mod_p
-from conftest import dense_tensor, ground_field, harrison_basis, parity_shift, reference_coboundary_matrix
+from conftest import dense_tensor, ground_field, harrison_basis, parity_shift, reference_coboundary_matrix, sparse
 from hypothesis import given, settings
 from test_algebras import perturbed_modules
 
@@ -325,7 +325,7 @@ def dense_derivation_space(algebra, module):
                     row[col(i, l)] -= sign * action[j][l][l2]
                 if any(row):
                     rows.append(row)
-    return kernel_basis(RationalMatrix.from_rows(rows, cols=width))
+    return kernel_basis(RationalMatrix.from_rows(list(map(sparse, rows)), cols=width))
 
 
 def harrison_cocycles_over_offsets(algebra, module):
@@ -415,7 +415,7 @@ class TestRepresentatives:
                 for rep in res.representatives:
                     if kind is HARR:
                         space = harrison_space(mod, degree)
-                        coords = space.coordinates(rep.data)
+                        coords = space.sparse_coordinates(rep.data)
                         assert coords is not None
                         rep_coords.append(coords)
                     else:
