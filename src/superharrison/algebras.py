@@ -17,32 +17,28 @@ split is deliberate: the deformation layer needs to build broken algebras
 on purpose and see exactly which law fails where.  One law scan,
 ``_law_differences``, sums (e_i e_j)x_k and e_i(e_j x_k) triple by triple
 from nonzero products only; it serves associativity, the module law and
-the deformed product m + t psi of ``deformations``, over any coefficient
-ring.  ``_supercommutativity_differences`` is the one supercommutativity
-scan.  Every law compares sparse rows, and once two rows are found unequal,
-``_differences`` alone walks their nonzero positions to name where.
+the deformed product m + t psi of ``deformations``, read as the structure
+constants of A[t]/(t^2).  ``_supercommutativity_differences`` is the one
+supercommutativity scan.  Every law compares sparse rows, and once two
+rows are found unequal, ``_differences`` alone walks their nonzero
+positions to name where.
 
 The right action is never stored: it is induced from the left one on
 homogeneous components by the Koszul rule m*a = (-1)^{|a||m|} a*m, which
 is the convention used by the coboundary.
-
-``DualNumber`` implements rationals adjoined an infinitesimal t with t^2 = 0,
-used to check first-order deformations by direct arithmetic in those scans.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
-from typing import Any, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .linalg import Rat, _denominator, _ratio, as_rational
-from .records import Record, set_field
+from .records import Record
 
 __all__ = [
     "SuperAlgebra",
     "SuperModule",
-    "DualNumber",
     "Violation",
     "ValidationReport",
     "validate_superalgebra",
@@ -239,8 +235,8 @@ def _parity_violations(a_par: Sequence[int], table: SparseTable, x_par: Sequence
     return out
 
 
-def _differences(got: Mapping[int, Any], want: Mapping[int, Any]) -> Iterator[tuple]:
-    """(k, got_k, want_k) where two sparse rows as {k: c}, over any ring, differ; k ascending, a zero is absent."""
+def _differences(got: Mapping[int, Rat], want: Mapping[int, Rat]) -> Iterator[tuple]:
+    """(k, got_k, want_k) where two sparse rows as {k: c} differ; k ascending, a zero is absent."""
     for k in sorted(got.keys() | want.keys()):
         a, b = got.get(k, 0), want.get(k, 0)
         if a != b:
@@ -251,9 +247,8 @@ def _law_differences(products: SparseTable, table: SparseTable) -> Iterator[tupl
     """(i, j, k, l, left, right) for each triple where (e_i e_j)x_k and e_i(e_j x_k) first differ, at x_l.
 
     With ``table`` the algebra's own products this is associativity; with a
-    module's action it is the module law.  Coefficients may come from any
-    ring (ints, ``Fraction``s, ``DualNumber``s); a sum of zero counts as
-    absent.  Triples come in lexicographic order: pair by pair (i, j), and
+    module's action it is the module law.  A sum of zero counts as absent.
+    Triples come in lexicographic order: pair by pair (i, j), and
     within a pair only the k where a side has a nonzero term, each side
     summed from nonzero entries.  So the cost follows the nonzero products
     plus one visit per pair, and a caller that takes one item stops early.
@@ -274,12 +269,12 @@ def _law_differences(products: SparseTable, table: SparseTable) -> Iterator[tupl
             for mid in live.intersection(reaching[j]):
                 ks |= reaching[j][mid]
             for k in sorted(ks):
-                left: dict[int, Any] = {}
+                left: dict[int, Rat] = {}
                 for mid, coeff in prod:
                     for l, c in table[mid][k]:
                         term = coeff * c
                         left[l] = left[l] + term if l in left else term
-                right: dict[int, Any] = {}
+                right: dict[int, Rat] = {}
                 for mid, coeff in table[j][k]:
                     for l, c in acting[mid]:
                         term = coeff * c
@@ -306,8 +301,7 @@ def _action_law_violations(d: int, products: SparseTable, table: SparseTable, x:
 def _supercommutativity_differences(parity: Sequence[int], table: SparseTable) -> Iterator[tuple]:
     """(i, j, k, got, want) for each coefficient of e_k where e_j e_i is not (-1)^{|e_i||e_j|} e_i e_j.
 
-    Lexicographic order; the coefficients may come from any ring, as in
-    ``_law_differences``.
+    Lexicographic order.
     """
     for i, plane in enumerate(table):
         for j, forward in enumerate(plane):
@@ -372,77 +366,6 @@ def validate_supermodule(module: SuperModule) -> ValidationReport:
                 ]
 
     return ValidationReport(tuple(violations))
-
-
-class DualNumber(Record):
-    """c0 + c1*t with t^2 = 0, over exact rationals."""
-
-    c0: Rat
-    c1: Rat
-
-    def __init__(self, c0: Rat, c1: Rat = 0) -> None:
-        super().__init__(as_rational(c0), as_rational(c1))
-
-    # Spelled out, not ``Record``'s generic pair: the deformation checks
-    # compare DualNumbers by the thousand, so that case goes first.  A
-    # scalar x compares as x + 0t, as arithmetic coerces it; a boolean is
-    # not a scalar.
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is DualNumber:
-            return self.c0 == other.c0 and self.c1 == other.c1
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return not self.c1 and self.c0 == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.c0, self.c1)) if self.c1 else hash(self.c0)
-
-    @staticmethod
-    def _exact(c0: Rat, c1: Rat) -> "DualNumber":
-        """c0 + c1*t from values that are already exact, such as sums and products of exact values.
-
-        Arithmetic builds its results here, skipping the normalisation that
-        ``__init__`` applies to values from outside, so a component may
-        be an integral ``Fraction``; it still compares and hashes as the int.
-        """
-        out = object.__new__(DualNumber)
-        set_field(out, "c0", c0)
-        set_field(out, "c1", c1)
-        return out
-
-    @staticmethod
-    def coerce(value: "DualNumber | Rat") -> "DualNumber":
-        if isinstance(value, DualNumber):
-            return value
-        return DualNumber(value)
-
-    def __add__(self, other: "DualNumber | Rat") -> "DualNumber":
-        o = DualNumber.coerce(other)
-        return DualNumber._exact(self.c0 + o.c0, self.c1 + o.c1)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "DualNumber":
-        return DualNumber._exact(-self.c0, -self.c1)
-
-    def __sub__(self, other: "DualNumber | Rat") -> "DualNumber":
-        o = DualNumber.coerce(other)
-        return DualNumber._exact(self.c0 - o.c0, self.c1 - o.c1)
-
-    def __rsub__(self, other: "DualNumber | Rat") -> "DualNumber":
-        o = DualNumber.coerce(other)
-        return DualNumber._exact(o.c0 - self.c0, o.c1 - self.c1)
-
-    def __mul__(self, other: "DualNumber | Rat") -> "DualNumber":
-        o = DualNumber.coerce(other)
-        return DualNumber._exact(self.c0 * o.c0, self.c0 * o.c1 + self.c1 * o.c0)
-
-    __rmul__ = __mul__
-
-    # Zero is 0 + 0t, so that a law scan over DualNumbers counts a sum that
-    # cancels as absent, as it does over ints and Fractions.
-    def __bool__(self) -> bool:
-        return bool(self.c0 or self.c1)
 
 
 def exterior_algebra(k: int) -> SuperAlgebra:

@@ -212,6 +212,11 @@ def _cmd_check(args: argparse.Namespace) -> Report:
     return _violations_report(ok, doc, [f"algebra: {args.algebra}", f"valid: {'yes' if ok else 'no'}"], violations)
 
 
+# ``shuffles`` builds and prints n images per shuffle, n * C(n, p) entries in all;
+# beside the column ceiling on C(n, p), it admits at most this many.
+MAX_SHUFFLE_ENTRIES = 250_000
+
+
 def _cmd_shuffles(args: argparse.Namespace) -> Report:
     # All C(n, p) shuffles are built before one prints; a bad split gets enumerate_shuffles's error.
     # C(n, i) grows up to i = min(p, n - p), so its running product stops as soon as it passes the ceiling.
@@ -222,6 +227,10 @@ def _cmd_shuffles(args: argparse.Namespace) -> Report:
         count = count * (n - i + 1) // i
         if count > limit:
             raise ResourceCeilingError(f"C({n}, {p}) shuffles exceed the ceiling {limit}")
+    if 0 < p < n and n * count > MAX_SHUFFLE_ENTRIES:
+        raise ResourceCeilingError(
+            f"{n} * C({n}, {p}) = {n * count} shuffle entries exceed the bound {MAX_SHUFFLE_ENTRIES}"
+        )
     return EXIT_OK, None, [" ".join(str(v) for v in perm.images) for perm in enumerate_shuffles(n, p)]
 
 

@@ -6,11 +6,13 @@ itself), the deformed product
 
     m_t(a, b) = ab + t psi(a, b)        over rationals with t^2 = 0
 
-is checked for supercommutativity and associativity by direct DualNumber
-arithmetic; no cochain identities are consulted.  The table m_t(e_i, e_j)
-= c_ij + t psi(e_i, e_j) is built once per check and run through the
-validators' own law scans from ``algebras``, which go pair by pair in
-lexicographic witness order and stop at the first difference.
+is checked for supercommutativity and associativity with no cochain
+identity consulted.  A[t]/(t^2) under m_t is an algebra of dimension
+2 dim A over the rationals, on the basis e_0 ... e_{d-1}, t e_0 ... t e_{d-1}
+(``_mt_table``), so the validators' own law scans from ``algebras`` read its
+structure constants: both laws on the A x A block, where m_t(e_i, e_j) =
+c_ij + t psi(e_i, e_j), going pair by pair in lexicographic witness order
+and stopping at the first difference.
 Independently, psi being a parity-preserving, graded-symmetric cocycle is
 decided by the cochain machinery, law by law (``_cochain_laws``).  Graded
 symmetry there is su_{2,1} psi = 0, (su_{2,1} f)(a, b) = f(a, b) -
@@ -42,7 +44,7 @@ from itertools import chain
 from typing import Callable, Iterator, Optional
 
 from .algebras import (
-    DualNumber,
+    SparseTable,
     SuperAlgebra,
     SuperModule,
     _law_differences,
@@ -114,40 +116,41 @@ def _check_complex(cx: Complex, self_acting: bool = False) -> None:
         raise ValueError("the complex must take values in the algebra acting on itself")
 
 
-def _mt_table(psi: Cochain) -> list[list[tuple[tuple[int, DualNumber], ...]]]:
-    """m_t on basis pairs in the form of ``products``: table[i][j] = c_ij + t psi(e_i, e_j), from nonzero entries."""
-    # twists[(i, j)] = {l: psi(e_i, e_j)_l}; psi takes values in the algebra itself.
-    twists: dict[tuple[int, ...], dict[int, Rat]] = {}
+def _mt_table(psi: Cochain) -> SparseTable:
+    """The products of A[t]/(t^2) under m + t psi, on the basis e_0 ... e_{d-1}, t e_0 ... t e_{d-1}.
+
+    Row (i, j) is c_ij followed by psi(e_i, e_j) at d + l; rows (i, d + k)
+    and (d + i, k) are A's row (i, k) shifted by d, and rows (d + i, d + k)
+    are empty, since t^2 = 0.  A's own products stand on both sides of the
+    t-block, so on an algebra that is not supercommutative the table is
+    still m + t psi, not ``square_zero_extension``'s Koszul right action.
+    """
+    products = psi.algebra.products
+    d = len(products)
+    # twists[(i, j)] lists (d + l, psi(e_i, e_j)_l), l ascending; psi takes values in the algebra itself.
+    twists: dict[tuple[int, ...], list[tuple[int, Rat]]] = {}
     for pair, l, v in psi.iter_nonzero():
-        twists.setdefault(pair, {})[l] = v
-    table = []
-    for i, plane in enumerate(psi.algebra.products):
-        out = []
-        for j, prod in enumerate(plane):
-            twist = twists.get((i, j))
-            if twist is None:
-                out.append(tuple((k, DualNumber._exact(c, 0)) for k, c in prod))
-                continue
-            product = dict(prod)
-            out.append(
-                tuple(
-                    (l, DualNumber._exact(product.get(l, 0), twist.get(l, 0)))
-                    for l in sorted(product.keys() | twist.keys())
-                )
-            )
-        table.append(out)
-    return table
+        twists.setdefault(pair, []).append((d + l, v))
+    shifted = [tuple(tuple((d + k, c) for k, c in row) for row in plane) for plane in products]
+    top = tuple(
+        tuple(row + tuple(twists.get((i, j), ())) for j, row in enumerate(plane)) + shifted[i]
+        for i, plane in enumerate(products)
+    )
+    return top + tuple(shifted[i] + ((),) * d for i in range(d))
 
 
 def first_order_deformation_check(psi: Cochain) -> DeformationReport:
-    """Check the deformed product of psi's algebra by the validators' law scans; the first witness of each wins."""
+    """Check m + t psi by the law scans on the A x A block of ``_mt_table``; the first witness of each wins."""
     if psi.degree != 2:
         raise ValueError("a deformation direction must be a degree-2 cochain")
     if not _is_self_module(psi.module):
         raise ValueError("psi must take values in the algebra acting on itself")
+    d = psi.algebra.dim
     table = _mt_table(psi)
-    supercomm = next(_supercommutativity_differences(psi.algebra.parity, table), None)
-    assoc = next(_law_differences(table, table), None)
+    block = tuple(plane[:d] for plane in table[:d])
+    supercomm = next(_supercommutativity_differences(psi.algebra.parity, block), None)
+    # x_k runs over all of A[t]/(t^2); the associativity of m_t is the k < d part.
+    assoc = next((w for w in _law_differences(block, table) if w[2] < d), None)
     return DeformationReport(
         parity_ok=psi.parity_preserving,
         supercommutativity_witness=None if supercomm is None else supercomm[:2],
@@ -216,8 +219,8 @@ def deformation_iff_cocycle(cx: Complex, budget: int) -> SweepReport:
 
     ``cx`` is the Harrison complex of an algebra on itself.  Runs every
     element of the degree-2 parity basis plus ``budget`` random rational
-    combinations, comparing the DualNumber verdict against the cochain-side
-    verdict on each.
+    combinations, comparing the deformed-product verdict against the
+    cochain-side verdict on each.
     """
     _check_complex(cx, self_acting=True)
 
@@ -325,8 +328,8 @@ def extension_equivalence(cx: Complex, psi1: Cochain, psi2: Cochain) -> Optional
 def deformation_classes(cx: Complex) -> CohomologyResult:
     """Degree-2 cohomology of ``cx``, the Harrison complex of A on itself; representatives re-checked.
 
-    Every representative is run back through the DualNumber deformation
-    check, which must come out valid.
+    Every representative is run back through the deformed-product check,
+    which must come out valid.
     """
     _check_complex(cx, self_acting=True)
     result = cohomology(cx, 2)

@@ -7,8 +7,9 @@ shuffles) are shared across the whole run.  A ``cohomology.Complex`` keeps
 its spaces and coboundary matrices only while it lives, so tests that
 build their own complexes share none of them.
 ``BAD_FILES`` holds broken algebras and deformation directions as JSON
-documents; the ``bad_inputs`` fixture writes them into a temporary
-directory and runs the test from inside it.
+documents, and one direction that passes, ``psi_cocycle.json``; the
+``bad_inputs`` fixture writes them into a temporary directory and runs the
+test from inside it.
 
 ``dense`` is the reference reader of the sparse forms, with
 ``dense_vectors`` and ``dense_tensor`` built on it: the library keeps
@@ -410,6 +411,15 @@ BAD_FILES: dict[str, dict] = {
     "psi_symmetry.json": {"degree": 2, "entries": [{"i": [0, 1], "l": 1, "coeff": "1"}]},
     # psi(e0, e0) = e1: odd on the mixed algebra, whose e1 is odd.
     "psi_parity.json": {"degree": 2, "entries": [{"i": [0, 0], "l": 1, "coeff": "1"}]},
+    # A Harrison 2-cocycle on both truncpoly(3) and the mixed algebra: every check passes.
+    "psi_cocycle.json": {
+        "degree": 2,
+        "entries": [
+            {"i": [1, 2], "l": 1, "coeff": "1"},
+            {"i": [2, 1], "l": 1, "coeff": "1"},
+            {"i": [2, 2], "l": 2, "coeff": "1"},
+        ],
+    },
     # On truncpoly(2) its dense data would be 2^22 * 2 entries.
     "psi_degree22.json": {"degree": 22, "entries": []},
 }

@@ -85,6 +85,26 @@ class TestShufflesCommand:
         assert run(["shuffles", "1000000", "500000"]) == 3
         assert capsys.readouterr() == ("", "resource ceiling: C(1000000, 500000) shuffles exceed the ceiling 20000\n")
 
+    def test_more_entries_than_the_bound_are_refused_before_any_is_built(self, capsys, monkeypatch):
+        # C(20000, 1) = 20000 is within the ceiling, but its 20000 shuffles of 20000 images are not.
+        def refuse(n, p):
+            raise AssertionError("shuffles were enumerated")
+
+        monkeypatch.setattr("superharrison.shuffles.enumerate_shuffles", refuse)
+        monkeypatch.setattr("superharrison.cli.enumerate_shuffles", refuse)
+        assert run(["shuffles", "20000", "1"]) == 3
+        message = "20000 * C(20000, 1) = 400000000 shuffle entries exceed the bound 250000"
+        assert capsys.readouterr() == ("", f"resource ceiling: {message}\n")
+        assert run(["shuffles", "200", "2"]) == 3
+        assert capsys.readouterr().out == ""
+
+    def test_the_entry_bound_admits_its_edge(self, capsys):
+        # 500 * C(500, 1) = 250000 entries is the bound itself.
+        assert run(["shuffles", "500", "1"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 500
+        assert run(["shuffles", "501", "1"]) == 3
+        assert run(["shuffles", "501", "501"]) == 2
+
     def test_shuffles_under_the_ceiling_are_listed(self, capsys):
         # C(16, 8) = 12870 fits under the default 20000; C(17, 8) = 24310 does not.
         assert run(["shuffles", "16", "8"]) == 0

@@ -6,10 +6,10 @@ from __future__ import annotations
 import gc
 import random
 import weakref
-from fractions import Fraction
 
 import pytest
 from conftest import (
+    CORPUS,
     cochain_apply,
     dense,
     dense_vectors,
@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from test_algebras import _constants, perturbed_algebras, rebased_algebras
 
 from superharrison.algebras import (
-    DualNumber,
+    SuperAlgebra,
     SuperModule,
     _law_differences,
     exterior_algebra,
@@ -51,6 +51,7 @@ from superharrison.cohomology import (
 from superharrison.deformations import (
     SWEEP_SEED,
     DeformationReport,
+    _mt_table,
     deformation_classes,
     deformation_iff_cocycle,
     extension_equivalence,
@@ -62,7 +63,6 @@ from superharrison.deformations import (
 )
 from superharrison.linalg import kernel_basis
 
-ints = st.integers(min_value=-8, max_value=8)
 HARR = ComplexKind.SUPER_HARRISON
 
 
@@ -91,21 +91,32 @@ def first_asymmetric_pair(psi):
     return None
 
 
+def drawn_psi(data, algebra):
+    """A degree-2 cochain on ``algebra`` acting on itself: a drawn cochain, or the coboundary of a drawn one."""
+    module = self_module(algebra)
+
+    def cochain(degree):
+        offsets = st.integers(0, algebra.dim**degree * module.dim - 1)
+        return Cochain(degree, module, data.draw(st.dictionaries(offsets, _constants, max_size=6)))
+
+    return hochschild_coboundary(cochain(1)) if data.draw(st.booleans()) else cochain(2)
+
+
 def reference_deformation_witnesses(psi):
     """The (supercommutativity, associativity) witnesses of m_t(a, b) = ab + t psi(a, b), by brute force.
 
-    The table is read densely from the structure constants and psi, and the
-    deformed product m_t(x, y) is expanded bilinearly over it.  Both laws
-    are tested at every basis pair and triple, in lexicographic order, and
-    the first failure wins.
+    The table is read densely from the structure constants and psi, each
+    coefficient a plain pair (c0, c1) standing for c0 + c1 t, multiplied
+    with t^2 = 0, and the deformed product m_t(x, y) is expanded bilinearly
+    over it.  Both laws are tested at every basis pair and triple, in
+    lexicographic order, and the first failure wins.
     """
     alg = psi.algebra
     dim, par = alg.dim, alg.parity
-    zero = DualNumber(0)
     table = [
         [
             tuple(
-                (l, DualNumber(c, t))
+                (l, (c, t))
                 for l, (c, t) in enumerate(zip(dense(alg.products[i][j], dim), vector_at(psi, (i, j))))
                 if c or t
             )
@@ -114,21 +125,29 @@ def reference_deformation_witnesses(psi):
         for i in range(dim)
     ]
 
+    def times(x, y):
+        return x[0] * y[0], x[0] * y[1] + x[1] * y[0]
+
     def m_t(x, y):
         out = {}
         for a, xa in x:
             for b, yb in y:
                 for l, m in table[a][b]:
-                    out[l] = out.get(l, zero) + xa * yb * m
-        return tuple((l, v) for l, v in sorted(out.items()) if v != zero)
+                    c0, c1 = times(times(xa, yb), m)
+                    s0, s1 = out.get(l, (0, 0))
+                    out[l] = s0 + c0, s1 + c1
+        return tuple((l, v) for l, v in sorted(out.items()) if v != (0, 0))
 
-    basis = [((i, DualNumber(1)),) for i in range(dim)]
+    def negated(row):
+        return tuple((l, (-c0, -c1)) for l, (c0, c1) in row)
+
+    basis = [((i, (1, 0)),) for i in range(dim)]
     supercomm = next(
         (
             (i, j)
             for i in range(dim)
             for j in range(dim)
-            if table[j][i] != (tuple((l, -m) for l, m in table[i][j]) if par[i] and par[j] else table[i][j])
+            if table[j][i] != (negated(table[i][j]) if par[i] and par[j] else table[i][j])
         ),
         None,
     )
@@ -143,77 +162,6 @@ def reference_deformation_witnesses(psi):
         None,
     )
     return supercomm, assoc
-
-
-class TestDualNumber:
-    @given(ints, ints, ints, ints)
-    def test_multiplication_truncates_the_square_term(self, a, b, c, d):
-        prod = DualNumber(a, b) * DualNumber(c, d)
-        assert prod == DualNumber(a * c, a * d + b * c)
-
-    def test_infinitesimal_squares_to_zero(self):
-        t = DualNumber(0, 1)
-        assert not t * t
-
-    @given(ints, ints, ints, ints, ints, ints)
-    def test_ring_laws(self, a, b, c, d, e, f):
-        x, y, z = DualNumber(a, b), DualNumber(c, d), DualNumber(e, f)
-        assert x + y == y + x
-        assert x * y == y * x
-        assert (x + y) * z == x * z + y * z
-        assert (x * y) * z == x * (y * z)
-        assert not x - x
-
-    def test_mixes_with_plain_scalars(self):
-        x = DualNumber(2, 3)
-        assert 1 + x == DualNumber(3, 3)
-        assert 2 * x == DualNumber(4, 6)
-        assert 5 - x == DualNumber(3, -3)
-        assert x * Fraction(1, 2) == DualNumber(1, Fraction(3, 2))
-
-    @given(ints, ints)
-    def test_a_scalar_equals_its_dual_number(self, a, b):
-        # x compares as x + 0t, as arithmetic coerces it.
-        assert DualNumber(a) == a and a == DualNumber(a)
-        assert DualNumber(Fraction(a, 3)) == Fraction(a, 3)
-        assert (DualNumber(a, b) == a) == (b == 0)
-        assert (DualNumber(a, b) != a) == (b != 0)
-
-    def test_a_scalar_hashes_as_its_dual_number(self):
-        assert hash(DualNumber(Fraction(5, 2))) == hash(Fraction(5, 2))
-        assert hash(DualNumber._exact(Fraction(4, 2), 0)) == hash(2)
-        assert {DualNumber(1): "one"}.get(1) == "one"
-        assert {1: "one"}.get(DualNumber(1)) == "one"
-        assert DualNumber(0) == 0 and not DualNumber(0) != 0
-
-    def test_a_boolean_is_not_a_scalar(self):
-        assert DualNumber(1) != True and DualNumber(0) != False  # noqa: E712
-        assert DualNumber(1) != 1.0
-
-    def test_values_from_outside_are_normalised(self):
-        x = DualNumber(Fraction(4, 2), Fraction(3, 1))
-        assert x.c0 == 2 and type(x.c0) is int
-        assert x.c1 == 3 and type(x.c1) is int
-
-    def test_floats_are_rejected(self):
-        with pytest.raises(TypeError):
-            DualNumber(0.5)
-        with pytest.raises(TypeError):
-            DualNumber(1, 0.5)
-        with pytest.raises(TypeError):
-            DualNumber(1) + 0.5
-
-    def test_arithmetic_results_match_normalised_values(self):
-        half = DualNumber(Fraction(1, 2), Fraction(1, 2))
-        whole = half + half
-        assert whole == DualNumber(1, 1)
-        assert hash(whole) == hash(DualNumber(1, 1))
-        assert not whole - DualNumber(1, 1)
-
-    def test_truth_is_a_nonzero_component(self):
-        assert not DualNumber(0, 0)
-        assert DualNumber(0, 1)
-        assert DualNumber(Fraction(1, 2))
 
 
 class TestFirstOrderCheck:
@@ -315,27 +263,20 @@ class TestFirstOrderCheck:
     def test_witnesses_match_the_brute_force_reference(self, algebra, data):
         # Broken algebras too: the first witness of each law is pinned
         # whatever the algebra, for random psi and coboundaries alike.
-        module = self_module(algebra)
-
-        def cochain(degree):
-            offsets = st.integers(0, algebra.dim**degree * module.dim - 1)
-            return Cochain(degree, module, data.draw(st.dictionaries(offsets, _constants, max_size=6)))
-
-        psi = hochschild_coboundary(cochain(1)) if data.draw(st.booleans()) else cochain(2)
+        psi = drawn_psi(data, algebra)
         expected = DeformationReport(psi.parity_preserving, *reference_deformation_witnesses(psi))
         assert first_order_deformation_check(psi) == expected
 
     def test_a_sum_that_cancels_to_zero_is_no_difference(self):
-        # e0 e0 = t e1 - t e2 and e1 e0 = e2 e0 = e3, every other product
-        # zero: (e0 e0) e0 = t e3 - t e3 sums to 0 + 0t, and e0 (e0 e0) = 0.
-        one, t = DualNumber(1), DualNumber(0, 1)
+        # e0 e0 = e1 - e2 and e1 e0 = e2 e0 = e3, every other product zero:
+        # (e0 e0) e0 = e3 - e3 sums to 0, and e0 (e0 e0) = 0.
         table = [[() for _ in range(4)] for _ in range(4)]
-        table[0][0] = ((1, t), (2, -t))
-        table[1][0] = ((3, one),)
-        table[2][0] = ((3, one),)
+        table[0][0] = ((1, 1), (2, -1))
+        table[1][0] = ((3, 1),)
+        table[2][0] = ((3, 1),)
         assert list(_law_differences(table, table)) == []
-        table[2][0] = ((3, one + one),)
-        assert list(_law_differences(table, table)) == [(0, 0, 0, 3, -t, 0)]
+        table[2][0] = ((3, 2),)
+        assert list(_law_differences(table, table)) == [(0, 0, 0, 3, -1, 0)]
 
 
 class TestIffSweeps:
@@ -379,7 +320,7 @@ class TestIffSweeps:
 
     def test_sweeps_catch_a_flipped_degree_two_swap_sign(self, monkeypatch):
         # The cochain-side verdicts read the signed shuffle table, so a sign
-        # error there disagrees with the DualNumber and validator sides.
+        # error there disagrees with the deformed-product and validator sides.
         def flipped(n, p, parities):
             rows = _signed_shuffles(n, p, parities)
             return tuple((slots, -sign if slots == (1, 0) else sign) for slots, sign in rows)
@@ -396,6 +337,44 @@ class TestIffSweeps:
 
 
 class TestSquareZeroExtension:
+    @given(st.one_of(st.sampled_from([CORPUS[name] for name in sorted(CORPUS)]), rebased_algebras()), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_the_deformed_product_is_the_extension_of_a_supercommutative_algebra(self, algebra, data):
+        # There t e_i e_k = (-1)^{|e_i||e_k|} e_k t e_i, the Koszul right action.
+        psi = drawn_psi(data, algebra)
+        assert _mt_table(psi) == square_zero_extension(psi).products
+
+    def test_the_deformed_product_is_an_algebra_on_a_and_t_a(self):
+        # truncpoly(2) with psi(x, x) = 1: basis 1, x, t, tx, and x * x = t.
+        alg = truncated_polynomial(2)
+        psi = cochain_from_entries(self_module(alg), 2, {((1, 1), 0): 1})
+        assert _mt_table(psi) == (
+            (((0, 1),), ((1, 1),), ((2, 1),), ((3, 1),)),
+            (((1, 1),), ((2, 1),), ((3, 1),), ()),
+            (((2, 1),), ((3, 1),), (), ()),
+            (((3, 1),), (), (), ()),
+        )
+
+    def test_the_t_block_keeps_the_algebras_own_products(self):
+        # e0 e1 = e1 and e1 e0 = 0: t e0 * e1 is t (e0 e1) = t e1 and t e1 * e0
+        # is t (e1 e0) = 0, where the extension's Koszul right action swaps the two.
+        alg = SuperAlgebra(2, ("a", "b"), (0, 0), (((), ((1, 1),)), ((), ())))
+        psi = Cochain(2, self_module(alg), {})
+        mt, ext = _mt_table(psi), square_zero_extension(psi).products
+        assert (mt[2][1], mt[3][0]) == (((3, 1),), ())
+        assert (ext[2][1], ext[3][0]) == ((), ((3, 1),))
+        assert mt[:2] == ext[:2]
+
+    @given(perturbed_algebras(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_the_deformed_product_and_the_extension_share_the_a_block(self, algebra, data):
+        # Off supercommutative algebras the t-blocks may differ: _mt_table keeps A's own products there.
+        psi = drawn_psi(data, algebra)
+        d = algebra.dim
+        assert [plane[:d] for plane in _mt_table(psi)[:d]] == [
+            plane[:d] for plane in square_zero_extension(psi).products[:d]
+        ]
+
     def test_block_layout(self):
         alg = truncated_polynomial(2)
         mod = self_module(alg)

@@ -10,7 +10,7 @@ The bad-input cases run ``check`` on the broken algebras of
 ``conftest.BAD_FILES``, one per violation kind (``module_law`` comes with
 ``associativity``, the module law of the algebra acting on itself), and
 ``deform-check``/``extend`` on degree-2 cochains psi that break
-associativity, graded symmetry or parity.  Text output echoes the
+associativity, graded symmetry or parity, and on one cocycle that passes.  Text output echoes the
 ``--algebra`` argument, so the ``bad_inputs`` fixture writes those files
 into a temporary directory and runs from inside it.
 
@@ -52,7 +52,7 @@ CASES = _cases()
 
 def _bad_cases() -> dict[str, list[str]]:
     commands = {f"check-{name[:-5]}": ["check", "--algebra", name] for name in BAD_FILES if not name.startswith("psi")}
-    for psi in ("psi_assoc", "psi_symmetry", "psi_parity"):
+    for psi in ("psi_assoc", "psi_symmetry", "psi_parity", "psi_cocycle"):
         for label, spec in (("truncpoly3", CORPUS_SPECS["truncpoly3"]), ("mixed", CORPUS_SPECS["mixed"])):
             for command in ("deform-check", "extend"):
                 commands[f"{command}-{psi}-{label}"] = [command, "--algebra", spec, "--psi", f"{psi}.json"]
@@ -209,6 +209,10 @@ BAD_DIGESTS: dict[str, tuple[int, str]] = {
     "deform-check-psi_assoc-mixed-text": (1, "f5276411ab0b1a479823e7a04e7df6f8c59bacd325df461c6b7ff93f3b9b6142"),
     "deform-check-psi_assoc-truncpoly3-json": (1, "0c0d3eebb38d4fc0a201e428b1f0caab0e39ead9994ddaccc6cecb79aa28bca9"),
     "deform-check-psi_assoc-truncpoly3-text": (1, "27e57b08d3e530b4933c999862844788c7bc74809eb120342c5eedf2693bda1b"),
+    "deform-check-psi_cocycle-mixed-json": (0, "4f12e10d634090470d1c7caac0d48c4a1fc791e26e713ccf0ebc3cadcdb97fd6"),
+    "deform-check-psi_cocycle-mixed-text": (0, "917df0fa4dbde791ddffaab4348214a425b726d85fa8e2411ced08e3d1cd9b09"),
+    "deform-check-psi_cocycle-truncpoly3-json": (0, "8fab3eabc75a668712eace6fe45a1b1abeeeeb07085f49a563e424f22fbda477"),
+    "deform-check-psi_cocycle-truncpoly3-text": (0, "917df0fa4dbde791ddffaab4348214a425b726d85fa8e2411ced08e3d1cd9b09"),
     "deform-check-psi_parity-mixed-json": (1, "82370af9dc5ba50db070ea0448661e6999dc490bd71c08565c92f2cfcf1070f1"),
     "deform-check-psi_parity-mixed-text": (1, "accffa0d69a93a2052c488ab3bc213b6a1355b70c77ae7b4af5f0c0473003f5b"),
     "deform-check-psi_parity-truncpoly3-json": (1, "bdce824a3ce8051ae127db4feb341d16008cdc6a027458c3ea65621f7017340e"),
@@ -221,6 +225,10 @@ BAD_DIGESTS: dict[str, tuple[int, str]] = {
     "extend-psi_assoc-mixed-text": (1, "e4dfab45f3491d43089cc98167b74b2a9a5b981c633beb0852649d757ad46c1d"),
     "extend-psi_assoc-truncpoly3-json": (1, "109486d03650e4a1f3839fedb69e45411b7f044bb346766d119f723e28e4f3fb"),
     "extend-psi_assoc-truncpoly3-text": (1, "c3c530970d937caaa41fe51c662daab88bb329f238c747df27a8b541a3204ccd"),
+    "extend-psi_cocycle-mixed-json": (0, "bf474f57c1dc30d82d9851885a7a70409e2bff8629c6090f9b9767a747d8b9dd"),
+    "extend-psi_cocycle-mixed-text": (0, "903ff3c2b769e2fcaeb36a46236cfe601ea88bb4ab54921572cb2eee8803ee2f"),
+    "extend-psi_cocycle-truncpoly3-json": (0, "2997e9d7d59816f736c2cadaa1162fce8acab8a781fc6c972f81061dfdd7d574"),
+    "extend-psi_cocycle-truncpoly3-text": (0, "366ccd433a8ddae551ffd41194b7069670d36df660099940af7ac9087a930a3b"),
     "extend-psi_parity-mixed-json": (1, "cb9c5bea237db58667bc685d6c593a427f2d752f9f2e5c769e34b99f63a37ecf"),
     "extend-psi_parity-mixed-text": (1, "aec86e50fdca2b01e0cebb4b538218fb56581e0eb6d27780d8c7c6dc9daf2ef8"),
     "extend-psi_parity-truncpoly3-json": (1, "3d5088710c43b929bba5a544723cbc560f2bf9a87f0701456ae05c2cbe6e8daa"),

@@ -13,7 +13,6 @@ import pytest
 
 import superharrison
 from superharrison.algebras import (
-    DualNumber,
     SuperAlgebra,
     SuperModule,
     ValidationReport,
@@ -39,7 +38,6 @@ def _examples():
         "SuperModule": lambda: SuperModule(alg, 2, (0, 0), alg.products, basis_names=("u", "v")),
         "Violation": lambda: Violation("parity", (0, 1, 1), "detail"),
         "ValidationReport": lambda: ValidationReport((Violation("unit", (0,), "detail"),)),
-        "DualNumber": lambda: DualNumber(1, 2),
         "Cochain": lambda: Cochain(2, mod, {3: 1, 1: 2}),
         "ResourceLimits": lambda: ResourceLimits(max_columns=7),
         "Complex": lambda: Complex(mod, ComplexKind.SUPER_HARRISON),
@@ -71,7 +69,6 @@ def test_values_are_immutable_and_compare_by_fields(name):
 
 
 def test_values_of_different_fields_or_classes_differ():
-    assert DualNumber(1, 2) != DualNumber(1, 3)
     assert Permutation((1, 2)) != Permutation((2, 1))
     assert ResourceLimits() != ResourceLimits(max_degree=5)
     assert Violation("unit", (0,), "x") != ValidationReport(())
@@ -151,13 +148,6 @@ class TestBooleansAreNotScalars:
         with pytest.raises(TypeError, match="got True"):
             as_rational(True)
 
-    def test_dual_number(self):
-        with pytest.raises(TypeError, match="got True"):
-            DualNumber(True)
-        with pytest.raises(TypeError, match="got True"):
-            DualNumber(1, True)
-        with pytest.raises(TypeError, match="got True"):
-            DualNumber(1) + True
 
 
 class TestInexactZerosAreRefused:
@@ -180,7 +170,6 @@ class TestInexactZerosAreRefused:
 def test_defaults_match_the_signatures():
     assert ResourceLimits() == ResourceLimits(4, 20000)
     assert (ResourceLimits.max_degree, ResourceLimits.max_columns) == (4, 20000)
-    assert DualNumber(3) == DualNumber(3, 0)
     alg = truncated_polynomial(2)
     assert SuperModule(alg, 2, (0, 0), alg.products).basis_names == ("m0", "m1")
 
